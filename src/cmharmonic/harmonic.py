@@ -27,6 +27,7 @@ from .transforms import (
     ExtendedReal,
     GridSpec,
     ShiftedCauchyTransform,
+    _block_rows,
     check_membership,
 )
 
@@ -453,6 +454,13 @@ class PartialSignReport:
     measure are labeled degenerate rather than judged.  ``worst_re`` and
     ``worst_im`` are oriented so that anything above the slack counts as a
     violation.
+
+    The counts cover the half-plane rectangle and its mirror image in the
+    real axis: ``checked_nodes``, both violation counts and
+    ``degenerate_nodes`` are twice the upper-half counts.  Both quantities
+    are exactly even in y, so the mirror nodes are judged by that symmetry,
+    not evaluated.  When mu equals nu both integrals run over one rule with
+    weights (1 + c) w and (1 - c) w rather than two copies of it.
     """
 
     checked_nodes: int
@@ -507,8 +515,48 @@ def _signed_nonneg_probe(mu, nu, c, n_samples=1000):
     return True, None
 
 
+def _sign_kernel_sums(nodes, t, weights):
+    """Per node, ``kern @ weights`` for ``kern = 2 y t (1 - x t) / (1 - 2 x t + t^2 |z|^2)^2``.
+
+    Blocks of nodes fill two real buffers allocated once per call.
+    """
+    x = nodes.real[:, None]
+    y = nodes.imag[:, None]
+    t2 = t * t
+    rows = _block_rows(len(t))
+    out = np.empty((len(nodes), weights.shape[1]))
+    num = np.empty((min(rows, len(nodes)), len(t)))
+    den = np.empty_like(num)
+    for i in range(0, len(nodes), rows):
+        xs = x[i : i + rows]
+        ys = y[i : i + rows]
+        n = num[: len(xs)]
+        d = den[: len(xs)]
+        np.multiply(2.0 * xs, t, out=d)
+        np.subtract(1.0, d, out=d)
+        np.multiply(t2, xs * xs + ys * ys, out=n)
+        d += n
+        d *= d
+        np.multiply(xs, t, out=n)
+        np.subtract(1.0, n, out=n)
+        n *= t
+        n /= d
+        block = out[i : i + rows]
+        np.matmul(n, weights, out=block)
+        block *= 2.0 * ys
+    return out
+
+
 def check_partial_signs(f, grid=None, slack=1e-9, degenerate_tol=1e-12):
-    """Evaluate both partial-sign integrals on the half-plane grid and its mirror."""
+    """Evaluate both partial-sign integrals on the half-plane grid and its mirror.
+
+    Only ``grid.rect_points()`` are evaluated.  Each kernel term is odd in
+    y and y multiplies it again, so both quantities and the degeneracy
+    scale are exactly even in y: every mirror node repeats the value of its
+    image and is counted with it.  When mu equals nu (structurally, so two
+    equal measures parsed apart count too) the rules merge into one with
+    weights (1 + c) w and (1 - c) w.
+    """
     c = f.real_c
     if not isinstance(f.h, ShiftedCauchyTransform) or not isinstance(f.g, ShiftedCauchyTransform):
         raise TypeError("partial-sign check needs measure-backed parts")
@@ -516,47 +564,39 @@ def check_partial_signs(f, grid=None, slack=1e-9, degenerate_tol=1e-12):
     nu = f.g.mu
     grid = grid or GridSpec()
     upper = grid.rect_points()
-    nodes = np.concatenate([upper, np.conj(upper)])
-    x = nodes.real
-    y = nodes.imag
 
-    t_mu, w_mu = mu._rule
-    t_nu, w_nu = nu._rule
-    t_plus = np.concatenate([t_mu, t_nu])
-    w_plus = np.concatenate([w_mu, c * w_nu])
-    w_minus = np.concatenate([w_mu, -c * w_nu])
+    t, w_mu = mu._rule
+    if mu == nu:
+        w_plus = (1.0 + c) * w_mu
+        w_minus = (1.0 - c) * w_mu
+    else:
+        t_nu, w_nu = nu._rule
+        t = np.concatenate([t, t_nu])
+        w_plus = np.concatenate([w_mu, c * w_nu])
+        w_minus = np.concatenate([w_mu, -c * w_nu])
 
     probe_ok, reason = _signed_nonneg_probe(mu, nu, c)
 
-    viol_re = 0
+    # For y > 0, x < 1 and t in [0, 1] the kernel is nonnegative, so the
+    # degeneracy scale sum |kern| |w+| is one more column of the same sums.
+    sums = _sign_kernel_sums(upper, t, np.stack([np.abs(w_plus), w_plus, w_minus], axis=1))
+    deg = sums[:, 0] <= degenerate_tol
+    live = ~deg
+    y = upper.imag[live]
+    q_re = -(y * sums[live, 1])
+    q_im = y * sums[live, 2]
+
+    worst_re = float(np.max(q_re)) if q_re.size else -math.inf
+    worst_im = None
     viol_im = 0
-    degenerate = 0
-    worst_re = -math.inf
-    worst_im = -math.inf if probe_ok else None
-    block = 2048
-    for i in range(0, len(nodes), block):
-        xs = x[i : i + block, None]
-        ys = y[i : i + block, None]
-        t = t_plus[None, :]
-        denom = 1.0 - 2.0 * xs * t + t * t * (xs * xs + ys * ys)
-        kern = 2.0 * ys * t * (1.0 - xs * t) / (denom * denom)
-        scale = np.abs(kern) @ np.abs(w_plus)
-        deg = scale <= degenerate_tol
-        degenerate += int(deg.sum())
-        q_re = -(ys[:, 0] * (kern @ w_plus))
-        live = ~deg
-        if np.any(live):
-            worst_re = max(worst_re, float(np.max(q_re[live])))
-            viol_re += int(np.sum(q_re[live] > slack))
-            if probe_ok:
-                q_im = ys[:, 0] * (kern @ w_minus)
-                worst_im = max(worst_im, float(np.min(q_im[live]) * -1.0))
-                viol_im += int(np.sum(q_im[live] < -slack))
+    if probe_ok:
+        worst_im = -float(np.min(q_im)) if q_im.size else -math.inf
+        viol_im = 2 * int(np.sum(q_im < -slack))
     return PartialSignReport(
-        checked_nodes=int(len(nodes)),
-        violations_re=viol_re,
-        violations_im=viol_im if probe_ok else 0,
-        degenerate_nodes=degenerate,
+        checked_nodes=2 * int(upper.size),
+        violations_re=2 * int(np.sum(q_re > slack)),
+        violations_im=viol_im,
+        degenerate_nodes=2 * int(deg.sum()),
         im_checked=probe_ok,
         im_skip_reason=None if probe_ok else reason,
         worst_re=worst_re,

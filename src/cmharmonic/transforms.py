@@ -115,6 +115,8 @@ class GridSpec:
             raise ValueError("grid counts must be at least 2")
         if not self.xmax < 1.0:
             raise ValueError("half-plane rectangle must stay left of Re z = 1")
+        if not (self.ymin > 0.0 and self.ymax > 0.0):
+            raise ValueError("half-plane rectangle must lie in the open upper half (ymin, ymax > 0)")
 
     def disk_points(self):
         r = np.linspace(self.rmin, self.rmax, self.nr)
@@ -134,9 +136,47 @@ class GridSpec:
         return np.linspace(0.0, 1.0, nt)
 
 
-def _chunked(zs, block=2048):
-    for i in range(0, len(zs), block):
-        yield slice(i, i + block)
+# Grid sweeps work through blocks of nodes holding about this many
+# (node x rule point) terms: 1 MB of complex buffer here, two 512 kB real
+# ones in the partial-sign sweep, which stay in a core's L2 cache across the
+# passes over them.  Blocks of 2048 nodes against a 2200-point rule ran 1.5x
+# slower (Xeon, 2 MB L2 per core).
+_BLOCK_TERMS = 2**16
+
+
+def _block_rows(n_terms):
+    """Nodes per block for a rule of ``n_terms`` points."""
+    return max(1, _BLOCK_TERMS // n_terms)
+
+
+def _kernel_sums(zs, t, w, power):
+    """``sum_j w_j (1 - t_j z)**-power`` at each point of ``zs``, power 1, 2 or 3.
+
+    Each block fills one buffer allocated once per call, so no block
+    temporary outlives its iteration; the powers are products of the
+    reciprocal, not complex ``**``.
+    """
+    zs = np.asarray(zs, dtype=complex)
+    flat = zs.ravel()
+    _check_slit_array(flat)
+    rows = _block_rows(len(t))
+    out = np.empty(flat.shape, dtype=complex)
+    buf = np.empty((min(rows, len(flat)), len(t)), dtype=complex)
+    square = np.empty_like(buf) if power == 3 else None
+    for i in range(0, len(flat), rows):
+        z = flat[i : i + rows, None]
+        r = buf[: len(z)]
+        np.multiply(z, t, out=r)
+        np.subtract(1.0, r, out=r)
+        np.divide(1.0, r, out=r)
+        if power == 2:
+            r *= r
+        elif power == 3:
+            r2 = square[: len(z)]
+            np.multiply(r, r, out=r2)
+            r *= r2
+        np.matmul(r, w, out=out[i : i + rows])
+    return out.reshape(zs.shape)
 
 
 @dataclass(frozen=True)
@@ -164,14 +204,8 @@ class CauchyTransform:
 
     def values(self, zs):
         """Vectorized values on an array of slit-plane points (fixed rule)."""
-        zs = np.asarray(zs, dtype=complex)
-        flat = zs.ravel()
-        _check_slit_array(flat)
         t, w = self.mu._rule
-        out = np.empty(flat.shape, dtype=complex)
-        for sl in _chunked(flat):
-            out[sl] = (1.0 / (1.0 - t[None, :] * flat[sl, None])) @ w
-        return out.reshape(zs.shape)
+        return _kernel_sums(zs, t, w, 1)
 
     def series_eval(self, z, terms=300):
         """Truncated moment series; cross-check path for |z| well inside 1."""
@@ -273,25 +307,12 @@ class ShiftedCauchyTransform:
         return complex(self.mu.integrate(lambda t: 2.0 * t * (1.0 - t * z) ** -3.0, tol=tol))
 
     def derivs(self, zs):
-        zs = np.asarray(zs, dtype=complex)
-        flat = zs.ravel()
-        _check_slit_array(flat)
         t, w = self.mu._rule
-        out = np.empty(flat.shape, dtype=complex)
-        for sl in _chunked(flat):
-            out[sl] = ((1.0 - t[None, :] * flat[sl, None]) ** -2.0) @ w
-        return out.reshape(zs.shape)
+        return _kernel_sums(zs, t, w, 2)
 
     def deriv2s(self, zs):
-        zs = np.asarray(zs, dtype=complex)
-        flat = zs.ravel()
-        _check_slit_array(flat)
         t, w = self.mu._rule
-        tw = t * w
-        out = np.empty(flat.shape, dtype=complex)
-        for sl in _chunked(flat):
-            out[sl] = (2.0 * (1.0 - t[None, :] * flat[sl, None]) ** -3.0) @ tw
-        return out.reshape(zs.shape)
+        return _kernel_sums(zs, t, 2.0 * t * w, 3)
 
     def coeffs(self, count):
         """Power-series coefficients: entry n multiplies z**(n+1)."""

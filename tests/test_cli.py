@@ -216,6 +216,14 @@ def test_rect_flag(tmp_path):
     assert run_cli("verify-thm", "1.3", fmap, "--rect=oops").returncode == 2
 
 
+def test_rect_below_real_axis_is_rejected(tmp_path):
+    fmap = write(tmp_path, "f.json", {"h": F1_ID["h"], "g": F1_ID["h"], "c": 0.5})
+    res = run_cli("verify-thm", "1.3", fmap, "--rect=-3,0.99,-1,3")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "open upper half" in res.stderr
+
+
 def test_certify_thm19_needs_densities(tmp_path):
     atomic = write(tmp_path, "atomic.json", dict(F1_ID, c=0.2))
     assert run_cli("certify", atomic, "--method", "thm1.9", "--k", "0.5").returncode == 2

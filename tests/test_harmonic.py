@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cmharmonic.harmonic import (
     ConvolutionPart,
+    _signed_nonneg_probe,
     HarmonicMap,
     SeriesPart,
     SingularDerivativeError,
@@ -231,6 +232,76 @@ def test_partial_signs_mixture_probe():
     f = HarmonicMap(shifted(mu), shifted(nu), c)
     rep = check_partial_signs(f, grid=SMALL)
     assert rep.im_checked and rep.passed
+
+
+def _partial_signs_reference(f, grid, slack=1e-9, degenerate_tol=1e-12):
+    """The sweep as first written: grid plus mirror, rules concatenated, three sums."""
+    c = f.real_c
+    mu, nu = f.h.mu, f.g.mu
+    upper = grid.rect_points()
+    nodes = np.concatenate([upper, np.conj(upper)])
+    xs, ys = nodes.real[:, None], nodes.imag[:, None]
+    t_mu, w_mu = mu._rule
+    t_nu, w_nu = nu._rule
+    t = np.concatenate([t_mu, t_nu])[None, :]
+    w_plus = np.concatenate([w_mu, c * w_nu])
+    w_minus = np.concatenate([w_mu, -c * w_nu])
+    denom = 1.0 - 2.0 * xs * t + t * t * (xs * xs + ys * ys)
+    kern = 2.0 * ys * t * (1.0 - xs * t) / (denom * denom)
+    live = ~(np.abs(kern) @ np.abs(w_plus) <= degenerate_tol)
+    q_re = -(ys[:, 0] * (kern @ w_plus))[live]
+    q_im = (ys[:, 0] * (kern @ w_minus))[live]
+    probe_ok, _ = _signed_nonneg_probe(mu, nu, c)
+    return {
+        "checked_nodes": len(nodes),
+        "violations_re": int(np.sum(q_re > slack)),
+        "violations_im": int(np.sum(q_im < -slack)) if probe_ok else 0,
+        "degenerate_nodes": int(np.sum(~live)),
+        "im_checked": probe_ok,
+        "worst_re": float(np.max(q_re)) if q_re.size else -math.inf,
+        "worst_im": (-float(np.min(q_im)) if q_im.size else -math.inf) if probe_ok else None,
+    }
+
+
+_SPEC = {
+    "atoms": [{"t": 0.3, "w": 0.2}],
+    "densities": [
+        {"family": "beta", "a": 1.5, "c": 3.2, "w": 0.5},
+        {"family": "loggamma", "alpha": 2.0, "w": 0.3},
+    ],
+}
+
+
+def _equivalence_maps():
+    mu = random_measure(np.random.default_rng(9))
+    parsed = map_from_dict({"h": _SPEC, "g": _SPEC, "c": 0.6})
+    assert parsed.h.mu == parsed.g.mu and parsed.h.mu is not parsed.g.mu
+    nu = measure_from_dict(_SPEC)
+    distinct = HarmonicMap(shifted(mix(nu, beta_measure(2.0, 3.0), 0.4)), shifted(nu), 0.4)
+    return {
+        "one measure object": HarmonicMap(shifted(mu), shifted(mu), 0.5),
+        "equal measures parsed apart": parsed,
+        "distinct measures": distinct,
+        "probe fails": HarmonicMap(F1, IDENT, 0.5),
+        "point mass at 0": HarmonicMap(IDENT, IDENT, 0.5),
+    }
+
+
+# the negative slack turns the nodes nearest the sign boundary into violations,
+# so the violation counts are compared away from zero too
+@pytest.mark.parametrize("slack", [1e-9, -5e-6])
+@pytest.mark.parametrize("case", sorted(_equivalence_maps()))
+def test_partial_signs_match_grid_plus_mirror_reference(case, slack):
+    f = _equivalence_maps()[case]
+    ref = _partial_signs_reference(f, SMALL, slack=slack)
+    got = check_partial_signs(f, grid=SMALL, slack=slack).to_dict()
+    for key in ("checked_nodes", "violations_re", "violations_im", "degenerate_nodes", "im_checked"):
+        assert got[key] == ref[key], key
+    for key in ("worst_re", "worst_im"):
+        if ref[key] is None or not math.isfinite(ref[key]):
+            assert got[key] == ref[key], key
+        else:
+            assert math.isclose(got[key], ref[key], rel_tol=1e-12), key
 
 
 # -- algebra ---------------------------------------------------------------------

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmharmonic.measures import dirac, lebesgue, loggamma_measure
+from cmharmonic.measures import Atom, Beta, LogGamma, Measure, dirac, lebesgue, loggamma_measure
 from cmharmonic.transforms import (
     CauchyTransform,
     ExtendedReal,
     GridSpec,
     ShiftedCauchyTransform,
     SlitDomainError,
+    _block_rows,
     check_membership,
     slit_distance,
 )
@@ -195,8 +196,48 @@ def test_gridspec_validation():
         GridSpec(nr=1)
     with pytest.raises(ValueError):
         GridSpec(xmax=1.0)
+    # the rectangle must lie in the open upper half-plane
+    for ymin, ymax in [(0.0, 3.0), (-1.0, 3.0), (0.5, -1.0), (math.nan, 3.0)]:
+        with pytest.raises(ValueError, match="open upper half"):
+            GridSpec(ymin=ymin, ymax=ymax)
     g = GridSpec()
     assert abs(g.disk_points()).max() <= g.rmax + 1e-12
     assert g.rect_points().size == g.nx * g.ny
     # the angular grid hits the negative real axis exactly
     assert np.min(np.abs(g.disk_points() - (-g.rmax))) < 1e-14
+
+
+def _kernel_sums_reference(zs, t, w, power):
+    """The plain formula ``((1 - t z) ** -power) @ w``, one fresh array per block.
+
+    It uses the kernel's own node blocks: a one-row matmul takes numpy's
+    dot path, which sums in another order than a many-row one, so the
+    blocks are part of a bitwise reference.
+    """
+    rows = _block_rows(len(t))
+    out = np.empty(zs.shape, dtype=complex)
+    for i in range(0, len(zs), rows):
+        base = 1.0 - t[None, :] * zs[i : i + rows, None]
+        if power == 1:
+            out[i : i + rows] = (1.0 / base) @ w
+        else:
+            out[i : i + rows] = (base ** float(-power)) @ w
+    return out
+
+
+def test_kernel_sums_at_block_edges():
+    mu = Measure((Atom(0.3, 0.2),), (Beta(1.5, 3.2, 0.5), LogGamma(2.0, 0.3)))
+    t, w = mu._rule
+    h = ShiftedCauchyTransform.from_measure(mu)
+    rows = _block_rows(len(t))
+    assert 1 < rows < 2047
+    rng = np.random.default_rng(17)
+    for count in sorted({0, 1, rows - 1, rows, rows + 1, 2047, 2048, 2049, 4097}):
+        zs = random_disk_points(rng, count, rmax=0.98)
+        values = h.base.values(zs)
+        assert values.shape == (count,)
+        assert np.array_equal(values, _kernel_sums_reference(zs, t, w, 1))
+        for got, power, weights in [(h.derivs(zs), 2, w), (h.deriv2s(zs), 3, 2.0 * t * w)]:
+            ref = _kernel_sums_reference(zs, t, weights, power)
+            assert got.shape == (count,)
+            assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), (count, power)
