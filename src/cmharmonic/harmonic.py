@@ -28,6 +28,7 @@ from .transforms import (
     GridSpec,
     ShiftedCauchyTransform,
     _block_rows,
+    _kernel_bufsize,
     check_membership,
 )
 
@@ -343,18 +344,24 @@ def certify_qc_grid(f, k, grid=None):
     """Sup of |dilatation| over the polar grid, compared against k < 1.
 
     Singular-derivative nodes are skipped and counted.  The certificate
-    records the arg-sup location; a pass is grid evidence only.
+    records the arg-sup location; a pass is grid evidence only.  Parts
+    with real coefficients, as all parts here are, make |dilatation| even
+    under conjugation, so only the nodes with theta in [0, pi] are
+    evaluated; ``singular_nodes`` still counts the whole grid, and the
+    reported arg-sup is the first maximizing node of that half in grid
+    order.
     """
     if not 0.0 <= k < 1.0:
         raise ValueError(f"k must lie in [0, 1), got {k!r}")
     grid = grid or GridSpec()
-    zs = grid.disk_points()
+    zs, mult = grid._upper_disk()
     omega, singular = f.dilatation_values(zs)
     valid = ~singular
+    singular_nodes = int(mult[singular].sum())
     if not np.any(valid):
         return QCCertificate(
             "grid", k, "inconclusive", grid=grid,
-            details={"singular_nodes": int(singular.sum())},
+            details={"singular_nodes": singular_nodes},
         )
     mags = np.abs(omega[valid])
     idx = int(np.argmax(mags))
@@ -370,7 +377,7 @@ def certify_qc_grid(f, k, grid=None):
         details={
             "argsup_re": float(at.real),
             "argsup_im": float(at.imag),
-            "singular_nodes": int(singular.sum()),
+            "singular_nodes": singular_nodes,
         },
     )
 
@@ -515,36 +522,42 @@ def _signed_nonneg_probe(mu, nu, c, n_samples=1000):
     return True, None
 
 
-def _sign_kernel_sums(nodes, t, weights):
-    """Per node, ``kern @ weights`` for ``kern = 2 y t (1 - x t) / (1 - 2 x t + t^2 |z|^2)^2``.
+def _sign_kernel_sums(x, y, t, weights):
+    """``kern @ weights`` on the tensor grid x + i y, in ``rect_points`` order.
 
-    Blocks of nodes fill two real buffers allocated once per call.
+    ``kern = 2 y t a / (a^2 + (y t)^2)^2`` with ``a = 1 - x t``, the
+    factored form of ``2 y t (1 - x t) / (1 - 2 x t + t^2 |z|^2)^2``.  The
+    squares (y t)^2 are formed once per block of y values, and a, a^2 and
+    t a once per x, so each term costs one add, one square and one divide.
+    Two real block buffers are allocated once per call, and the loop runs
+    under ``_kernel_bufsize`` because the add and the divide broadcast
+    rows of the rule.
     """
-    x = nodes.real[:, None]
-    y = nodes.imag[:, None]
-    t2 = t * t
     rows = _block_rows(len(t))
-    out = np.empty((len(nodes), weights.shape[1]))
-    num = np.empty((min(rows, len(nodes)), len(t)))
-    den = np.empty_like(num)
-    for i in range(0, len(nodes), rows):
-        xs = x[i : i + rows]
-        ys = y[i : i + rows]
-        n = num[: len(xs)]
-        d = den[: len(xs)]
-        np.multiply(2.0 * xs, t, out=d)
-        np.subtract(1.0, d, out=d)
-        np.multiply(t2, xs * xs + ys * ys, out=n)
-        d += n
-        d *= d
-        np.multiply(xs, t, out=n)
-        np.subtract(1.0, n, out=n)
-        n *= t
-        n /= d
-        block = out[i : i + rows]
-        np.matmul(n, weights, out=block)
-        block *= 2.0 * ys
-    return out
+    out = np.empty((len(x), len(y), weights.shape[1]))
+    yt2 = np.empty((min(rows, len(y)), len(t)))
+    den = np.empty_like(yt2)
+    a = np.empty_like(t)
+    a2 = np.empty_like(t)
+    ta = np.empty_like(t)
+    with _kernel_bufsize():
+        for j in range(0, len(y), rows):
+            ys = y[j : j + rows, None]
+            b = yt2[: len(ys)]
+            d = den[: len(ys)]
+            np.multiply(ys, t, out=b)
+            b *= b
+            for i, xi in enumerate(x):
+                np.multiply(xi, t, out=a)
+                np.subtract(1.0, a, out=a)
+                np.multiply(a, a, out=a2)
+                np.multiply(t, a, out=ta)
+                np.add(a2, b, out=d)
+                d *= d
+                np.divide(ta, d, out=d)
+                np.matmul(d, weights, out=out[i, j : j + rows])
+    out *= 2.0 * y[:, None]
+    return out.reshape(len(x) * len(y), weights.shape[1])
 
 
 def check_partial_signs(f, grid=None, slack=1e-9, degenerate_tol=1e-12):
@@ -555,7 +568,9 @@ def check_partial_signs(f, grid=None, slack=1e-9, degenerate_tol=1e-12):
     scale are exactly even in y: every mirror node repeats the value of its
     image and is counted with it.  When mu equals nu (structurally, so two
     equal measures parsed apart count too) the rules merge into one with
-    weights (1 + c) w and (1 - c) w.
+    weights (1 + c) w and (1 - c) w.  The kernel is taken in its factored
+    form over the rectangle's x and y axes (see ``_sign_kernel_sums``),
+    which also avoids the cancellation in 1 - 2 x t + t^2 |z|^2.
     """
     c = f.real_c
     if not isinstance(f.h, ShiftedCauchyTransform) or not isinstance(f.g, ShiftedCauchyTransform):
@@ -563,7 +578,7 @@ def check_partial_signs(f, grid=None, slack=1e-9, degenerate_tol=1e-12):
     mu = f.h.mu
     nu = f.g.mu
     grid = grid or GridSpec()
-    upper = grid.rect_points()
+    x, y = grid._rect_axes()
 
     t, w_mu = mu._rule
     if mu == nu:
@@ -579,12 +594,12 @@ def check_partial_signs(f, grid=None, slack=1e-9, degenerate_tol=1e-12):
 
     # For y > 0, x < 1 and t in [0, 1] the kernel is nonnegative, so the
     # degeneracy scale sum |kern| |w+| is one more column of the same sums.
-    sums = _sign_kernel_sums(upper, t, np.stack([np.abs(w_plus), w_plus, w_minus], axis=1))
+    sums = _sign_kernel_sums(x, y, t, np.stack([np.abs(w_plus), w_plus, w_minus], axis=1))
     deg = sums[:, 0] <= degenerate_tol
     live = ~deg
-    y = upper.imag[live]
-    q_re = -(y * sums[live, 1])
-    q_im = y * sums[live, 2]
+    y_live = np.tile(y, len(x))[live]
+    q_re = -(y_live * sums[live, 1])
+    q_im = y_live * sums[live, 2]
 
     worst_re = float(np.max(q_re)) if q_re.size else -math.inf
     worst_im = None
@@ -593,7 +608,7 @@ def check_partial_signs(f, grid=None, slack=1e-9, degenerate_tol=1e-12):
         worst_im = -float(np.min(q_im)) if q_im.size else -math.inf
         viol_im = 2 * int(np.sum(q_im < -slack))
     return PartialSignReport(
-        checked_nodes=2 * int(upper.size),
+        checked_nodes=2 * len(x) * len(y),
         violations_re=2 * int(np.sum(q_re > slack)),
         violations_im=viol_im,
         degenerate_nodes=2 * int(deg.sum()),
@@ -643,22 +658,40 @@ def make_convolution_map(h, nu, c):
 # -- derivative-ratio machinery ---------------------------------------------------
 
 
-def derivative_ratio_sup(h, grid=None, nt=11):
-    """Numerical sup of |h'(t z)/h'(z)| over the disk grid times t in [0, 1]."""
-    grid = grid or GridSpec()
-    zs = grid.disk_points()
-    ts = grid.t_samples(nt)
+def _upper_disk_derivs(h, grid):
+    """Nodes of ``grid._upper_disk()`` and h' there; raises if h' vanishes on the grid."""
+    zs, _ = grid._upper_disk()
     hp = h.derivs(zs)
     if np.any(np.abs(hp) < SINGULAR_TOL):
         raise SingularDerivativeError("h' vanishes on the evaluation grid")
-    sup = 0.0
-    block = 512
-    for i in range(0, len(zs), block):
-        zblock = zs[i : i + block]
-        num = np.abs(h.derivs(np.outer(zblock, ts)))
-        ratios = num / np.abs(hp[i : i + block])[:, None]
-        sup = max(sup, float(np.max(ratios)))
+    return zs, hp
+
+
+def _ratio_sup(h, zs, hp, ts):
+    """Sup of |h'(t z)| / |h'(z)| over the nodes zs and samples ts.
+
+    ``ts`` runs from 0 to 1.  At t = 1 the ratio is exactly 1, and at t = 0
+    it is |h'(0)| / |h'(z)|, so only the interior samples need kernel sums.
+    """
+    abs_hp = np.abs(hp)
+    sup = max(1.0, float(abs(h.derivs(np.zeros(1))[0]) / np.min(abs_hp)))
+    for t in ts[1:-1]:
+        sup = max(sup, float(np.max(np.abs(h.derivs(t * zs)) / abs_hp)))
     return sup
+
+
+def derivative_ratio_sup(h, grid=None, nt=11):
+    """Numerical sup of |h'(t z)/h'(z)| over the disk grid times t in [0, 1].
+
+    ``nt >= 2`` samples of t include both ends.  h has real coefficients,
+    so the ratio is even under conjugation and only the nodes with theta
+    in [0, pi] are evaluated.
+    """
+    if nt < 2:
+        raise ValueError(f"nt must be at least 2 so that t = 0 and t = 1 are sampled, got {nt!r}")
+    grid = grid or GridSpec()
+    zs, hp = _upper_disk_derivs(h, grid)
+    return _ratio_sup(h, zs, hp, grid.t_samples(nt))
 
 
 @dataclass(frozen=True)
@@ -686,21 +719,22 @@ class HarnackReport:
 
 
 def harnack_ratio_bound(h, m, grid=None, slack=1e-9):
-    """Check the grid floor Re[z h''/h'] > -m and verify the implied ratio bound."""
+    """Check the grid floor Re[z h''/h'] > -m and verify the implied ratio bound.
+
+    Both sweeps take the nodes with theta in [0, pi] only (see
+    :func:`derivative_ratio_sup`) and share one evaluation of h' there.
+    """
     if not m > 0.0:
         raise ValueError("m must be positive")
     grid = grid or GridSpec()
-    zs = grid.disk_points()
-    hp = h.derivs(zs)
-    if np.any(np.abs(hp) < SINGULAR_TOL):
-        raise SingularDerivativeError("h' vanishes on the evaluation grid")
+    zs, hp = _upper_disk_derivs(h, grid)
     quant = (zs * h.deriv2s(zs) / hp).real
     min_re = float(np.min(quant))
     holds = min_re > -m - slack
     bound = ratio_sup = within = None
     if holds:
         bound = math.exp(2.0 * m)
-        ratio_sup = derivative_ratio_sup(h, grid)
+        ratio_sup = _ratio_sup(h, zs, hp, grid.t_samples())
         within = bool(ratio_sup <= bound + slack)
     return HarnackReport(
         hypothesis_holds=bool(holds),

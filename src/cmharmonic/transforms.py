@@ -9,6 +9,7 @@ meaningless.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -119,14 +120,44 @@ class GridSpec:
             raise ValueError("half-plane rectangle must lie in the open upper half (ymin, ymax > 0)")
 
     def disk_points(self):
+        """Polar grid ``r_i e^{i theta_j}``, theta_j = 2 pi j / ntheta, radius-major.
+
+        The grid is exactly closed under conjugation: the angles past pi are
+        the conjugates of those below it, and theta = pi (even ntheta) is
+        exactly -1.  Parts with real coefficients take conjugate values at
+        conjugate nodes, so a disk sweep needs only :meth:`_upper_disk`.
+        """
         r = np.linspace(self.rmin, self.rmax, self.nr)
-        theta = 2.0 * np.pi * np.arange(self.ntheta) / self.ntheta
-        z = r[:, None] * np.exp(1j * theta[None, :])
-        return z.ravel()
+        n = self.ntheta
+        upper = n // 2 + 1
+        e = np.empty(n, dtype=complex)
+        e[:upper] = np.exp(1j * (2.0 * np.pi * np.arange(upper) / n))
+        if n % 2 == 0:
+            e[n // 2] = -1.0
+        e[upper:] = np.conj(e[n - upper : 0 : -1])
+        return (r[:, None] * e[None, :]).ravel()
+
+    def _upper_disk(self):
+        """The disk nodes with theta in [0, pi] and how many grid nodes each stands for.
+
+        A node on the real axis stands for itself, any other for itself and
+        its conjugate, so the multiplicities sum to ``nr * ntheta``.
+        """
+        n = self.ntheta
+        upper = n // 2 + 1
+        zs = self.disk_points().reshape(self.nr, n)[:, :upper]
+        mult = np.full(upper, 2)
+        mult[0] = 1
+        if n % 2 == 0:
+            mult[-1] = 1
+        return zs.ravel(), np.tile(mult, self.nr)
+
+    def _rect_axes(self):
+        """The rectangle's x and y samples; ``rect_points`` is their tensor grid."""
+        return self.real_ray(), np.linspace(self.ymin, self.ymax, self.ny)
 
     def rect_points(self):
-        x = np.linspace(self.xmin, self.xmax, self.nx)
-        y = np.linspace(self.ymin, self.ymax, self.ny)
+        x, y = self._rect_axes()
         return (x[:, None] + 1j * y[None, :]).ravel()
 
     def real_ray(self):
@@ -144,6 +175,25 @@ class GridSpec:
 _BLOCK_TERMS = 2**16
 
 
+# numpy's ufunc buffer (8,192 elements by default) makes a ufunc that
+# broadcasts a row of the rule against a block copy the rows through the
+# buffer whenever three of them fit in it: the product z t then costs 2.6 ns
+# per element against 0.9 unbuffered (numpy 2.4, rules of 1,700 to 2,300
+# points).  At 1,024 elements every rule of more than 341 points, which is
+# every density rule, runs unbuffered.
+_KERNEL_BUFSIZE = 1024
+
+
+@contextlib.contextmanager
+def _kernel_bufsize():
+    """Run the block loop of a kernel with the small ufunc buffer, then restore it."""
+    bufsize = np.setbufsize(_KERNEL_BUFSIZE)
+    try:
+        yield
+    finally:
+        np.setbufsize(bufsize)
+
+
 def _block_rows(n_terms):
     """Nodes per block for a rule of ``n_terms`` points."""
     return max(1, _BLOCK_TERMS // n_terms)
@@ -154,28 +204,32 @@ def _kernel_sums(zs, t, w, power):
 
     Each block fills one buffer allocated once per call, so no block
     temporary outlives its iteration; the powers are products of the
-    reciprocal, not complex ``**``.
+    reciprocal, not complex ``**``.  The rule points are cast to complex
+    once and the loop runs under :func:`_kernel_bufsize`, so the product
+    z t needs neither a cast nor a buffered copy.
     """
     zs = np.asarray(zs, dtype=complex)
     flat = zs.ravel()
     _check_slit_array(flat)
     rows = _block_rows(len(t))
+    tc = t.astype(complex)
     out = np.empty(flat.shape, dtype=complex)
     buf = np.empty((min(rows, len(flat)), len(t)), dtype=complex)
     square = np.empty_like(buf) if power == 3 else None
-    for i in range(0, len(flat), rows):
-        z = flat[i : i + rows, None]
-        r = buf[: len(z)]
-        np.multiply(z, t, out=r)
-        np.subtract(1.0, r, out=r)
-        np.divide(1.0, r, out=r)
-        if power == 2:
-            r *= r
-        elif power == 3:
-            r2 = square[: len(z)]
-            np.multiply(r, r, out=r2)
-            r *= r2
-        np.matmul(r, w, out=out[i : i + rows])
+    with _kernel_bufsize():
+        for i in range(0, len(flat), rows):
+            z = flat[i : i + rows, None]
+            r = buf[: len(z)]
+            np.multiply(z, tc, out=r)
+            np.subtract(1.0, r, out=r)
+            np.divide(1.0, r, out=r)
+            if power == 2:
+                r *= r
+            elif power == 3:
+                r2 = square[: len(z)]
+                np.multiply(r, r, out=r2)
+                r *= r2
+            np.matmul(r, w, out=out[i : i + rows])
     return out.reshape(zs.shape)
 
 

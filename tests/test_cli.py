@@ -168,6 +168,15 @@ def test_ratio_sup(tmp_path):
     assert json.loads(res.stdout)["sup_estimate"] == pytest.approx(1.98**2, abs=1e-9)
 
 
+def test_ratio_sup_rejects_fewer_than_two_t_samples(tmp_path):
+    f1 = write(tmp_path, "f1.json", F1_ID["h"])
+    for nt in ("0", "1"):
+        res = run_cli("ratio-sup", f1, "--nt", nt)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "nt must be at least 2" in res.stderr
+
+
 def test_render_circle_row_count(tmp_path):
     spec = write(tmp_path, "id.json", IDENTITY_MAP)
     res = run_cli("render", spec, "--curve", "circle", "--r", "0.5", "--n", "16")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -7,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmharmonic.harmonic import (
+    SINGULAR_TOL,
     ConvolutionPart,
+    _sign_kernel_sums,
     _signed_nonneg_probe,
     HarmonicMap,
     SeriesPart,
@@ -35,7 +38,7 @@ from cmharmonic.measures import (
     measure_from_dict,
     mix,
 )
-from cmharmonic.transforms import GridSpec
+from cmharmonic.transforms import GridSpec, _block_rows
 from conftest import random_disk_points, random_measure
 
 F1 = shifted(dirac(1.0))  # z/(1-z)
@@ -304,6 +307,44 @@ def test_partial_signs_match_grid_plus_mirror_reference(case, slack):
             assert math.isclose(got[key], ref[key], rel_tol=1e-12), key
 
 
+def test_partial_signs_factored_kernel_block_edges():
+    # the factored kernel blocks the y axis: rectangles one y short of a
+    # block, exactly one, one over, and only two x columns
+    shared = _equivalence_maps()["equal measures parsed apart"]
+    distinct = _equivalence_maps()["distinct measures"]
+    rules = {
+        "shared": len(shared.h.mu._rule[0]),
+        "distinct": len(distinct.h.mu._rule[0]) + len(distinct.g.mu._rule[0]),
+    }
+    for name, f in (("shared", shared), ("distinct", distinct)):
+        rows = _block_rows(rules[name])
+        assert 1 < rows < 100
+        for ny in (rows - 1, rows, rows + 1):
+            grid = GridSpec(nx=2, ny=ny)
+            for slack in (1e-9, -5e-6):
+                ref = _partial_signs_reference(f, grid, slack=slack)
+                got = check_partial_signs(f, grid=grid, slack=slack).to_dict()
+                for key in ("checked_nodes", "violations_re", "violations_im", "degenerate_nodes"):
+                    assert got[key] == ref[key], (name, ny, slack, key)
+                for key in ("worst_re", "worst_im"):
+                    assert math.isclose(got[key], ref[key], rel_tol=1e-12), (name, ny, slack, key)
+
+
+def test_sign_kernel_sums_match_plain_formula_at_block_edges():
+    t, w = measure_from_dict(_SPEC)._rule
+    weights = np.stack([w, -w, t * w], axis=1)
+    rows = _block_rows(len(t))
+    for ny in (1, rows - 1, rows, rows + 1, 2 * rows + 1):
+        x, y = np.array([-3.0, 0.99]), np.linspace(0.01, 3.0, ny)
+        got = _sign_kernel_sums(x, y, t, weights)
+        nodes = (x[:, None] + 1j * y[None, :]).ravel()
+        xs, ys = nodes.real[:, None], nodes.imag[:, None]
+        kern = 2.0 * ys * t * (1.0 - xs * t) / (1.0 - 2.0 * xs * t + t * t * (xs * xs + ys * ys)) ** 2
+        scale = np.abs(kern) @ np.abs(weights)
+        assert got.shape == (2 * ny, 3)
+        assert np.all(np.abs(got - kern @ weights) <= 1e-12 * scale), ny
+
+
 # -- algebra ---------------------------------------------------------------------
 
 
@@ -438,12 +479,137 @@ def test_harnack_bound_shifted_hypergeometric():
     assert rep.ratio_sup < math.e**2
 
 
+def test_ratio_sup_needs_both_ends_of_t():
+    for nt in (-1, 0, 1):
+        with pytest.raises(ValueError, match="nt must be at least 2"):
+            derivative_ratio_sup(F1, grid=SMALL, nt=nt)
+    # two samples are t = 0 and t = 1 alone: the sup is |h'(0)| / min |h'(z)|
+    assert derivative_ratio_sup(F1, grid=SMALL, nt=2) == pytest.approx(1.98**2, abs=1e-9)
+
+
 def test_harnack_hypothesis_failure_no_bound():
     # h' = 1 - 0.99 z has Re[z h''/h'] unbounded below near z = 1/0.99
     h = SeriesPart((1.0, -0.495, 0.0), radius=0.99)
     rep = harnack_ratio_bound(h, 0.1, grid=GridSpec(rmax=0.97, nr=8, ntheta=32))
     assert not rep.hypothesis_holds
     assert rep.bound is None and rep.ratio_sup is None
+
+
+# -- half-disk sweeps ------------------------------------------------------------------
+
+
+def _singular_series(rho):
+    """Series part with h' = (1 - z/rho)(1 + z^2/rho^2): zero at rho and at +-i rho."""
+    return SeriesPart((1.0, -1.0 / (2 * rho), 1.0 / (3 * rho**2), -1.0 / (4 * rho**3)), radius=0.99)
+
+
+def _disk_maps():
+    """Maps with each part class; the series map only evaluates on |z| <= 0.95."""
+    nu = measure_from_dict(_SPEC)
+    measure_map = HarmonicMap(shifted(mix(nu, beta_measure(2.0, 3.0), 0.4)), shifted(nu), 0.4)
+    other = HarmonicMap(shifted(beta_measure(1.0, 3.0)), shifted(lebesgue()), 0.5)
+    rho = float(np.linspace(SMALL.rmin, SMALL.rmax, SMALL.nr)[2])
+    return {
+        "measure parts": (measure_map, SMALL.rmax),
+        "series parts (convolve)": (convolve(measure_map, other), 0.95),
+        "convolution part": (
+            make_convolution_map(shifted(mix(dirac(0.3), dirac(0.8), 0.5)), beta_measure(2.0, 3.0), 0.3),
+            SMALL.rmax,
+        ),
+        "singular h'": (HarmonicMap(_singular_series(rho), SeriesPart((1.0,), radius=0.99), 0.5), SMALL.rmax),
+    }
+
+
+def _certify_reference(f, grid):
+    """``certify_qc_grid`` as first written: |dilatation| at every node (-1 where singular)."""
+    omega, singular = f.dilatation_values(grid.disk_points())
+    return int(singular.sum()), np.where(singular, -1.0, np.abs(omega))
+
+
+def _ratio_reference(h, grid, nt=11):
+    """``derivative_ratio_sup`` and the Harnack floor as first written, or None if h' vanishes."""
+    zs = grid.disk_points()
+    hp = h.derivs(zs)
+    if np.any(np.abs(hp) < SINGULAR_TOL):
+        return None
+    ts = grid.t_samples(nt)
+    sup = 0.0
+    for i in range(0, len(zs), 512):
+        num = np.abs(h.derivs(np.outer(zs[i : i + 512], ts)))
+        sup = max(sup, float(np.max(num / np.abs(hp[i : i + 512])[:, None])))
+    return sup, float(np.min((zs * h.deriv2s(zs) / hp).real))
+
+
+@pytest.mark.parametrize("ntheta", [31, 32])
+@pytest.mark.parametrize("case", sorted(_disk_maps()))
+def test_disk_sweeps_match_full_grid_reference(case, ntheta):
+    f, rmax = _disk_maps()[case]
+    grid = replace(SMALL, ntheta=ntheta, rmax=rmax)
+    singular_nodes, mags = _certify_reference(f, grid)
+    if case == "singular h'":
+        # rho lies on the real axis; +-i rho are nodes only when 4 divides ntheta
+        assert singular_nodes == (3 if ntheta % 4 == 0 else 1)
+    cert = certify_qc_grid(f, 0.5, grid=grid)
+    assert cert.details["singular_nodes"] == singular_nodes
+    assert math.isclose(cert.sup_estimate, float(np.max(mags)), rel_tol=1e-15)
+    at = complex(cert.details["argsup_re"], cert.details["argsup_im"])
+    (idx,) = np.flatnonzero(grid.disk_points() == at)
+    assert at.imag >= 0.0 and mags[idx] == cert.sup_estimate
+
+    for part in (f.h, f.g):
+        ref = _ratio_reference(part, grid)
+        if ref is None:
+            with pytest.raises(SingularDerivativeError):
+                derivative_ratio_sup(part, grid=grid)
+            with pytest.raises(SingularDerivativeError):
+                harnack_ratio_bound(part, 10.0, grid=grid)
+            continue
+        ratio_sup, min_re = ref
+        assert math.isclose(derivative_ratio_sup(part, grid=grid), ratio_sup, rel_tol=1e-15)
+        rep = harnack_ratio_bound(part, 10.0, grid=grid)
+        assert rep.hypothesis_holds
+        assert math.isclose(rep.min_re_observed, min_re, rel_tol=1e-15)
+        assert math.isclose(rep.ratio_sup, ratio_sup, rel_tol=1e-15)
+
+
+def _bits(a):
+    """Bit patterns of a complex array, reading -0.0 as +0.0."""
+    return np.ascontiguousarray(a + 0.0).view(np.uint64)
+
+
+@pytest.mark.parametrize("ntheta", [2, 3, 4, 31, 32, 64])
+def test_disk_points_are_conjugate_closed(ntheta):
+    grid = GridSpec(nr=3, ntheta=ntheta)
+    zs = grid.disk_points().reshape(grid.nr, ntheta)
+    j = np.arange(ntheta)
+    on_axis = (j == 0) | (2 * j == ntheta)
+    mirror = zs[:, -j % ntheta]
+    assert np.array_equal(_bits(mirror[:, ~on_axis]), _bits(np.conj(zs[:, ~on_axis])))
+    assert np.all(zs[:, on_axis].imag == 0.0)
+    r = np.linspace(grid.rmin, grid.rmax, grid.nr)
+    if ntheta % 2 == 0:
+        assert np.array_equal(zs[:, ntheta // 2], -r)
+    # the angles below pi are the plain formula, bit for bit
+    upper = j < ntheta / 2
+    plain = r[:, None] * np.exp(1j * (2.0 * np.pi * j[upper] / ntheta))[None, :]
+    assert np.array_equal(_bits(zs[:, upper]), _bits(plain))
+    half, mult = grid._upper_disk()
+    assert mult.sum() == zs.size and half.size == grid.nr * (ntheta // 2 + 1)
+    assert np.all(half.imag >= 0.0) and np.all(mult[half.imag == 0.0] == 1)
+
+
+def test_part_kernels_are_conjugate_equivariant():
+    grid = replace(SMALL, rmax=0.95)
+    zs = grid.disk_points()
+    off_axis = zs.imag != 0.0
+    parts = [(f.h, f.g) for f, _ in _disk_maps().values()]
+    for part in [p for pair in parts for p in pair] + [parts[0][0].base]:
+        for fn in ("values", "derivs", "deriv2s"):
+            if not hasattr(part, fn):
+                continue
+            a = getattr(part, fn)(zs)[off_axis]
+            b = getattr(part, fn)(np.conj(zs))[off_axis]
+            assert np.array_equal(_bits(b), _bits(np.conj(a))), (part, fn)
 
 
 # -- density comparison and boundary-limit certificates ---------------------------------

@@ -241,3 +241,21 @@ def test_kernel_sums_at_block_edges():
             ref = _kernel_sums_reference(zs, t, weights, power)
             assert got.shape == (count,)
             assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), (count, power)
+
+
+def test_kernel_sums_restore_the_ufunc_buffer_size():
+    h = ShiftedCauchyTransform.from_measure(Measure((Atom(0.3, 0.2),), (Beta(1.5, 3.2, 0.8),)))
+    zs = random_disk_points(np.random.default_rng(5), 100)
+    default = np.getbufsize()
+    try:
+        for bufsize in (default, 4096):
+            np.setbufsize(bufsize)
+            h.base.values(zs)
+            h.derivs(zs)
+            h.deriv2s(zs)
+            assert np.getbufsize() == bufsize
+            with pytest.raises(SlitDomainError):
+                h.derivs(np.array([0.5, 1.0 + 0.0j]))
+            assert np.getbufsize() == bufsize
+    finally:
+        np.setbufsize(default)
