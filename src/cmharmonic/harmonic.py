@@ -27,8 +27,7 @@ from .transforms import (
     ExtendedReal,
     GridSpec,
     ShiftedCauchyTransform,
-    _block_rows,
-    _kernel_bufsize,
+    _rect_kernel_sums,
     check_membership,
 )
 
@@ -432,7 +431,11 @@ def check_modulus_bound(f, a=None, samples=None, slack=1e-9):
         raise ValueError("the shift a must be nonnegative")
     zs = np.asarray(samples if samples is not None else GridSpec().disk_points(), dtype=complex)
     vals = f.values(zs)
-    radial = f.values(-np.abs(zs)).real
+    # one radial value per distinct |z| (37 on the default polar grid, whose
+    # 12 radii |r e^{i theta}| round to a few values each); the ravel keeps
+    # the inverse 1-D, whose shape numpy 2.0 changed
+    radii, inverse = np.unique(np.abs(zs).ravel(), return_inverse=True)
+    radial = f.values(-radii).real[inverse].reshape(zs.shape)
     margin1 = np.abs(a + vals) - (a + radial)
     margin2 = radial - limit
     passed = bool(np.min(margin1) >= -slack and np.min(margin2) >= -slack)
@@ -526,36 +529,10 @@ def _sign_kernel_sums(x, y, t, weights):
     """``kern @ weights`` on the tensor grid x + i y, in ``rect_points`` order.
 
     ``kern = 2 y t a / (a^2 + (y t)^2)^2`` with ``a = 1 - x t``, the
-    factored form of ``2 y t (1 - x t) / (1 - 2 x t + t^2 |z|^2)^2``.  The
-    squares (y t)^2 are formed once per block of y values, and a, a^2 and
-    t a once per x, so each term costs one add, one square and one divide.
-    Two real block buffers are allocated once per call, and the loop runs
-    under ``_kernel_bufsize`` because the add and the divide broadcast
-    rows of the rule.
+    factored form of ``2 y t (1 - x t) / (1 - 2 x t + t^2 |z|^2)^2``:
+    ``2 y`` times the power-2 kernel of ``transforms._rect_kernel_sums``.
     """
-    rows = _block_rows(len(t))
-    out = np.empty((len(x), len(y), weights.shape[1]))
-    yt2 = np.empty((min(rows, len(y)), len(t)))
-    den = np.empty_like(yt2)
-    a = np.empty_like(t)
-    a2 = np.empty_like(t)
-    ta = np.empty_like(t)
-    with _kernel_bufsize():
-        for j in range(0, len(y), rows):
-            ys = y[j : j + rows, None]
-            b = yt2[: len(ys)]
-            d = den[: len(ys)]
-            np.multiply(ys, t, out=b)
-            b *= b
-            for i, xi in enumerate(x):
-                np.multiply(xi, t, out=a)
-                np.subtract(1.0, a, out=a)
-                np.multiply(a, a, out=a2)
-                np.multiply(t, a, out=ta)
-                np.add(a2, b, out=d)
-                d *= d
-                np.divide(ta, d, out=d)
-                np.matmul(d, weights, out=out[i, j : j + rows])
+    out = _rect_kernel_sums(x, y, t, weights, 2)
     out *= 2.0 * y[:, None]
     return out.reshape(len(x) * len(y), weights.shape[1])
 

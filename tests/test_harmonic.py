@@ -195,6 +195,40 @@ def test_modulus_bound_with_default_shift():
     assert rep0.passed and rep0.limit == pytest.approx(-0.5, abs=1e-10)
 
 
+def _modulus_bound_reference(f, a, samples, slack=1e-9):
+    """The pre-change formula: one radial value per sample, not per radius."""
+    limit = radial_limit(f)
+    zs = np.asarray(samples, dtype=complex)
+    radial = f.values(-np.abs(zs)).real
+    margin1 = np.abs(a + f.values(zs)) - (a + radial)
+    margin2 = radial - limit
+    return {
+        "passed": bool(np.min(margin1) >= -slack and np.min(margin2) >= -slack),
+        "n_samples": int(zs.size),
+        "min_margin_pointwise": float(np.min(margin1)),
+        "min_margin_limit": float(np.min(margin2)),
+    }
+
+
+def test_modulus_bound_matches_per_sample_radial_values():
+    rng = np.random.default_rng(37)
+    ring = 0.4 * np.exp(1j * np.linspace(0.0, 6.0, 7))
+    repeated = np.concatenate([ring, ring[::-1], 0.9 * ring, [-0.4, 0.4, 0.4j]])
+    square = random_disk_points(rng, 60).reshape(6, 10)
+    maps = [
+        HarmonicMap(shifted(random_measure(rng)), shifted(random_measure(rng)), 0.6),
+        HarmonicMap(F1, F1, 0.5),
+    ]
+    for f in maps:
+        a = max(0.0, -radial_limit(f))
+        for samples in (None, repeated, square):
+            got = check_modulus_bound(f, samples=samples).to_dict()
+            ref = _modulus_bound_reference(f, a, GridSpec().disk_points() if samples is None else samples)
+            assert (got["passed"], got["n_samples"]) == (ref["passed"], ref["n_samples"])
+            for key in ("min_margin_pointwise", "min_margin_limit"):
+                assert math.isclose(got[key], ref[key], rel_tol=1e-15), key
+
+
 def test_modulus_bound_requires_real_c():
     with pytest.raises(ValueError):
         check_modulus_bound(HarmonicMap(F1, F1, 0.5j))

@@ -13,6 +13,7 @@ from cmharmonic.transforms import (
     ShiftedCauchyTransform,
     SlitDomainError,
     _block_rows,
+    _rect_kernel_sums,
     check_membership,
     slit_distance,
 )
@@ -187,6 +188,94 @@ def test_membership_counts_failures():
 
     rep = check_membership(flaky, grid=GridSpec(nx=20, ny=20))
     assert rep.skipped > 0
+
+
+def _raises_off_the_axis(z):
+    z = np.asarray(z, dtype=complex)
+    if np.any(z.imag > 0):
+        raise ValueError("real points only")
+    return 1.0 / (1.0 - z)
+
+
+def _raises_on_the_ray(z):
+    z = np.asarray(z, dtype=complex)
+    if np.any((z.imag == 0) & (z != 0)):
+        raise ValueError("upper half-plane only")
+    return 1.0 / (1.0 - z)
+
+
+@pytest.mark.parametrize("fn", [_raises_off_the_axis, _raises_on_the_ray])
+def test_membership_with_an_empty_probe_is_not_consistent(fn):
+    # every other probe of 1/(1 - z) passes; the unevaluated one must not
+    rep = check_membership(fn, grid=GridSpec(nx=5, ny=5))
+    assert rep.f0_gap == 0.0
+    assert not rep.consistent, rep
+    if fn is _raises_off_the_axis:
+        assert rep.skipped == 25 and rep.min_im_upper == math.inf
+    else:
+        assert rep.skipped == 5 and rep.min_re_ray == math.inf
+
+
+_MEMBERSHIP_EXACT = ("consistent", "skipped", "f0_gap", "min_re_ray", "max_abs_im_ray")
+
+
+def _assert_membership_routes_agree(F, grid):
+    # the per-node values route is the reference for the real Im-kernel route
+    got = check_membership(F, grid=grid).to_dict()
+    ref = check_membership(F.values, grid=grid).to_dict()
+    for key in _MEMBERSHIP_EXACT:
+        assert got[key] == ref[key], key  # -0.0 == 0.0 where Im F vanishes
+    assert math.isclose(got["min_im_upper"], ref["min_im_upper"], rel_tol=1e-14)
+    return got
+
+
+def test_membership_kernel_route_matches_values_route():
+    rng = np.random.default_rng(29)
+    transforms = [CauchyTransform(random_measure(rng)) for _ in range(4)]
+    transforms += [CauchyTransform(dirac(0.0)), F1, FLEB]
+    for grid in (GridSpec(), GridSpec(nx=13, ny=7)):
+        for F in transforms:
+            assert _assert_membership_routes_agree(F, grid)["skipped"] == 0
+    assert check_membership(CauchyTransform(dirac(0.0))).min_im_upper == 0.0
+
+
+def test_membership_kernel_route_skips_nodes_at_the_slit():
+    # the rectangle's corner (xmax, ymin) lies 7.1e-13 from z = 1, and so
+    # does the ray's last node xmax: one skip on each probe
+    grid = GridSpec(xmax=1.0 - 5e-13, ymin=5e-13, nx=20, ny=20)
+    rng = np.random.default_rng(31)
+    for F in (CauchyTransform(random_measure(rng)), F1, FLEB):
+        assert _assert_membership_routes_agree(F, grid)["skipped"] == 2
+
+
+def test_rect_kernel_matches_plain_imaginary_part_at_block_edges():
+    mu = Measure((Atom(0.3, 0.2),), (Beta(1.5, 3.2, 0.5), LogGamma(2.0, 0.3)))
+    t, w = mu._rule
+    rows = _block_rows(len(t))
+    assert 1 < rows < 100
+    x = np.array([-3.0, 0.99])
+    for ny in (rows - 1, rows, rows + 1):
+        y = np.linspace(0.01, 3.0, ny)
+        got = (_rect_kernel_sums(x, y, t, w, 1) * y).ravel()
+        nodes = (x[:, None] + 1j * y[None, :]).ravel()
+        ref = np.array([(1.0 / (1.0 - t * z)).imag @ w for z in nodes])
+        assert got.shape == ref.shape == (2 * ny,)
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), ny
+
+
+def test_rect_kernel_restores_the_ufunc_buffer_size():
+    F = CauchyTransform(Measure((Atom(0.3, 0.2),), (Beta(1.5, 3.2, 0.8),)))
+    t, w = F.mu._rule
+    default = np.getbufsize()
+    try:
+        for bufsize in (default, 4096):
+            np.setbufsize(bufsize)
+            check_membership(F, grid=GridSpec(nx=10, ny=10))
+            assert np.getbufsize() == bufsize
+            _rect_kernel_sums(np.array([-1.0, 0.5]), np.array([0.1, 1.0]), t, np.stack([w, w], axis=1), 2)
+            assert np.getbufsize() == bufsize
+    finally:
+        np.setbufsize(default)
 
 
 def test_gridspec_validation():
