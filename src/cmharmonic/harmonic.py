@@ -16,15 +16,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .measures import Measure, measure_from_dict, measure_to_dict, mix
 from .quadrature import QuadratureError
 from .transforms import (
-    CauchyTransform,
-    ExtendedReal,
     GridSpec,
     ShiftedCauchyTransform,
     _rect_kernel_sums,
@@ -74,8 +72,30 @@ def shifted(mu):
 # -- alternative part representations ----------------------------------------
 
 
+class _VectorPart:
+    """Scalar evaluation derived from a part's vectorized methods.
+
+    A part defines ``values``, ``derivs`` and ``deriv2s`` on arrays of
+    points and ``coeffs(count)``; ``value``, ``deriv``, ``deriv2`` and
+    calling the part evaluate the vectorized method on a one-point array.
+    ``tol`` is accepted for the signature the adaptive parts share and is
+    unused: these parts have no adaptive route.
+    """
+
+    def value(self, z, tol=None):
+        return complex(self.values(np.array([complex(z)]))[0])
+
+    __call__ = value
+
+    def deriv(self, z, tol=None):
+        return complex(self.derivs(np.array([complex(z)]))[0])
+
+    def deriv2(self, z, tol=None):
+        return complex(self.deriv2s(np.array([complex(z)]))[0])
+
+
 @dataclass(frozen=True, init=False)
-class SeriesPart:
+class SeriesPart(_VectorPart):
     """Truncated power series ``sum coefs[n] z**(n+1)``, usable for |z| <= radius.
 
     Convolution results carry coefficients instead of measures; nothing
@@ -93,47 +113,22 @@ class SeriesPart:
         object.__setattr__(self, "coefs", coefs)
         object.__setattr__(self, "radius", float(radius))
 
-    def _guard(self, zs):
+    def _polyval(self, zs, coefs):
+        """``sum coefs[n] z**n`` at each point of ``zs``, inside the radius only."""
+        zs = np.asarray(zs, dtype=complex)
         if np.any(np.abs(zs) > self.radius + 1e-15):
             raise ValueError(f"series part only evaluable on |z| <= {self.radius}")
-
-    def value(self, z, tol=None):
-        z = complex(z)
-        self._guard(np.asarray(z))
-        return z * complex(np.polynomial.polynomial.polyval(z, self.coefs))
-
-    __call__ = value
+        return np.polynomial.polynomial.polyval(zs, np.asarray(coefs))
 
     def values(self, zs):
         zs = np.asarray(zs, dtype=complex)
-        self._guard(zs)
-        return zs * np.polynomial.polynomial.polyval(zs, np.asarray(self.coefs))
-
-    def deriv(self, z, tol=None):
-        z = complex(z)
-        self._guard(np.asarray(z))
-        dcoef = [(n + 1) * c for n, c in enumerate(self.coefs)]
-        return complex(np.polynomial.polynomial.polyval(z, dcoef))
+        return zs * self._polyval(zs, self.coefs)
 
     def derivs(self, zs):
-        zs = np.asarray(zs, dtype=complex)
-        self._guard(zs)
-        dcoef = np.asarray([(n + 1) * c for n, c in enumerate(self.coefs)])
-        return np.polynomial.polynomial.polyval(zs, dcoef)
-
-    def deriv2(self, z, tol=None):
-        z = complex(z)
-        self._guard(np.asarray(z))
-        d2 = [(n + 1) * n * c for n, c in enumerate(self.coefs)][1:]
-        if not d2:
-            return 0.0 + 0.0j
-        return complex(np.polynomial.polynomial.polyval(z, d2))
+        return self._polyval(zs, [(n + 1) * c for n, c in enumerate(self.coefs)])
 
     def deriv2s(self, zs):
-        zs = np.asarray(zs, dtype=complex)
-        self._guard(zs)
-        d2 = np.asarray([(n + 1) * n * c for n, c in enumerate(self.coefs)][1:] or [0.0])
-        return np.polynomial.polynomial.polyval(zs, d2)
+        return self._polyval(zs, [(n + 1) * n * c for n, c in enumerate(self.coefs)][1:] or [0.0])
 
     def coeffs(self, count):
         if count > len(self.coefs):
@@ -144,7 +139,7 @@ class SeriesPart:
 
 
 @dataclass(frozen=True)
-class ConvolutionPart:
+class ConvolutionPart(_VectorPart):
     """Hadamard product of a shifted transform with a measure's generator.
 
     Evaluated through the identity that sends the product to an average of
@@ -161,53 +156,29 @@ class ConvolutionPart:
         if abs(self.nu.mass - 1.0) > 1e-10:
             raise ValueError("convolution factor must be a probability measure")
 
-    def value(self, z, tol=None):
-        z = complex(z)
-        t, w = self.nu._rule
-        return z * complex(self.h.base.values(t * z) @ w)
+    def _scaled_sums(self, sums, zs, weights):
+        """``sums(z t) @ weights`` at each point of ``zs``, t the nodes of nu's rule.
 
-    __call__ = value
+        Works through blocks of 256 points, one row of scaled copies each.
+        """
+        zs = np.asarray(zs, dtype=complex)
+        t = self.nu._rule[0]
+        flat = zs.ravel()
+        out = np.empty(flat.shape, dtype=complex)
+        for i in range(0, len(flat), 256):
+            out[i : i + 256] = sums(np.outer(flat[i : i + 256], t)) @ weights
+        return out.reshape(zs.shape)
 
     def values(self, zs):
         zs = np.asarray(zs, dtype=complex)
-        t, w = self.nu._rule
-        flat = zs.ravel()
-        out = np.empty(flat.shape, dtype=complex)
-        for i in range(0, len(flat), 256):
-            block = flat[i : i + 256]
-            out[i : i + 256] = block * (self.h.base.values(np.outer(block, t)) @ w)
-        return out.reshape(zs.shape)
-
-    def deriv(self, z, tol=None):
-        z = complex(z)
-        t, w = self.nu._rule
-        return complex(self.h.derivs(t * z) @ w)
+        return zs * self._scaled_sums(self.h.base.values, zs, self.nu._rule[1])
 
     def derivs(self, zs):
-        zs = np.asarray(zs, dtype=complex)
-        t, w = self.nu._rule
-        flat = zs.ravel()
-        out = np.empty(flat.shape, dtype=complex)
-        for i in range(0, len(flat), 256):
-            block = flat[i : i + 256]
-            out[i : i + 256] = self.h.derivs(np.outer(block, t)) @ w
-        return out.reshape(zs.shape)
-
-    def deriv2(self, z, tol=None):
-        z = complex(z)
-        t, w = self.nu._rule
-        return complex(self.h.deriv2s(t * z) @ (t * w))
+        return self._scaled_sums(self.h.derivs, zs, self.nu._rule[1])
 
     def deriv2s(self, zs):
-        zs = np.asarray(zs, dtype=complex)
         t, w = self.nu._rule
-        tw = t * w
-        flat = zs.ravel()
-        out = np.empty(flat.shape, dtype=complex)
-        for i in range(0, len(flat), 256):
-            block = flat[i : i + 256]
-            out[i : i + 256] = self.h.deriv2s(np.outer(block, t)) @ tw
-        return out.reshape(zs.shape)
+        return self._scaled_sums(self.h.deriv2s, zs, t * w)
 
     def coeffs(self, count):
         return self.h.coeffs(count) * self.nu.moments(count)
@@ -397,15 +368,7 @@ class ModulusBoundReport:
     slack: float
 
     def to_dict(self):
-        return {
-            "passed": self.passed,
-            "a": self.a,
-            "limit": self.limit,
-            "n_samples": self.n_samples,
-            "min_margin_pointwise": self.min_margin_pointwise,
-            "min_margin_limit": self.min_margin_limit,
-            "slack": self.slack,
-        }
+        return asdict(self)
 
 
 def radial_limit(f):
@@ -488,18 +451,7 @@ class PartialSignReport:
         return self.violations_re == 0 and self.violations_im == 0
 
     def to_dict(self):
-        return {
-            "passed": self.passed,
-            "checked_nodes": self.checked_nodes,
-            "violations_re": self.violations_re,
-            "violations_im": self.violations_im,
-            "degenerate_nodes": self.degenerate_nodes,
-            "im_checked": self.im_checked,
-            "im_skip_reason": self.im_skip_reason,
-            "worst_re": self.worst_re,
-            "worst_im": self.worst_im,
-            "slack": self.slack,
-        }
+        return {"passed": self.passed, **asdict(self)}
 
 
 def _signed_nonneg_probe(mu, nu, c, n_samples=1000):
@@ -684,15 +636,7 @@ class HarnackReport:
     slack: float
 
     def to_dict(self):
-        return {
-            "hypothesis_holds": self.hypothesis_holds,
-            "m": self.m,
-            "bound": self.bound,
-            "min_re_observed": self.min_re_observed,
-            "ratio_sup": self.ratio_sup,
-            "ratio_within_bound": self.ratio_within_bound,
-            "slack": self.slack,
-        }
+        return asdict(self)
 
 
 def harnack_ratio_bound(h, m, grid=None, slack=1e-9):

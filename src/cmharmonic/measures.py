@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -86,9 +86,6 @@ class Lebesgue:
     def charts(self, cut=1.0):
         return (Chart(0.0, float(cut), lambda s: s, lambda s: np.ones_like(s)),)
 
-    def params_dict(self):
-        return {}
-
 
 @dataclass(frozen=True)
 class Beta:
@@ -151,9 +148,6 @@ class Beta:
             )
         return tuple(out)
 
-    def params_dict(self):
-        return {"a": self.a, "c": self.c}
-
 
 @dataclass(frozen=True)
 class LogGamma:
@@ -207,9 +201,6 @@ class LogGamma:
             out.append(Chart(slo, shi, lambda s, q=q: 1.0 - s**q, w_right))
         return tuple(out)
 
-    def params_dict(self):
-        return {"alpha": self.alpha}
-
 
 @dataclass(frozen=True, init=False)
 class Table:
@@ -259,11 +250,31 @@ class Table:
             )
         return tuple(out)
 
-    def params_dict(self):
-        return {"grid": list(self.grid), "values": list(self.values)}
 
-
+# The density families by wire name.  A family's parameters are its dataclass
+# fields other than ``weight``; they drive the JSON format and ``make_named``.
 _FAMILIES = {"lebesgue": Lebesgue, "beta": Beta, "loggamma": LogGamma, "table": Table}
+
+
+def _params(density_cls):
+    return [f for f in fields(density_cls) if f.name != "weight"]
+
+
+def _density(family, params, weight=1.0):
+    """Density of the named family from a mapping holding its parameters.
+
+    Parameters annotated ``float`` (a string here, as this module defers its
+    annotations) are converted, so JSON integers give the same density as
+    floats; ``Table`` converts its sequences itself.
+    """
+    cls = _FAMILIES.get(family)
+    if cls is None:
+        raise ValueError(f"unknown density family {family!r}")
+    args = {
+        f.name: float(params[f.name]) if f.type == "float" else params[f.name]
+        for f in _params(cls)
+    }
+    return cls(**args, weight=float(weight))
 
 
 @dataclass(frozen=True, init=False)
@@ -285,7 +296,7 @@ class Measure:
             if not d.weight > 0.0:
                 raise ValueError(f"density weight must be positive, got {d.weight!r}")
             unit = _density_unit_mass(d)
-            if abs(unit - 1.0) > DENSITY_CHECK_TOL:
+            if not abs(unit - 1.0) <= DENSITY_CHECK_TOL:
                 raise ValueError(
                     f"{d.family} density integrates to {unit!r}, expected 1 within {DENSITY_CHECK_TOL:g}"
                 )
@@ -310,24 +321,10 @@ class Measure:
         Atoms are added exactly; each density chart gets an adaptive pass
         with its share of the tolerance.  Raises
         :class:`~cmharmonic.quadrature.QuadratureError` when refinement
-        cannot reach the requested tolerance.
+        cannot reach the requested tolerance.  This is
+        :meth:`integrate_below` at cut 1, which keeps every chart and atom.
         """
-        pieces = [(d, ch) for d in self.densities for ch in d.charts()]
-        tol_piece = tol / max(1, len(pieces))
-        total = 0.0
-        for d, ch in pieces:
-            val, _ = adaptive_quad(
-                lambda s, ch=ch: np.asarray(integrand(ch.to_t(s))) * ch.weight(s),
-                ch.lo,
-                ch.hi,
-                tol=tol_piece,
-            )
-            total = total + d.weight * val
-        for a in self.atoms:
-            total = total + a.w * complex(integrand(np.asarray(a.t)))
-        if isinstance(total, complex) and total.imag == 0.0:
-            return total.real
-        return total
+        return self.integrate_below(integrand, 1.0, tol)
 
     def integrate_below(self, integrand, cut, tol=1e-10):
         """Like :meth:`integrate` but restricted to t <= cut (atoms above cut dropped)."""
@@ -401,7 +398,7 @@ class Measure:
             raise ValueError("scale factor must be positive")
         return Measure(
             tuple(Atom(a.t, a.w * factor) for a in self.atoms),
-            tuple(_reweight(d, d.weight * factor) for d in self.densities),
+            tuple(replace(d, weight=d.weight * factor) for d in self.densities),
         )
 
     def pdf(self, t):
@@ -414,18 +411,6 @@ class Measure:
 
     def to_dict(self):
         return measure_to_dict(self)
-
-
-def _reweight(density, weight):
-    if isinstance(density, Lebesgue):
-        return Lebesgue(weight)
-    if isinstance(density, Beta):
-        return Beta(density.a, density.c, weight)
-    if isinstance(density, LogGamma):
-        return LogGamma(density.alpha, weight)
-    if isinstance(density, Table):
-        return Table(density.grid, density.values, weight)
-    raise TypeError(f"unknown density type {type(density)!r}")
 
 
 def _density_unit_mass(density):
@@ -465,15 +450,7 @@ def make_named(family, **params):
     """Normalized measure of a named family: dirac, lebesgue, beta, loggamma, table."""
     if family == "dirac":
         return dirac(params["t"])
-    if family == "lebesgue":
-        return lebesgue()
-    if family == "beta":
-        return beta_measure(params["a"], params["c"])
-    if family == "loggamma":
-        return loggamma_measure(params["alpha"])
-    if family == "table":
-        return table_measure(params["grid"], params["values"])
-    raise ValueError(f"unknown measure family {family!r}")
+    return Measure(densities=(_density(family, params),))
 
 
 def mix(m1, m2, s):
@@ -487,8 +464,8 @@ def mix(m1, m2, s):
     atoms = tuple(Atom(a.t, a.w * s) for a in m1.atoms) + tuple(
         Atom(a.t, a.w * (1.0 - s)) for a in m2.atoms
     )
-    densities = tuple(_reweight(d, d.weight * s) for d in m1.densities) + tuple(
-        _reweight(d, d.weight * (1.0 - s)) for d in m2.densities
+    densities = tuple(replace(d, weight=d.weight * s) for d in m1.densities) + tuple(
+        replace(d, weight=d.weight * (1.0 - s)) for d in m2.densities
     )
     return Measure(atoms, densities)
 
@@ -505,7 +482,9 @@ def measure_to_dict(mu):
         ds = []
         for d in mu.densities:
             entry = {"family": d.family}
-            entry.update(d.params_dict())
+            for f in _params(type(d)):
+                value = getattr(d, f.name)
+                entry[f.name] = list(value) if isinstance(value, tuple) else value
             entry["w"] = d.weight
             ds.append(entry)
         out["densities"] = ds
@@ -516,21 +495,10 @@ def measure_from_dict(spec):
     if not isinstance(spec, dict):
         raise ValueError("measure spec must be a JSON object")
     atoms = tuple(Atom(float(a["t"]), float(a["w"])) for a in spec.get("atoms", ()))
-    densities = []
-    for d in spec.get("densities", ()):
-        fam = d.get("family")
-        if fam not in _FAMILIES:
-            raise ValueError(f"unknown density family {fam!r}")
-        w = float(d.get("w", 1.0))
-        if fam == "lebesgue":
-            densities.append(Lebesgue(w))
-        elif fam == "beta":
-            densities.append(Beta(float(d["a"]), float(d["c"]), w))
-        elif fam == "loggamma":
-            densities.append(LogGamma(float(d["alpha"]), w))
-        else:
-            densities.append(Table(d["grid"], d["values"], w))
-    return Measure(atoms, tuple(densities))
+    densities = tuple(
+        _density(d.get("family"), d, d.get("w", 1.0)) for d in spec.get("densities", ())
+    )
+    return Measure(atoms, densities)
 
 
 def load_measure(path):

@@ -15,10 +15,10 @@ import os
 
 import numpy as np
 
-from .harmonic import HarmonicMap, QCCertificate, certify_qc_grid, shifted
+from .harmonic import HarmonicMap, QCCertificate, certify_qc_grid, quotient, shifted
 from .measures import beta_measure, loggamma_measure
 from .quadrature import QuadratureError
-from .transforms import CauchyTransform, GridSpec
+from .transforms import GridSpec
 
 __all__ = [
     "ConvergenceError",
@@ -64,36 +64,12 @@ class ConvergenceError(ArithmeticError):
 
 # -- gamma and friends --------------------------------------------------------
 
-# Lanczos rational approximation, g = 7, 9 terms: relative error around
-# 1e-14 on the positive axis, comfortably inside the 1e-12 target on (0, 50].
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def gamma(x):
-    """Gamma function for real x > 0 (Lanczos shifted rational approximation)."""
+    """Gamma function for real x > 0: :func:`math.gamma` on the checked domain."""
     x = float(x)
     if not x > 0.0:
         raise ValueError(f"gamma needs a positive argument, got {x!r}")
-    if x < 0.5:
-        # reflection keeps the rational part evaluated away from its edge
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i, coef in enumerate(_LANCZOS_C[1:], start=1):
-        acc += coef / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 def pochhammer(x, n):
@@ -189,14 +165,7 @@ def polylog_ratio(alpha, beta):
     Evaluated as a ratio of the unshifted transforms so the removable
     0/0 at the origin never appears (value 1 there).
     """
-    fa = CauchyTransform(loggamma_measure(alpha))
-    fb = CauchyTransform(loggamma_measure(beta))
-
-    def fn(zs):
-        zs = np.asarray(zs, dtype=complex)
-        return fa.values(zs) / fb.values(zs)
-
-    return fn
+    return quotient(shifted(loggamma_measure(beta)), shifted(loggamma_measure(alpha)))
 
 
 # -- Gauss hypergeometric -----------------------------------------------------
@@ -264,6 +233,25 @@ def shifted_2f1(a, c, z, tol=1e-12):
 # -- closed-form certificates ---------------------------------------------------
 
 
+def _spot_checked(method, k, details, grid, spot_check, make_map):
+    """Certificate for a closed-form bound that holds, with the optional grid spot check.
+
+    With ``spot_check`` the map from ``make_map()`` is swept on the grid; a
+    sup above k + 1e-6 contradicts the bound and makes the certificate
+    inconclusive.
+    """
+    status = "certified"
+    sup = None
+    if spot_check:
+        spot = certify_qc_grid(make_map(), k, grid=grid or GridSpec())
+        sup = spot.sup_estimate
+        details["spot_sup"] = sup
+        if sup is not None and sup > k + 1e-6:
+            status = "inconclusive"
+            details["reason"] = "grid evidence contradicts the closed-form bound"
+    return QCCertificate(method, k, status, sup_estimate=sup, grid=grid, details=details)
+
+
 def certify_polylog_map(alpha, beta, c, k, grid=None, spot_check=True):
     """Certificate for the polylog map built from orders (alpha, beta) and scale c.
 
@@ -297,18 +285,10 @@ def certify_polylog_map(alpha, beta, c, k, grid=None, spot_check=True):
             "inconclusive",
             details={"reason": "no branch hypothesis satisfied"},
         )
-
-    status = "certified"
-    sup = None
-    if spot_check:
-        f = HarmonicMap(shifted(loggamma_measure(alpha)), shifted(loggamma_measure(beta)), c)
-        spot = certify_qc_grid(f, k, grid=grid or GridSpec())
-        sup = spot.sup_estimate
-        details["spot_sup"] = sup
-        if sup is not None and sup > k + 1e-6:
-            status = "inconclusive"
-            details["reason"] = "grid evidence contradicts the closed-form bound"
-    return QCCertificate(method, k, status, sup_estimate=sup, grid=grid, details=details)
+    return _spot_checked(
+        method, k, details, grid, spot_check,
+        lambda: HarmonicMap(shifted(loggamma_measure(alpha)), shifted(loggamma_measure(beta)), c),
+    )
 
 
 def hyp_ratio_constant(a, c, a2, c2):
@@ -381,15 +361,7 @@ def certify_hypergeom_map(a, c, a2, c2, b, k, grid=None, spot_check=True):
             "hypergeom", k, "inconclusive",
             details={"reason": "no branch hypothesis satisfied"},
         )
-
-    status = "certified"
-    sup = None
-    if spot_check:
-        f = HarmonicMap(shifted(beta_measure(a, c)), shifted(beta_measure(a2, c2)), b)
-        spot = certify_qc_grid(f, k, grid=grid or GridSpec())
-        sup = spot.sup_estimate
-        details["spot_sup"] = sup
-        if sup is not None and sup > k + 1e-6:
-            status = "inconclusive"
-            details["reason"] = "grid evidence contradicts the closed-form bound"
-    return QCCertificate(method, k, status, sup_estimate=sup, grid=grid, details=details)
+    return _spot_checked(
+        method, k, details, grid, spot_check,
+        lambda: HarmonicMap(shifted(beta_measure(a, c)), shifted(beta_measure(a2, c2)), b),
+    )

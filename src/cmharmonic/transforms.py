@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -123,6 +123,9 @@ class GridSpec:
             raise ValueError("half-plane rectangle must stay left of Re z = 1")
         if not (self.ymin > 0.0 and self.ymax > 0.0):
             raise ValueError("half-plane rectangle must lie in the open upper half (ymin, ymax > 0)")
+        bounds = (self.rmin, self.rmax, self.xmin, self.xmax, self.ymin, self.ymax)
+        if not all(math.isfinite(b) for b in bounds):
+            raise ValueError(f"grid bounds must be finite, got {bounds!r}")
 
     def disk_points(self):
         """Polar grid ``r_i e^{i theta_j}``, theta_j = 2 pi j / ntheta, radius-major.
@@ -464,16 +467,7 @@ class MembershipReport:
     note: str = "holomorphy on the slit plane assumed, not checked"
 
     def to_dict(self):
-        return {
-            "consistent": self.consistent,
-            "f0_gap": self.f0_gap,
-            "min_re_ray": self.min_re_ray,
-            "max_abs_im_ray": self.max_abs_im_ray,
-            "min_im_upper": self.min_im_upper,
-            "skipped": self.skipped,
-            "slack": self.slack,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def _eval_grid(fn, pts):

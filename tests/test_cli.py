@@ -233,6 +233,34 @@ def test_rect_below_real_axis_is_rejected(tmp_path):
     assert "open upper half" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "rect", ["nan,0.99,0.01,3,5,5", "-inf,0.99,0.01,3,5,5", "-3,0.99,0.01,inf,5,5"]
+)
+def test_rect_with_non_finite_bounds_is_rejected(tmp_path, rect):
+    fmap = write(tmp_path, "f.json", {"h": F1_ID["h"], "g": F1_ID["h"], "c": 0.5})
+    res = run_cli("verify-thm", "1.3", fmap, f"--rect={rect}")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "finite" in res.stderr
+
+
+def test_density_with_nan_mass_exits_2(tmp_path):
+    # the density of each spec integrates to NaN
+    lg150 = {"densities": [{"family": "loggamma", "alpha": 150}]}
+    lg001 = {"densities": [{"family": "loggamma", "alpha": 0.01}]}
+    nan_table = {"densities": [{"family": "table", "grid": [0, 0.5, 1], "values": [1, math.nan, 1]}]}
+    fmap = write(tmp_path, "f.json", {"h": lg150, "g": lg150, "c": 0.5})
+    for args in (
+        ("verify-thm", "1.3", fmap),
+        ("ratio-sup", write(tmp_path, "lg.json", lg001)),
+        ("moments", write(tmp_path, "tab.json", nan_table)),
+    ):
+        res = run_cli(*args)
+        assert res.returncode == 2, args
+        assert res.stdout == ""
+        assert "integrates to nan" in res.stderr
+
+
 def test_certify_thm19_needs_densities(tmp_path):
     atomic = write(tmp_path, "atomic.json", dict(F1_ID, c=0.2))
     assert run_cli("certify", atomic, "--method", "thm1.9", "--k", "0.5").returncode == 2

@@ -31,6 +31,7 @@ from cmharmonic.harmonic import (
     shifted,
 )
 from cmharmonic.measures import (
+    Measure,
     beta_measure,
     dirac,
     lebesgue,
@@ -38,7 +39,7 @@ from cmharmonic.measures import (
     measure_from_dict,
     mix,
 )
-from cmharmonic.transforms import GridSpec, _block_rows
+from cmharmonic.transforms import GridSpec, _block_rows, _kernel_sums
 from conftest import random_disk_points, random_measure
 
 F1 = shifted(dirac(1.0))  # z/(1-z)
@@ -425,6 +426,13 @@ def test_series_part_radius_guard_and_coeff_limit():
         part.value(0.96)
     with pytest.raises(ValueError):
         part.coeffs(3)
+    # the guard holds on every scalar and vector path
+    for fn in ("value", "deriv", "deriv2", "__call__"):
+        with pytest.raises(ValueError):
+            getattr(part, fn)(0.96j)
+    for fn in ("values", "derivs", "deriv2s"):
+        with pytest.raises(ValueError):
+            getattr(part, fn)(np.array([0.1, -0.96, 0.2j]))
 
 
 def test_convex_combination():
@@ -479,6 +487,99 @@ def test_convolution_part_validates():
         ConvolutionPart(SeriesPart((1.0,)), lebesgue())
     with pytest.raises(ValueError):
         make_convolution_map(F1, lebesgue(), 1.2)
+
+
+# -- the part protocol: vectorized methods, scalars derived on one point ----------
+
+
+def _series_reference(part, zs, order):
+    """The vector formulas of ``SeriesPart`` before the scalars were derived from them."""
+    zs = np.asarray(zs, dtype=complex)
+    if order == 0:
+        return zs * npoly.polyval(zs, np.asarray(part.coefs))
+    if order == 1:
+        return npoly.polyval(zs, np.asarray([(n + 1) * c for n, c in enumerate(part.coefs)]))
+    d2 = np.asarray([(n + 1) * n * c for n, c in enumerate(part.coefs)][1:] or [0.0])
+    return npoly.polyval(zs, d2)
+
+
+def _convolution_reference(part, zs, order):
+    """The three 256-point block loops of ``ConvolutionPart`` before they shared a helper."""
+    zs = np.asarray(zs, dtype=complex)
+    t, w = part.nu._rule
+    flat = zs.ravel()
+    out = np.empty(flat.shape, dtype=complex)
+    for i in range(0, len(flat), 256):
+        block = flat[i : i + 256]
+        if order == 0:
+            out[i : i + 256] = block * (part.h.base.values(np.outer(block, t)) @ w)
+        elif order == 1:
+            out[i : i + 256] = part.h.derivs(np.outer(block, t)) @ w
+        else:
+            out[i : i + 256] = part.h.deriv2s(np.outer(block, t)) @ (t * w)
+    return out.reshape(zs.shape)
+
+
+def _shifted_reference(part, zs, order):
+    """The vector formulas of ``ShiftedCauchyTransform`` through the blocked kernel."""
+    zs = np.asarray(zs, dtype=complex)
+    t, w = part.mu._rule
+    if order == 0:
+        return zs * _kernel_sums(zs, t, w, 1)
+    if order == 1:
+        return _kernel_sums(zs, t, w, 2)
+    return _kernel_sums(zs, t, 2.0 * t * w, 3)
+
+
+def _protocol_parts():
+    rng = np.random.default_rng(31)
+    mu = measure_from_dict(_SPEC)
+    return {
+        "series": (SeriesPart(tuple(rng.uniform(-1.0, 1.0, 24)), radius=0.95), _series_reference),
+        "series, one coefficient": (SeriesPart((0.7,)), _series_reference),
+        # each scaled copy costs a full kernel sum, so one of the two rules is atomic
+        "convolution over atoms": (
+            ConvolutionPart(shifted(mu), Measure(((0.0, 0.2), (0.5, 0.5), (1.0, 0.3)))),
+            _convolution_reference,
+        ),
+        "convolution over a density": (
+            ConvolutionPart(shifted(mix(dirac(0.3), dirac(0.8), 0.4)), beta_measure(1.0, 3.3)),
+            _convolution_reference,
+        ),
+        "shifted": (shifted(mu), _shifted_reference),
+    }
+
+
+_VECTOR_METHODS = ("values", "derivs", "deriv2s")
+_DERIVED_SCALAR_PARTS = ["convolution over a density", "convolution over atoms", "series", "series, one coefficient"]
+
+
+@pytest.mark.parametrize("case", _DERIVED_SCALAR_PARTS + ["shifted"])
+def test_part_vector_methods_match_pre_protocol_formulas(case):
+    part, reference = _protocol_parts()[case]
+    rng = np.random.default_rng(37)
+    # 256-point blocks of ConvolutionPart: one, block - 1, block, block + 1, two blocks + 1
+    for n in (1, 255, 256, 257, 513):
+        zs = 0.94 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+        for order, fn in enumerate(_VECTOR_METHODS):
+            got = getattr(part, fn)(zs)
+            assert got.shape == zs.shape
+            assert got.tobytes() == reference(part, zs, order).tobytes(), (n, fn)
+    grid = zs[:12].reshape(3, 4)
+    for order, fn in enumerate(_VECTOR_METHODS):
+        assert getattr(part, fn)(grid).tobytes() == reference(part, grid, order).tobytes()
+
+
+@pytest.mark.parametrize("case", _DERIVED_SCALAR_PARTS)
+def test_part_scalars_are_one_point_vector_values(case):
+    part, _ = _protocol_parts()[case]
+    for z in (0.0, 0.3, -0.9 + 0.0j, 0.2 - 0.7j, 0.94j):
+        one = np.array([z], dtype=complex)
+        for scalar, fn in (("value", "values"), ("deriv", "derivs"), ("deriv2", "deriv2s")):
+            got = getattr(part, scalar)(z, tol=1e-12)
+            assert type(got) is complex
+            assert np.array([got]).tobytes() == getattr(part, fn)(one).tobytes(), (z, scalar)
+        assert np.array([part(z)]).tobytes() == part.values(one).tobytes()
 
 
 # -- ratio sup and the log-derivative bound ------------------------------------------

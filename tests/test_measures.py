@@ -66,6 +66,8 @@ def test_make_named():
     assert isinstance(make_named("lebesgue").densities[0], Lebesgue)
     assert isinstance(make_named("beta", a=1.0, c=2.0).densities[0], Beta)
     assert isinstance(make_named("loggamma", alpha=2.0).densities[0], LogGamma)
+    assert make_named("beta", a=1, c=3) == beta_measure(1.0, 3.0)
+    assert make_named("table", grid=[0.0, 1.0], values=[1.0, 2.0]) == table_measure([0.0, 1.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         make_named("cauchy")
 
@@ -195,7 +197,78 @@ def test_json_round_trip():
         dirac(0.25),
     ]:
         assert measure_from_dict(measure_to_dict(other)) == other
+    back = measure_from_dict(measure_to_dict(_FOUR_FAMILIES))
+    assert back.atoms == _FOUR_FAMILIES.atoms
+    assert back.densities[:3] == _FOUR_FAMILIES.densities[:3]
+    # a table renormalizes its values on construction, which is not exactly
+    # idempotent in floating point: they come back within a few ulps
+    table, table_back = _FOUR_FAMILIES.densities[3], back.densities[3]
+    assert (table_back.grid, table_back.weight) == (table.grid, table.weight)
+    assert np.allclose(table_back.values, table.values, rtol=1e-15, atol=0.0)
+    assert measure_to_dict(_FOUR_FAMILIES)["densities"] == [
+        {"family": "lebesgue", "w": 0.1},
+        {"family": "beta", "a": 0.7, "c": 2.9, "w": 0.3},
+        {"family": "loggamma", "alpha": 1.7, "w": 0.2},
+        {"family": "table", "grid": [0.1, 0.4, 0.8], "values": list(_FOUR_FAMILIES.densities[3].values), "w": 0.2},
+    ]
+    # JSON integers give the same densities as floats
+    ints = {"densities": [{"family": "beta", "a": 1, "c": 3}, {"family": "loggamma", "alpha": 2, "w": 1}]}
+    dens = measure_from_dict(ints).densities
+    assert dens == (Beta(1.0, 3.0), LogGamma(2.0))
+    assert {type(v) for v in (dens[0].a, dens[0].c, dens[1].alpha, dens[1].weight)} == {float}
     with pytest.raises(ValueError):
         measure_from_dict([1, 2, 3])
     with pytest.raises(ValueError):
         measure_from_dict({"densities": [{"family": "gauss"}]})
+
+
+# A measure holding atoms and all four density families, weights summing to 1.
+_FOUR_FAMILIES = Measure(
+    (Atom(0.3, 0.1), Atom(1.0, 0.1)),
+    (Lebesgue(0.1), Beta(0.7, 2.9, 0.3), LogGamma(1.7, 0.2), Table([0.1, 0.4, 0.8], [1.0, 3.0, 0.5], 0.2)),
+)
+
+
+def test_integrate_is_integrate_below_at_one():
+    mu = _FOUR_FAMILIES
+    for fn in (
+        lambda t: 1.0 / (1.0 - t * (0.3 + 0.4j)),
+        lambda t: (1.0 - t * (-0.5 + 0.2j)) ** -2.0,
+        lambda t: 1.0 / (1.0 + t),
+        lambda t: t**7,
+    ):
+        for tol in (1e-10, 1e-12):
+            got = mu.integrate(fn, tol=tol)
+            ref = mu.integrate_below(fn, 1.0, tol)
+            assert type(got) is type(ref)
+            assert np.array([got]).tobytes() == np.array([ref]).tobytes()
+
+
+def test_mix_and_scaled_reweight_every_family():
+    # the reweighted density equals the family constructed directly with the
+    # new weight; a table renormalizes its (already normalized) values again
+    other = Measure((Atom(0.5, 1.0),))
+    lb, bt, lg, tb = _FOUR_FAMILIES.densities
+    for s in (0.25, 0.6):
+        for reweighted in (mix(_FOUR_FAMILIES, other, s), _FOUR_FAMILIES.scaled(s)):
+            assert reweighted.densities == (
+                Lebesgue(lb.weight * s),
+                Beta(bt.a, bt.c, bt.weight * s),
+                LogGamma(lg.alpha, lg.weight * s),
+                Table(tb.grid, tb.values, tb.weight * s),
+            )
+    assert mix(other, _FOUR_FAMILIES, 0.25).densities[1] == Beta(0.7, 2.9, 0.3 * 0.75)
+
+
+def test_density_with_nan_unit_mass_is_rejected():
+    # a NaN unit mass fails every comparison, so the check must be written
+    # to reject it rather than to accept on "not too far from 1"
+    with np.errstate(all="ignore"):
+        for build in (
+            lambda: loggamma_measure(150.0),
+            lambda: loggamma_measure(0.01),
+            lambda: table_measure([0.0, 0.5, 1.0], [1.0, math.nan, 1.0]),
+            lambda: table_measure([0.0, 0.5, 1.0], [1.0, math.inf, 1.0]),
+        ):
+            with pytest.raises(ValueError, match="integrates to nan"):
+                build()

@@ -289,6 +289,10 @@ def test_gridspec_validation():
     for ymin, ymax in [(0.0, 3.0), (-1.0, 3.0), (0.5, -1.0), (math.nan, 3.0)]:
         with pytest.raises(ValueError, match="open upper half"):
             GridSpec(ymin=ymin, ymax=ymax)
+    for name in ("rmin", "rmax", "xmin", "xmax", "ymin", "ymax"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                GridSpec(**{name: bad})
     g = GridSpec()
     assert abs(g.disk_points()).max() <= g.rmax + 1e-12
     assert g.rect_points().size == g.nx * g.ny
