@@ -339,10 +339,25 @@ def _build_parser():
     return parser
 
 
+def _attach_rect_values(argv):
+    """Rewrite ``--rect VALUE`` as ``--rect=VALUE`` when VALUE starts with a minus sign.
+
+    argparse takes a token that starts with "-" for an option unless it
+    reads as a single negative number, which "-3,0.99,0.01,3" does not; the
+    default rectangle itself starts at x = -3.
+    """
+    argv = list(argv)
+    for i in range(len(argv) - 2, -1, -1):
+        value = argv[i + 1]
+        if argv[i] == "--rect" and value[:1] == "-" and value[1:2] in set("0123456789."):
+            argv[i : i + 2] = [f"--rect={value}"]
+    return argv
+
+
 def main(argv=None):
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_rect_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -9,7 +9,8 @@ numerical quasiconformality certificates.
 A grid certificate records a sup estimate over finitely many nodes; it is
 evidence, never a proof, since the supremum need not be attained inside the
 disk.  Boundary-limit certificates instead check a closed-form sufficient
-condition.
+condition, with the boundary limits taken from the measures' endpoint
+calculus.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .measures import Measure, measure_from_dict, measure_to_dict, mix
-from .quadrature import QuadratureError
+from .measures import Measure, measure_from_dict, measure_to_dict, mix, same_exponent
 from .transforms import (
     GridSpec,
     ShiftedCauchyTransform,
@@ -769,52 +769,46 @@ def density_ratio_condition(phi, psi, n=200, slack=1e-12, spot_check=True, grid=
     )
 
 
-def _deriv_real(part, x, order=1):
-    try:
-        val = part.deriv(x, tol=1e-10) if order == 1 else part.deriv2(x, tol=1e-10)
-    except QuadratureError as exc:
-        val = exc.estimate
-    return float(np.real(val))
+def _derivative_quotient_limit(h_mu, g_mu):
+    """lim of g'/h' at 1- for the shifted transforms of h_mu and g_mu, its route, its inputs.
 
-
-def _boundary_limit(eval_at, start=1e-2, stop=1e-8, rel_tol=1e-9):
-    """Classify lim of eval_at(1 - delta) as delta -> 0 by cutoff refinement.
-
-    Returns (value, status) with status one of finite / infinite / unresolved.
+    h'(1-) and g'(1-) are the endpoint moments ``integral of (1 - t)**-2``.
+    When both diverge, the parts' densities behave like kappa (1 - t)**(beta - 1)
+    at t = 1 with beta <= 2, and both derivatives grow like kappa times the
+    same function of 1 - x for equal beta (Abelian asymptotics of a Stieltjes
+    transform, Widder, The Laplace Transform, 1941, ch. VIII), so the limit
+    is kappa_g/kappa_h; for unequal beta the smaller one dominates.  Betas
+    equal up to rounding (``same_exponent``) count as equal: beta(0.9, 1.9)
+    has the computed exponent 0.9999999999999999 and Lebesgue has 1.
     """
-    delta = start
-    prev = None
-    prev_inc = None
-    while True:
-        cur = eval_at(1.0 - delta)
-        if abs(cur) > 1e12:
-            return math.inf, "infinite"
-        if prev is not None:
-            inc = cur - prev
-            if abs(inc) <= rel_tol * max(1.0, abs(cur)):
-                return cur, "finite"
-            if prev_inc is not None and delta <= stop:
-                ratio = abs(inc) / max(abs(prev_inc), 1e-300)
-                if ratio >= 1.1:
-                    return math.inf, "infinite"
-                if ratio < 0.9:
-                    return cur + inc * ratio / (1.0 - ratio), "finite"
-                return cur, "unresolved"
-            prev_inc = inc
-        prev = cur
-        if delta <= stop:
-            return cur, "unresolved"
-        delta *= 0.5
+    g_lim = g_mu.endpoint_moment(2)
+    h_lim = h_mu.endpoint_moment(2)
+    details = {"g_deriv_limit": g_lim, "h_deriv_limit": h_lim}
+    if math.isfinite(h_lim):
+        # h'(1-) >= h'(0) = 1; the quotient is +inf when g'(1-) is
+        return g_lim / h_lim, ("direct" if math.isfinite(g_lim) else "divergent"), details
+    if math.isfinite(g_lim):
+        return 0.0, "vanishing", details
+    beta_g, kappa_g = g_mu.endpoint_exponent()
+    beta_h, kappa_h = h_mu.endpoint_exponent()
+    details.update(g_exponent=beta_g, h_exponent=beta_h, g_coefficient=kappa_g, h_coefficient=kappa_h)
+    if same_exponent(beta_g, beta_h):
+        f_limit = kappa_g / kappa_h
+    else:
+        f_limit = 0.0 if beta_g > beta_h else math.inf
+    return f_limit, "endpoint exponents", details
 
 
 def certify_qc_boundary_limit(h, g, c, k, n=200, grid=None):
     """Certificate from the boundary limit of F = g'/h'.
 
     Requires the cross inequality for the representing densities; then the
-    sup of the dilatation modulus is c * F(1-), computed directly from the
-    one-sided derivative limits, or from the second-derivative quotient when
-    both first derivatives blow up.  c * F(1-) <= k certifies; a numerically
-    infinite limit is inconclusive.
+    sup of the dilatation modulus is c * F(1-), taken from the exact
+    derivative limits h'(1-) and g'(1-), or from the densities' endpoint
+    exponents when both are infinite (see ``_derivative_quotient_limit``).
+    c * F(1-) <= k certifies, anything above it, +inf included, is a
+    violation.  ``details`` names the route taken and carries both
+    derivative limits, and the exponents and coefficients when used.
     """
     if not 0.0 <= float(c) < 1.0:
         raise ValueError(f"c must be real in [0, 1), got {c!r}")
@@ -835,36 +829,13 @@ def certify_qc_boundary_limit(h, g, c, k, n=200, grid=None):
             },
         )
 
-    g_lim, g_status = _boundary_limit(lambda x: _deriv_real(g, x))
-    h_lim, h_status = _boundary_limit(lambda x: _deriv_real(h, x))
-    path = None
-    f_limit = None
-    if g_status == "finite" and h_status == "finite":
-        f_limit = g_lim / h_lim
-        path = "direct"
-    elif g_status == "finite" and h_status == "infinite":
-        f_limit = 0.0
-        path = "vanishing"
-    elif g_status == "infinite" and h_status == "infinite":
-        val, status = _boundary_limit(
-            lambda x: _deriv_real(g, x, order=2) / _deriv_real(h, x, order=2)
-        )
-        if status == "finite":
-            f_limit = val
-            path = "second-derivative quotient"
-    if f_limit is None:
-        return QCCertificate(
-            "thm1.9",
-            k,
-            "inconclusive",
-            details={"reason": "boundary limit of g'/h' numerically infinite or unresolved"},
-        )
-    sup_bound = c * f_limit
+    f_limit, path, details = _derivative_quotient_limit(h.mu, g.mu)
+    sup_bound = c * f_limit if c > 0.0 else 0.0  # no 0 * inf
     status = "certified" if sup_bound <= k else "violated"
     return QCCertificate(
         "thm1.9",
         k,
         status,
         sup_estimate=float(sup_bound),
-        details={"f_limit": float(f_limit), "path": path},
+        details={"f_limit": float(f_limit), "path": path, **details},
     )

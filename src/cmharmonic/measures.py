@@ -7,6 +7,11 @@ small exponents, log-power with small order) are integrated after a
 regularizing change of variable chosen from the exponents, since plain
 panels stall near the endpoints.
 
+Boundary values at z = 1- of the transforms built from a measure are its
+endpoint moments, integrals of (1 - t)**-p; every family has them in closed
+form (:meth:`Measure.endpoint_moment`), together with the exponent of its
+density at t = 1 (:meth:`Measure.endpoint_exponent`).
+
 Measures compare equal structurally (same atoms and densities); weak
 equality of measures is not decidable numerically and is not attempted.
 """
@@ -39,10 +44,48 @@ __all__ = [
     "measure_from_dict",
     "measure_to_dict",
     "load_measure",
+    "zeta",
+    "same_exponent",
 ]
 
 MASS_TOL = 1e-12
 DENSITY_CHECK_TOL = 1e-10
+# Endpoint exponents this close (relative, or absolute near 0) count as equal.
+# Beta's exponent c - a is a computed difference, and decimal parameters miss
+# the exact value: 1.9 - 0.9 is 0.9999999999999999, not 1.
+EXPONENT_TOL = 1e-12
+
+
+def same_exponent(x, y):
+    """Whether two endpoint exponents agree up to rounding (``EXPONENT_TOL``)."""
+    return math.isclose(x, y, rel_tol=EXPONENT_TOL, abs_tol=EXPONENT_TOL)
+
+
+def zeta(s, tol=1e-12):
+    """Riemann zeta for real s > 1, the endpoint moments of the log-power family.
+
+    Partial sum plus the integral tail N**(1-s)/(s-1) and Euler-Maclaurin
+    corrections through the N**(-s-3) term; N grows until the first omitted
+    term, s(s+1)...(s+4) N**(-s-5)/30240, is inside tol/2.  The bare
+    integral bound alone would need N of order tol**(-1/(s-1)), which is
+    hopeless near s = 1 at tight tolerances; the corrections stay accurate
+    there, where the tail term carries the pole 1/(s-1).
+    """
+    s = float(s)
+    if not s > 1.0:
+        raise ValueError(f"zeta needs s > 1, got {s!r}")
+    rising = s * (s + 1.0) * (s + 2.0) * (s + 3.0) * (s + 4.0)
+    n = 16
+    while rising * n ** (-s - 5.0) / 30240.0 > tol / 2.0 and n < 10**7:
+        n *= 2
+    head = float(np.sum(np.arange(1, n, dtype=float) ** (-s)))
+    tail = (
+        n ** (1.0 - s) / (s - 1.0)
+        + 0.5 * n ** (-s)
+        + s * n ** (-s - 1.0) / 12.0
+        - s * (s + 1.0) * (s + 2.0) * n ** (-s - 3.0) / 720.0
+    )
+    return head + tail
 
 
 @dataclass(frozen=True)
@@ -69,8 +112,8 @@ class Atom:
     def __post_init__(self):
         if not 0.0 <= self.t <= 1.0:
             raise ValueError(f"atom location {self.t!r} outside [0, 1]")
-        if not self.w > 0.0:
-            raise ValueError(f"atom weight must be positive, got {self.w!r}")
+        if not 0.0 < self.w < math.inf:
+            raise ValueError(f"atom weight must be finite and positive, got {self.w!r}")
 
 
 @dataclass(frozen=True)
@@ -85,6 +128,12 @@ class Lebesgue:
 
     def charts(self, cut=1.0):
         return (Chart(0.0, float(cut), lambda s: s, lambda s: np.ones_like(s)),)
+
+    def endpoint_moment(self, p):
+        return math.inf
+
+    def endpoint_exponent(self):
+        return 1.0, 1.0
 
 
 @dataclass(frozen=True)
@@ -148,6 +197,25 @@ class Beta:
             )
         return tuple(out)
 
+    def endpoint_moment(self, p):
+        """Gamma(c) Gamma(c-a-p) / (Gamma(c-a) Gamma(c-p)), finite iff c - a > p.
+
+        Gamma(x + 1) = x Gamma(x) turns the quotient into the product of
+        (c - i) / (c - a - i) over i = 1..p.  A computed c - a that equals p
+        up to rounding counts as p, where the integral diverges.
+        """
+        ca = self.c - self.a
+        if not ca > p or same_exponent(ca, p):
+            return math.inf
+        num = den = 1.0
+        for i in range(1, p + 1):
+            num *= self.c - i
+            den *= ca - i
+        return num / den
+
+    def endpoint_exponent(self):
+        return self.c - self.a, self._norm
+
 
 @dataclass(frozen=True)
 class LogGamma:
@@ -201,13 +269,35 @@ class LogGamma:
             out.append(Chart(slo, shi, lambda s, q=q: 1.0 - s**q, w_right))
         return tuple(out)
 
+    def endpoint_moment(self, p):
+        """zeta(alpha) for p = 1, zeta(alpha - 1) for p = 2, and +inf where that series diverges.
+
+        The moments are (n+1)**-alpha, and (1-t)**-1 and (1-t)**-2 have the
+        power-series coefficients 1 and n + 1.  Below s = 1 the series
+        diverges; the continuation of zeta there is not its value.
+        """
+        s = self.alpha - p + 1.0
+        return zeta(s) if s > 1.0 else math.inf
+
+    def endpoint_exponent(self):
+        return self.alpha, math.exp(-math.lgamma(self.alpha))
+
+
+# Values whose trapezoid mass lies this many ulps per grid point from 1 count
+# as normalized already.  Dividing normalized values by their computed mass
+# moves them by a few ulps, so without this a table rebuilt from its own
+# values (JSON round trip, reweighting) would not equal the original.
+_NORMALIZED_ULPS = 4
+
 
 @dataclass(frozen=True, init=False)
 class Table:
-    """User-sampled density: piecewise linear on a supplied grid, renormalized.
+    """User-sampled density: piecewise linear on a supplied grid, normalized once.
 
     Zero outside the grid's span.  The trapezoid mass is exact for a
-    piecewise-linear function, so renormalization is not a quadrature.
+    piecewise-linear function, so normalization is not a quadrature.  Values
+    that are normalized already (to rounding) are kept as given, so a table
+    rebuilt from its own values equals it.
     """
 
     grid: tuple
@@ -229,8 +319,10 @@ class Table:
         mass = sum(0.5 * (v[i] + v[i + 1]) * (g[i + 1] - g[i]) for i in range(len(g) - 1))
         if mass <= 0.0:
             raise ValueError("table density has zero mass")
+        if not abs(mass - 1.0) <= _NORMALIZED_ULPS * len(g) * math.ulp(1.0):
+            v = tuple(x / mass for x in v)
         object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "values", tuple(x / mass for x in v))
+        object.__setattr__(self, "values", v)
         object.__setattr__(self, "weight", float(weight))
 
     def pdf(self, t):
@@ -249,6 +341,39 @@ class Table:
                 Chart(lo, hi, lambda s: s, lambda s, self=self: np.interp(s, self.grid, self.values))
             )
         return tuple(out)
+
+    def endpoint_moment(self, p):
+        """Exact integral of (1 - t)**-p against the piecewise-linear density.
+
+        On a segment of length L whose ends sit at u0 > u1 in u = 1 - t, the
+        two hat functions integrate to 1 - u1 l/L and u0 l/L - 1 at p = 1,
+        and to l/L - 1/u0 and 1/u1 - l/L at p = 2, with l = log(u0/u1).  A
+        segment ending at t = 1 gives +inf unless the density vanishes where
+        the integrand blows up.
+        """
+        total = 0.0
+        for t0, t1, v0, v1 in zip(self.grid, self.grid[1:], self.values, self.values[1:]):
+            u0, u1, length = 1.0 - t0, 1.0 - t1, t1 - t0
+            if u1 == 0.0:
+                if v1 > 0.0 or (p == 2 and v0 > 0.0):
+                    return math.inf
+                total += v0 if p == 1 else 0.0
+                continue
+            ell = math.log1p(length / u1)
+            if p == 1:
+                total += v0 * (1.0 - u1 * ell / length) + v1 * (u0 * ell / length - 1.0)
+            else:
+                total += v0 * (ell / length - 1.0 / u0) + v1 * (1.0 / u1 - ell / length)
+        return total
+
+    def endpoint_exponent(self):
+        """From the last segment: the value at t = 1, else its slope there."""
+        if self.grid[-1] == 1.0:
+            if self.values[-1] > 0.0:
+                return 1.0, self.values[-1]
+            if self.values[-2] > 0.0:
+                return 2.0, self.values[-2] / (1.0 - self.grid[-2])
+        return math.inf, 0.0
 
 
 # The density families by wire name.  A family's parameters are its dataclass
@@ -293,8 +418,8 @@ class Measure:
         atoms = tuple(a if isinstance(a, Atom) else Atom(*a) for a in atoms)
         densities = tuple(densities)
         for d in densities:
-            if not d.weight > 0.0:
-                raise ValueError(f"density weight must be positive, got {d.weight!r}")
+            if not 0.0 < d.weight < math.inf:
+                raise ValueError(f"density weight must be finite and positive, got {d.weight!r}")
             unit = _density_unit_mass(d)
             if not abs(unit - 1.0) <= DENSITY_CHECK_TOL:
                 raise ValueError(
@@ -390,6 +515,37 @@ class Measure:
             return out
         t, w = self._rule
         return (t[None, :] ** ns[:, None]) @ w
+
+    # -- endpoint calculus at t = 1 -------------------------------------------
+
+    def endpoint_moment(self, p):
+        """``integral of (1 - t)**-p d mu`` for p = 1 or 2, possibly +inf.
+
+        These are the boundary values at z = 1- of the transform F (p = 1,
+        the sum of the moments) and of the derivative of z F(z) (p = 2, the
+        sum of (n+1) times the moments), by monotone convergence.  Atoms
+        give w/(1-t)**p, +inf at t = 1; every density family has a closed
+        form.
+        """
+        if p not in (1, 2):
+            raise ValueError(f"endpoint moment order must be 1 or 2, got {p!r}")
+        total = sum(a.w / (1.0 - a.t) ** p if a.t < 1.0 else math.inf for a in self.atoms)
+        return total + sum(d.weight * d.endpoint_moment(p) for d in self.densities)
+
+    def endpoint_exponent(self):
+        """``(beta, kappa)`` with mu ~ kappa (1 - t)**(beta - 1) dt near t = 1.
+
+        An atom at t = 1 counts as beta = 0 with kappa its weight.  The
+        smallest beta of the parts wins and the kappa of the parts attaining
+        it (up to rounding, :func:`same_exponent`) add up; ``(inf, 0.0)``
+        when no mass comes near t = 1.
+        """
+        parts = [(0.0, a.w) for a in self.atoms if a.t == 1.0]
+        for d in self.densities:
+            beta, kappa = d.endpoint_exponent()
+            parts.append((beta, d.weight * kappa))
+        beta = min((b for b, _ in parts), default=math.inf)
+        return beta, sum((k for b, k in parts if same_exponent(b, beta)), 0.0)
 
     # -- structure ----------------------------------------------------------
 

@@ -14,6 +14,9 @@ import numpy as np
 __all__ = ["QuadratureError", "adaptive_quad", "graded_edges", "composite_rule"]
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# Panels per integrand call: a level of up to 16384 panels is evaluated in
+# slices, so the working set stays a few MB whatever the integrand.
+_PANELS_PER_EVAL = 512
 
 
 def _leggauss(n):
@@ -55,40 +58,43 @@ def adaptive_quad(f, a, b, tol=1e-10, max_depth=48):
     exhausted = False
     complex_out = False
 
-    frontier = [(a, b)]
+    lo, hi = np.array([a]), np.array([b])  # the frontier's panels, in bisection order
     depth = 0
-    while frontier:
-        lo = np.array([p[0] for p in frontier])
-        hi = np.array([p[1] for p in frontier])
+    while lo.size:
         mid = 0.5 * (lo + hi)
         hw = 0.5 * (hi - lo)
-        pts7 = mid[:, None] + hw[:, None] * x7[None, :]
-        pts15 = mid[:, None] + hw[:, None] * x15[None, :]
-        vals = np.asarray(f(np.concatenate([pts7.ravel(), pts15.ravel()])))
-        if np.iscomplexobj(vals):
-            complex_out = True
-        n7 = pts7.size
-        v7 = vals[:n7].reshape(pts7.shape)
-        v15 = vals[n7:].reshape(pts15.shape)
-        i7 = (v7 @ w7) * hw
-        i15 = (v15 @ w15) * hw
+        i7, i15, scale = [], [], []  # per panel; the L1 scale of the 15-point values
+        for k in range(0, lo.size, _PANELS_PER_EVAL):
+            c_mid, c_hw = mid[k:k + _PANELS_PER_EVAL, None], hw[k:k + _PANELS_PER_EVAL, None]
+            pts7 = c_mid + c_hw * x7[None, :]
+            pts15 = c_mid + c_hw * x15[None, :]
+            vals = np.asarray(f(np.concatenate([pts7.ravel(), pts15.ravel()])))
+            if np.iscomplexobj(vals):
+                complex_out = True
+            n7 = pts7.size
+            v7 = vals[:n7].reshape(pts7.shape)
+            v15 = vals[n7:].reshape(pts15.shape)
+            i7.append(v7 @ w7)
+            i15.append(v15 @ w15)
+            scale.append(np.abs(v15) @ w15)
+        i7 = np.concatenate(i7) * hw
+        i15 = np.concatenate(i15) * hw
         err = np.abs(i15 - i7)
         budget = tol * (hi - lo) / width
         # the L1 scale sets the rounding-noise floor of the 7/15 discrepancy;
         # without it, noise-dominated panels would split forever
-        scale = (np.abs(v15) @ w15) * hw
+        scale = np.concatenate(scale) * hw
         accept = (err <= budget) | (err <= 1e-14 * scale)
-        if depth >= max_depth or len(frontier) > 16384:
+        if depth >= max_depth or lo.size > 16384:
             accept = np.ones_like(accept, dtype=bool)
             exhausted = True
         total += complex(np.sum(i15[accept]))
         err_total += float(np.sum(err[accept]))
-        nxt = []
-        for j in np.nonzero(~accept)[0]:
-            m = 0.5 * (lo[j] + hi[j])
-            nxt.append((lo[j], m))
-            nxt.append((m, hi[j]))
-        frontier = nxt
+        split = ~accept  # each splits into its halves, left then right
+        lo, hi = (
+            np.stack((lo[split], mid[split]), axis=1).ravel(),
+            np.stack((mid[split], hi[split]), axis=1).ravel(),
+        )
         depth += 1
 
     value = total if complex_out else total.real

@@ -1,6 +1,7 @@
 """Polylogarithms, zeta, gamma, the Gauss hypergeometric series and its
 shifted one-parameter family, plus the closed-form quasiconformality
-certificates they support.
+certificates they support.  ``zeta`` lives in :mod:`.measures`, whose
+log-power family takes its endpoint moments from it, and is exported here.
 
 All series stop once the remaining tail provably fits the tolerance; a hard
 cap (1e6 terms, overridable through the CMH_MAX_TERMS environment variable)
@@ -16,8 +17,7 @@ import os
 import numpy as np
 
 from .harmonic import HarmonicMap, QCCertificate, certify_qc_grid, quotient, shifted
-from .measures import beta_measure, loggamma_measure
-from .quadrature import QuadratureError
+from .measures import Beta, beta_measure, loggamma_measure, zeta
 from .transforms import GridSpec
 
 __all__ = [
@@ -80,32 +80,6 @@ def pochhammer(x, n):
     for i in range(int(n)):
         out *= x + i
     return out
-
-
-def zeta(s, tol=1e-12):
-    """Riemann zeta for real s > 1.
-
-    Partial sum plus the integral tail N**(1-s)/(s-1) and Euler-Maclaurin
-    corrections through the N**(-s-3) term; N grows until the first omitted
-    term, s(s+1)...(s+4) N**(-s-5)/30240, is inside tol/2.  The bare
-    integral bound alone would need N of order tol**(-1/(s-1)), which is
-    hopeless near s = 1 at tight tolerances.
-    """
-    s = float(s)
-    if not s > 1.0 + 1e-6:
-        raise ValueError(f"zeta needs s > 1, got {s!r}")
-    rising = s * (s + 1.0) * (s + 2.0) * (s + 3.0) * (s + 4.0)
-    n = 16
-    while rising * n ** (-s - 5.0) / 30240.0 > tol / 2.0 and n < 10**7:
-        n *= 2
-    head = float(np.sum(np.arange(1, n, dtype=float) ** (-s)))
-    tail = (
-        n ** (1.0 - s) / (s - 1.0)
-        + 0.5 * n ** (-s)
-        + s * n ** (-s - 1.0) / 12.0
-        - s * (s + 1.0) * (s + 2.0) * n ** (-s - 3.0) / 720.0
-    )
-    return head + tail
 
 
 # -- polylogarithms -----------------------------------------------------------
@@ -306,21 +280,15 @@ def shifted_2f1_deriv_limit(a, c):
     return (c - 1.0) * (c - 2.0) / ((c - a - 1.0) * (c - a - 2.0))
 
 
-def shifted_2f1_deriv_limit_quad(a, c, js=(1, 2, 3, 4, 5, 6)):
-    """Quadrature route to the same limit: h'(1 - 10**-j) Richardson-extrapolated.
+def shifted_2f1_deriv_limit_quad(a, c):
+    """The same limit as the endpoint moment ``integral of (1 - t)**-2`` of the beta(a, c) density.
 
-    The one-sided error is asymptotically linear in the cutoff, so the
-    10:1 extrapolation of the last two samples removes the leading term.
+    :meth:`Beta.endpoint_moment` evaluates the same product of Gamma
+    quotients as :func:`shifted_2f1_deriv_limit`, so this is no independent
+    check of it; it is +inf where that one raises (c - a <= 2).  No
+    quadrature is left; the name is kept for callers.
     """
-    part = shifted(beta_measure(a, c))
-    vals = []
-    for j in js:
-        x = 1.0 - 10.0 ** (-j)
-        try:
-            vals.append(float(np.real(part.deriv(x, tol=1e-11))))
-        except QuadratureError as exc:
-            vals.append(float(np.real(exc.estimate)))
-    return (10.0 * vals[-1] - vals[-2]) / 9.0
+    return Beta(a, c).endpoint_moment(2)
 
 
 def certify_hypergeom_map(a, c, a2, c2, b, k, grid=None, spot_check=True):
@@ -328,8 +296,8 @@ def certify_hypergeom_map(a, c, a2, c2, b, k, grid=None, spot_check=True):
 
     Branch (i): a >= a2, c - a <= c2 - a2 and 2b <= k < 1.  Branch (ii):
     a2 >= a, 2 < c2 - a2 <= c - a and b M <= k with the gamma-free constant
-    M; that branch also cross-checks the closed-form derivative limit
-    against the quadrature route.
+    M; that branch also reports the derivative limit h'(1-) from the beta
+    density's endpoint moment next to the closed form.
     """
     if not (c > a > 0 and c2 > a2 > 0):
         raise ValueError("parameters must satisfy c > a > 0 and c2 > a2 > 0")

@@ -16,7 +16,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .measures import Measure
-from .quadrature import QuadratureError
 
 __all__ = [
     "SLIT_MARGIN",
@@ -31,11 +30,6 @@ __all__ = [
 ]
 
 SLIT_MARGIN = 1e-12
-
-# limit_at_one cutoff schedule: integrate on [0, 1-delta] with delta halving
-DELTA_START = 1e-2
-DELTA_STOP = 1e-8
-DIVERGENCE_THRESHOLD = 1e12
 
 
 class SlitDomainError(ValueError):
@@ -71,9 +65,9 @@ def _check_slit_array(flat):
 class ExtendedReal:
     """Finite real value or a +infinity marker.
 
-    ``inconclusive`` flags the case where cutoff refinement could not
-    separate slow convergence from divergence and the value was resolved
-    to +infinity by policy.
+    ``inconclusive`` is always False: boundary limits come from closed
+    forms, which never leave a value undecided.  The field stays for
+    callers that test it.
     """
 
     value: float
@@ -89,8 +83,7 @@ class ExtendedReal:
     def __repr__(self):
         if self.is_finite:
             return f"ExtendedReal({self.value!r})"
-        tag = ", inconclusive" if self.inconclusive else ""
-        return f"ExtendedReal(+inf{tag})"
+        return "ExtendedReal(+inf)"
 
 
 @dataclass(frozen=True)
@@ -339,48 +332,12 @@ class CauchyTransform:
     def limit_at_one(self):
         """Limit of F(x) as x -> 1-, possibly +infinity.
 
-        Atoms contribute ``w/(1-t)`` exactly and an atom at t = 1 forces
-        +infinity.  The density part is integrated on [0, 1-delta] with
-        delta halving from 1e-2 to 1e-8; the value resolves to +infinity
-        when it crosses 1e12 or when the increments refuse to contract.
+        By monotone convergence it is ``integral of d mu/(1 - t)``, the sum
+        of the moments, which :meth:`Measure.endpoint_moment` gives in
+        closed form: +infinity exactly when an atom sits at t = 1 or a
+        density has endpoint exponent at most 1.
         """
-        atom_sum = 0.0
-        for a in self.mu.atoms:
-            if a.t > 1.0 - 1e-12:
-                return ExtendedReal(math.inf)
-            atom_sum += a.w / (1.0 - a.t)
-        if not self.mu.densities:
-            return ExtendedReal(atom_sum)
-
-        prev = None
-        prev_inc = None
-        delta = DELTA_START
-        while True:
-            try:
-                cur = self.mu.integrate_below(
-                    lambda t: 1.0 / (1.0 - t), 1.0 - delta, tol=1e-11
-                ).real
-            except QuadratureError as exc:
-                cur = float(np.real(exc.estimate))
-            if atom_sum + cur > DIVERGENCE_THRESHOLD:
-                return ExtendedReal(math.inf)
-            if prev is not None:
-                inc = cur - prev
-                if abs(inc) <= 1e-10 * max(1.0, abs(cur)):
-                    return ExtendedReal(atom_sum + cur)
-                prev_inc = prev_inc if prev_inc is not None else inc
-                ratio = abs(inc) / max(abs(prev_inc), 1e-300)
-                prev_inc = inc
-                if delta <= DELTA_STOP:
-                    if ratio >= 0.9:
-                        return ExtendedReal(math.inf, inconclusive=True)
-                    # geometric tail estimate from the contraction ratio
-                    return ExtendedReal(atom_sum + cur + inc * ratio / (1.0 - ratio))
-            prev = cur
-            if delta <= DELTA_STOP:
-                # increments vanished before the schedule ran out
-                return ExtendedReal(atom_sum + cur)
-            delta *= 0.5
+        return ExtendedReal(self.mu.endpoint_moment(1))
 
     def real_part_floor(self, tol=1e-11):
         """The lower bound ``integral of 1/(1+t) d mu`` for Re F on the disk."""

@@ -225,6 +225,18 @@ def test_rect_flag(tmp_path):
     assert run_cli("verify-thm", "1.3", fmap, "--rect=oops").returncode == 2
 
 
+def test_rect_value_may_start_with_a_minus_sign(tmp_path):
+    fmap = write(tmp_path, "f.json", {"h": F1_ID["h"], "g": F1_ID["h"], "c": 0.5})
+    joined = run_cli("verify-thm", "1.3", fmap, "--rect=-3,0.99,0.01,3,10,10")
+    for args in (("--rect", "-3,0.99,0.01,3,10,10"), ("--rect", "-.5,0.99,0.01,3,10,10", "--nr", "4")):
+        res = run_cli("verify-thm", "1.3", fmap, *args)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["checked_nodes"] == 2 * 10 * 10
+    assert run_cli("verify-thm", "1.3", fmap, "--rect", "-3,0.99,0.01,3,10,10").stdout == joined.stdout
+    res = run_cli("certify", fmap, "--method", "grid", "--k", "0.5", "--nr", "4", "--rect", "-1,0.5,0.1,1")
+    assert res.returncode in (0, 1) and res.stdout
+
+
 def test_rect_below_real_axis_is_rejected(tmp_path):
     fmap = write(tmp_path, "f.json", {"h": F1_ID["h"], "g": F1_ID["h"], "c": 0.5})
     res = run_cli("verify-thm", "1.3", fmap, "--rect=-3,0.99,-1,3")
@@ -259,6 +271,54 @@ def test_density_with_nan_mass_exits_2(tmp_path):
         assert res.returncode == 2, args
         assert res.stdout == ""
         assert "integrates to nan" in res.stderr
+
+
+def test_infinite_weight_exits_2(tmp_path):
+    for spec in (
+        {"atoms": [{"t": 0.5, "w": 1e309}]},
+        {"densities": [{"family": "lebesgue", "w": 1e309}]},
+    ):
+        res = run_cli("moments", write(tmp_path, "inf.json", spec), "--count", "3")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "finite and positive" in res.stderr
+
+
+def test_certify_thm19_roadmap_pair_is_violated(tmp_path):
+    # g'/h' tends to 42/23 = 1.826, so c = 0.5 gives sup 0.913 > k = 0.85
+    pair = write(
+        tmp_path,
+        "pair.json",
+        {
+            "h": {"densities": [{"family": "beta", "a": 1.0, "c": 3.3, "w": 1.0}]},
+            "g": {"densities": [{"family": "beta", "a": 1.2, "c": 3.4, "w": 1.0}]},
+            "c": 0.5,
+        },
+    )
+    res = run_cli("certify", pair, "--method", "thm1.9", "--k", "0.85")
+    assert res.returncode == 1
+    cert = json.loads(res.stdout)
+    assert cert["status"] == "violated" and cert["path"] == "direct"
+    assert math.isclose(cert["f_limit"], 42.0 / 23.0, rel_tol=1e-13)
+
+
+def test_certify_thm19_rounded_equal_exponents_is_violated(tmp_path):
+    # beta(0.9, 1.9) and lebesgue both have exponent 1 at t = 1, though
+    # 1.9 - 0.9 computes to 0.9999999999999999; g'/h' -> 1/0.9, sup 1 at c = 0.9
+    pair = write(
+        tmp_path,
+        "pair.json",
+        {
+            "h": {"densities": [{"family": "beta", "a": 0.9, "c": 1.9, "w": 1.0}]},
+            "g": {"densities": [{"family": "lebesgue", "w": 1.0}]},
+            "c": 0.9,
+        },
+    )
+    res = run_cli("certify", pair, "--method", "thm1.9", "--k", "0.5")
+    assert res.returncode == 1
+    cert = json.loads(res.stdout)
+    assert cert["status"] == "violated" and cert["path"] == "endpoint exponents"
+    assert math.isclose(cert["f_limit"], 1.0 / 0.9, rel_tol=1e-12)
 
 
 def test_certify_thm19_needs_densities(tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cmharmonic.harmonic import (
     SINGULAR_TOL,
     ConvolutionPart,
+    _derivative_quotient_limit,
     _sign_kernel_sums,
     _signed_nonneg_probe,
     HarmonicMap,
@@ -38,7 +39,9 @@ from cmharmonic.measures import (
     loggamma_measure,
     measure_from_dict,
     mix,
+    table_measure,
 )
+from cmharmonic.special import hyp_ratio_constant
 from cmharmonic.transforms import GridSpec, _block_rows, _kernel_sums
 from conftest import random_disk_points, random_measure
 
@@ -781,7 +784,7 @@ def test_boundary_limit_equal_parts():
     h = shifted(lebesgue())
     cert = certify_qc_boundary_limit(h, h, 0.3, 0.5)
     assert cert.holds
-    assert cert.details["f_limit"] == pytest.approx(1.0, abs=1e-6)
+    assert cert.details["f_limit"] == pytest.approx(1.0, abs=1e-12)
     cert2 = certify_qc_boundary_limit(h, h, 0.6, 0.5)
     assert cert2.status == "violated"
 
@@ -792,22 +795,95 @@ def test_boundary_limit_direct_path_zeta_quotient():
         shifted(loggamma_measure(4.0)), shifted(loggamma_measure(3.0)), 0.5, 0.7
     )
     assert cert.holds and cert.details["path"] == "direct"
-    assert cert.details["f_limit"] == pytest.approx(1.3684327776, abs=1e-6)
+    assert cert.details["f_limit"] == pytest.approx(1.3684327776202058757, abs=1e-12)  # mpmath
+    assert cert.details["g_deriv_limit"] == pytest.approx(1.6449340668482264365, abs=1e-12)
+    assert cert.details["h_deriv_limit"] == pytest.approx(1.2020569031595942854, abs=1e-12)
 
 
 def test_boundary_limit_second_derivative_path():
-    # both first derivatives blow up; the second-derivative quotient tends to 2
+    # both first derivatives blow up; both densities have endpoint exponent 1,
+    # and the limit is the quotient of their coefficients 2 / 1
     cert = certify_qc_boundary_limit(shifted(lebesgue()), shifted(beta_measure(2.0, 3.0)), 0.3, 0.7)
     assert cert.holds
-    assert cert.details["path"] == "second-derivative quotient"
-    assert cert.details["f_limit"] == pytest.approx(2.0, abs=1e-4)
+    assert cert.details["path"] == "endpoint exponents"
+    assert cert.details["f_limit"] == pytest.approx(2.0, abs=1e-12)
+    assert cert.details["h_deriv_limit"] == cert.details["g_deriv_limit"] == math.inf
+    assert (cert.details["h_exponent"], cert.details["g_exponent"]) == (1.0, 1.0)
 
 
 def test_boundary_limit_infinite_is_inconclusive():
+    # g'(1-) = zeta(1) = +inf while h'(1-) = zeta(2): the quotient is +inf,
+    # so no k < 1 bounds the dilatation
     cert = certify_qc_boundary_limit(
         shifted(loggamma_measure(3.0)), shifted(loggamma_measure(2.0)), 0.2, 0.9
     )
-    assert cert.status == "inconclusive"
+    assert cert.status == "violated"
+    assert cert.details["path"] == "divergent"
+    assert cert.details["f_limit"] == cert.sup_estimate == math.inf
+    assert cert.details["h_deriv_limit"] == pytest.approx(1.6449340668482264365, rel=1e-13)
+
+
+def test_boundary_limit_pair_against_hyp_ratio_constant():
+    # h = beta(1, 3.3), g = beta(1.2, 3.4): g'/h' tends to the gamma-free
+    # constant 1.8261, so c = 0.5 gives sup 0.913 > 0.85
+    cert = certify_qc_boundary_limit(
+        shifted(beta_measure(1.0, 3.3)), shifted(beta_measure(1.2, 3.4)), 0.5, 0.85
+    )
+    assert cert.status == "violated" and cert.details["path"] == "direct"
+    assert cert.details["f_limit"] == pytest.approx(hyp_ratio_constant(1.0, 3.3, 1.2, 3.4), rel=1e-13)
+    assert cert.details["f_limit"] == pytest.approx(42.0 / 23.0, rel=1e-13)
+    assert cert.sup_estimate == pytest.approx(21.0 / 23.0, rel=1e-13)
+
+
+def test_boundary_limit_endpoint_exponents_of_mixtures_and_tables():
+    h = shifted(lebesgue())
+    # equal exponents 1: kappa_g = 0.5 * 1 + 0.5 * 2 for the mixture, and the
+    # table's value 1.5 at t = 1
+    for g in (
+        shifted(mix(lebesgue(), beta_measure(2.0, 3.0), 0.5)),
+        shifted(table_measure([0.0, 1.0], [0.5, 1.5])),
+    ):
+        cert = certify_qc_boundary_limit(h, g, 0.5, 0.8)
+        assert cert.holds and cert.details["path"] == "endpoint exponents"
+        assert cert.details["f_limit"] == pytest.approx(1.5, rel=1e-14)
+    # unequal exponents: g = lebesgue (beta 1) outweighs h = beta(1, 2.5)
+    # (beta 1.5) near t = 1, so g'/h' grows without bound
+    cert = certify_qc_boundary_limit(shifted(beta_measure(1.0, 2.5)), h, 0.1, 0.9)
+    assert cert.status == "violated"
+    assert (cert.details["h_exponent"], cert.details["g_exponent"]) == (1.5, 1.0)
+    assert cert.details["f_limit"] == math.inf
+    # c = 0 bounds the dilatation by 0 whatever the limit
+    assert certify_qc_boundary_limit(shifted(beta_measure(1.0, 2.5)), h, 0.0, 0.1).holds
+
+
+def test_boundary_limit_exponents_equal_up_to_rounding():
+    # h = beta(0.9, 1.9) has exponent c - a = 1, computed as 0.9999999999999999,
+    # and kappa Gamma(1.9)/(Gamma(0.9) Gamma(1)) = 0.9; g = lebesgue has (1, 1).
+    # g'/h' -> 1/0.9 = Gamma(0.9)/Gamma(1.9), so c = 0.9 reaches sup 1
+    h, g = beta_measure(0.9, 1.9), lebesgue()
+    cert = certify_qc_boundary_limit(shifted(h), shifted(g), 0.9, 0.5)
+    assert cert.status == "violated" and cert.details["path"] == "endpoint exponents"
+    assert cert.details["f_limit"] == pytest.approx(1.1111111111111111111, rel=1e-12)
+    assert cert.sup_estimate == pytest.approx(1.0, rel=1e-12)
+    # a mixture of the two adds both coefficients: 0.5 * 1 + 0.5 * 0.9
+    beta, kappa = mix(g, h, 0.5).endpoint_exponent()
+    assert beta == pytest.approx(1.0, rel=1e-15)
+    assert kappa == pytest.approx(0.95, rel=1e-12)
+
+
+def test_derivative_quotient_limit_routes():
+    # the routes the cross inequality never reaches: a lighter g near t = 1
+    f_limit, path, details = _derivative_quotient_limit(lebesgue(), beta_measure(1.0, 2.5))
+    assert (f_limit, path) == (0.0, "endpoint exponents")
+    assert (details["h_exponent"], details["g_exponent"]) == (1.0, 1.5)
+    f_limit, path, details = _derivative_quotient_limit(lebesgue(), beta_measure(1.0, 4.0))
+    assert (f_limit, path) == (0.0, "vanishing")
+    assert details["g_deriv_limit"] == pytest.approx(3.0, rel=1e-14)  # (c-1)(c-2)/((c-a-1)(c-a-2))
+    # an atom at t = 1 acts as exponent 0 with its weight as coefficient
+    f_limit, path, _ = _derivative_quotient_limit(lebesgue(), mix(dirac(1.0), lebesgue(), 0.25))
+    assert (f_limit, path) == (math.inf, "endpoint exponents")
+    f_limit, _, _ = _derivative_quotient_limit(dirac(1.0), mix(dirac(1.0), lebesgue(), 0.25))
+    assert f_limit == 0.25
 
 
 def test_boundary_limit_requires_cross_inequality():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -170,6 +171,18 @@ def test_validation_errors():
         Measure(densities=(Lebesgue(weight=-1.0),))
 
 
+@pytest.mark.parametrize("w", [math.inf, 1e309, math.nan])
+def test_weights_must_be_finite(w):
+    with pytest.raises(ValueError, match="finite and positive"):
+        Atom(0.5, w)
+    with pytest.raises(ValueError, match="finite and positive"):
+        Measure(densities=(Lebesgue(weight=w),))
+    with pytest.raises(ValueError, match="finite and positive"):
+        measure_from_dict({"atoms": [{"t": 0.5, "w": w}]})
+    with pytest.raises(ValueError, match="finite and positive"):
+        measure_from_dict({"densities": [{"family": "beta", "a": 1, "c": 3, "w": w}]})
+
+
 def test_moment_rejects_bad_order():
     with pytest.raises(ValueError):
         lebesgue().moment(-1)
@@ -200,11 +213,11 @@ def test_json_round_trip():
     back = measure_from_dict(measure_to_dict(_FOUR_FAMILIES))
     assert back.atoms == _FOUR_FAMILIES.atoms
     assert back.densities[:3] == _FOUR_FAMILIES.densities[:3]
-    # a table renormalizes its values on construction, which is not exactly
-    # idempotent in floating point: they come back within a few ulps
+    # a table normalizes its values once: they come back exactly
     table, table_back = _FOUR_FAMILIES.densities[3], back.densities[3]
     assert (table_back.grid, table_back.weight) == (table.grid, table.weight)
-    assert np.allclose(table_back.values, table.values, rtol=1e-15, atol=0.0)
+    assert table_back.values == table.values
+    assert back == _FOUR_FAMILIES
     assert measure_to_dict(_FOUR_FAMILIES)["densities"] == [
         {"family": "lebesgue", "w": 0.1},
         {"family": "beta", "a": 0.7, "c": 2.9, "w": 0.3},
@@ -246,7 +259,7 @@ def test_integrate_is_integrate_below_at_one():
 
 def test_mix_and_scaled_reweight_every_family():
     # the reweighted density equals the family constructed directly with the
-    # new weight; a table renormalizes its (already normalized) values again
+    # new weight; a table keeps its (already normalized) values
     other = Measure((Atom(0.5, 1.0),))
     lb, bt, lg, tb = _FOUR_FAMILIES.densities
     for s in (0.25, 0.6):
@@ -257,6 +270,7 @@ def test_mix_and_scaled_reweight_every_family():
                 LogGamma(lg.alpha, lg.weight * s),
                 Table(tb.grid, tb.values, tb.weight * s),
             )
+            assert reweighted.densities[3].values == tb.values
     assert mix(other, _FOUR_FAMILIES, 0.25).densities[1] == Beta(0.7, 2.9, 0.3 * 0.75)
 
 
@@ -272,3 +286,114 @@ def test_density_with_nan_unit_mass_is_rejected():
         ):
             with pytest.raises(ValueError, match="integrates to nan"):
                 build()
+
+
+def test_table_normalizes_once():
+    # first constructions from user values, as the division by the
+    # trapezoid mass has always given them
+    firsts = {
+        ((0.1, 0.4, 0.8), (1.0, 3.0, 0.5)): (0.769230769230769, 2.307692307692307, 0.3846153846153845),
+        ((0.0, 0.5, 1.0), (1.0, 2.0, 1.0)): (0.6666666666666666, 1.3333333333333333, 0.6666666666666666),
+        ((0.0, 0.25, 1.0), (0.2, 1.0, 1.2)): (0.20512820512820512, 1.0256410256410255, 1.2307692307692306),
+    }
+    for (grid, values), normalized in firsts.items():
+        mu = table_measure(grid, values)
+        assert mu.densities[0].values == normalized
+        # rebuilt from its own values, by the wire format or reweighting
+        assert measure_from_dict(measure_to_dict(mu)) == mu
+        assert mix(mu, mu, 0.5).densities == (replace(mu.densities[0], weight=0.5),) * 2
+        assert replace(mu.densities[0], weight=0.5).values == normalized
+    # the exception: user values of trapezoid mass 1 + 2**-52 are kept, one
+    # ulp above the 1.0 that dividing by the mass gives
+    values = (1.0 + 2.0**-52, 1.0 + 2.0**-52)
+    assert Table((0.0, 1.0), values).values == values
+    assert tuple(x / (1.0 + 2.0**-52) for x in values) == (1.0, 1.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=-8, max_value=8))
+def test_table_near_normalized_values_stay_within_ulps_of_the_division(seed, nudge):
+    # values whose trapezoid mass is within 4 n ulps of 1 are kept as given,
+    # where dividing by the mass (as first constructions always did) would
+    # move them; the two differ by at most (4 n + 1) eps relative.  Nudges of
+    # up to 8 n ulps reach both sides of that margin.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 200))
+    grid = tuple(np.sort(rng.choice(np.linspace(0.0, 1.0, 4 * n + 1), size=n, replace=False)).tolist())
+    values = table_measure(grid, rng.random(n) + 0.1).densities[0].values
+    values = tuple(x * (1.0 + nudge * n * 2.0**-52) for x in values)
+    mass = sum(0.5 * (values[i] + values[i + 1]) * (grid[i + 1] - grid[i]) for i in range(n - 1))
+    kept = Table(grid, values).values
+    assert kept == values or kept == tuple(x / mass for x in values)
+    bound = (4 * n + 1) * 2.0**-52
+    assert all(abs(k - x / mass) <= bound * (x / mass) for k, x in zip(kept, values))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_table_round_trip_is_exact(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 200))
+    grid = np.sort(rng.choice(np.linspace(0.0, 1.0, 4 * n + 1), size=n, replace=False))
+    values = rng.random(n) * 10.0 ** rng.uniform(-5.0, 5.0, n)
+    mu = table_measure(grid, values)
+    assert measure_from_dict(measure_to_dict(mu)) == mu
+    assert Table(mu.densities[0].grid, mu.densities[0].values) == mu.densities[0]
+
+
+# -- endpoint calculus --------------------------------------------------------
+
+
+def test_endpoint_moments_closed_forms():
+    # h'(1-) of the shifted beta(0.5, 2.7) part: (c-1)(c-2)/((c-a-1)(c-a-2))
+    assert beta_measure(0.5, 2.7).endpoint_moment(2) == pytest.approx(119.0 / 24.0, rel=1e-14)
+    assert beta_measure(1.0, 2.2).endpoint_moment(1) == pytest.approx(6.0, rel=1e-14)
+    assert beta_measure(1.0, 2.9).endpoint_moment(2) == math.inf
+    # c - a is a rounded difference: 2.2 - 1.2 and 4.4 - 2.4 land above 1
+    # and 2, where the integrals diverge all the same
+    assert 2.2 - 1.2 > 1.0 and 4.4 - 2.4 > 2.0
+    assert beta_measure(1.2, 2.2).endpoint_moment(1) == math.inf
+    assert beta_measure(2.4, 4.4).endpoint_moment(2) == math.inf
+    assert beta_measure(2.4, 4.4).endpoint_moment(1) == pytest.approx(3.4, rel=1e-14)
+    # zeta(3) and zeta(2), mpmath
+    assert loggamma_measure(3.0).endpoint_moment(2) == pytest.approx(1.6449340668482264365, rel=1e-13)
+    assert loggamma_measure(3.0).endpoint_moment(1) == pytest.approx(1.2020569031595942854, rel=1e-12)
+    assert loggamma_measure(2.0).endpoint_moment(2) == math.inf
+    assert lebesgue().endpoint_moment(1) == math.inf
+    # tables: exact integrals over the linear segments (mpmath quad)
+    table = table_measure([0.1, 0.4, 0.8], [1.0, 3.0, 0.5])
+    assert table.endpoint_moment(1) == pytest.approx(1.9340742617354373646, rel=1e-14)
+    assert table.endpoint_moment(2) == pytest.approx(4.2708576710334458001, rel=1e-14)
+    vanishing = table_measure([0.0, 0.5, 1.0], [1.0, 2.0, 0.0])
+    assert vanishing.endpoint_moment(1) == pytest.approx(2.4635532333438687426, rel=1e-14)
+    assert vanishing.endpoint_moment(2) == math.inf
+    # atoms: w/(1-t)**p, +inf at t = 1
+    atoms = Measure((Atom(0.5, 0.25), Atom(0.9, 0.75)))
+    assert atoms.endpoint_moment(2) == pytest.approx(0.25 * 4.0 + 0.75 * 100.0, rel=1e-13)
+    assert dirac(1.0).endpoint_moment(1) == math.inf
+    # a mixture adds its parts
+    mixed = mix(table, atoms, 0.4)
+    assert mixed.endpoint_moment(2) == pytest.approx(0.4 * 4.2708576710334458001 + 0.6 * 76.0, rel=1e-14)
+    with pytest.raises(ValueError):
+        lebesgue().endpoint_moment(3)
+
+
+def test_endpoint_exponents():
+    # density ~ kappa (1 - t)**(beta - 1) at t = 1
+    assert beta_measure(2.0, 3.0).endpoint_exponent() == pytest.approx((1.0, 2.0), rel=1e-14)
+    beta, kappa = beta_measure(0.5, 2.7).endpoint_exponent()
+    assert beta == pytest.approx(2.2, rel=1e-15)
+    assert kappa == pytest.approx(0.79097267549897392695, rel=1e-13)  # Gamma(2.7)/(Gamma(0.5)Gamma(2.2)), mpmath
+    assert loggamma_measure(1.5).endpoint_exponent() == pytest.approx((1.5, 1.1283791670955125739), rel=1e-14)
+    assert lebesgue().endpoint_exponent() == (1.0, 1.0)
+    # tables: the value at t = 1, else the slope of the last segment
+    assert table_measure([0.0, 0.5, 1.0], [1.0, 2.0, 0.0]).endpoint_exponent() == (2.0, 3.2)
+    assert table_measure([0.0, 1.0], [0.5, 1.5]).endpoint_exponent() == (1.0, 1.5)
+    assert table_measure([0.1, 0.4, 0.8], [1.0, 3.0, 0.5]).endpoint_exponent() == (math.inf, 0.0)
+    # a mixture takes the smallest beta and adds the kappa of the parts at it;
+    # an atom at t = 1 acts as beta = 0
+    mixed = mix(lebesgue(), beta_measure(2.0, 3.0), 0.5)
+    assert mixed.endpoint_exponent() == pytest.approx((1.0, 0.5 + 0.5 * 2.0), rel=1e-14)
+    assert mix(mixed, loggamma_measure(0.5), 0.5).endpoint_exponent()[0] == 0.5
+    assert mix(mixed, dirac(1.0), 0.75).endpoint_exponent() == (0.0, 0.25)
+    assert dirac(0.5).endpoint_exponent() == (math.inf, 0.0)

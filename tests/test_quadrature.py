@@ -33,6 +33,21 @@ def test_sharp_peak():
     assert abs(val - exact) / exact < 1e-12
 
 
+def test_wide_frontier_is_evaluated_in_slices():
+    # sin(1e4 t) splits into thousands of panels per level; each integrand
+    # call still sees at most 512 panels of 7 + 15 points
+    sizes = []
+
+    def f(t):
+        sizes.append(t.size)
+        return np.sin(1e4 * t)
+
+    val, _ = adaptive_quad(f, 0.0, 1.0, tol=1e-10)
+    assert abs(val - (1.0 - math.cos(1e4)) / 1e4) < 1e-15
+    assert max(sizes) == 512 * 22
+    assert sum(sizes) > 4 * 512 * 22
+
+
 def test_empty_interval():
     assert adaptive_quad(lambda t: t, 0.5, 0.5) == (0.0, 0.0)
     with pytest.raises(ValueError):

@@ -114,6 +114,20 @@ def test_zeta_domain():
     assert zeta(1.00001) > 1e4  # pole-adjacent growth
 
 
+@pytest.mark.parametrize(
+    "s, ref",
+    [  # mpmath at the double nearest each s
+        (1.000001, 1000000.5772980043553),
+        (1.0000005, 2000000.5769361453755),
+        (1.0000001, 10000000.571377000418),
+        (1.000000001, 999999917.83685151185),
+        (1.000000000001, 999911107320.8471979),
+    ],
+)
+def test_zeta_just_above_one(s, ref):
+    assert zeta(s) == pytest.approx(ref, rel=1e-13)
+
+
 # -- polylog ----------------------------------------------------------------
 
 
@@ -284,7 +298,7 @@ def test_hypergeom_certificate_boundary_branch():
     assert cert.holds and cert.details["branch"] == "boundary-limit"
     assert cert.details["M"] == 2.0
     assert cert.details["claimed_bound"] == pytest.approx(0.6)
-    assert cert.details["h_deriv_limit_rel_gap"] < 1e-3
+    assert cert.details["h_deriv_limit_rel_gap"] < 1e-14
 
 
 def test_hypergeom_certificate_floor_branch():
@@ -305,7 +319,10 @@ def test_deriv_limit_closed_vs_quadrature():
     closed = shifted_2f1_deriv_limit(1.0, 6.0)
     assert closed == pytest.approx(5.0 / 3.0, rel=1e-14)
     quad = shifted_2f1_deriv_limit_quad(1.0, 6.0)
-    assert quad == pytest.approx(closed, rel=1e-6)
+    assert quad == pytest.approx(closed, rel=1e-14)
+    # (c-1)(c-2)/((c-a-1)(c-a-2)) = 1.7 * 0.7 / (1.2 * 0.2)
+    assert shifted_2f1_deriv_limit_quad(0.5, 2.7) == pytest.approx(119.0 / 24.0, rel=1e-14)
+    assert shifted_2f1_deriv_limit_quad(1.0, 2.5) == math.inf
     with pytest.raises(ValueError):
         shifted_2f1_deriv_limit(1.0, 2.5)
 

@@ -5,7 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmharmonic.measures import Atom, Beta, LogGamma, Measure, dirac, lebesgue, loggamma_measure
+from cmharmonic.measures import (
+    Atom,
+    Beta,
+    LogGamma,
+    Measure,
+    beta_measure,
+    dirac,
+    lebesgue,
+    loggamma_measure,
+    mix,
+    table_measure,
+)
 from cmharmonic.transforms import (
     CauchyTransform,
     ExtendedReal,
@@ -92,17 +103,56 @@ def test_limit_at_one_atoms():
 
 
 def test_limit_at_one_loggamma3():
-    # oracle: the coefficient sum 1/(n+1)^3, i.e. the zeta series at 3
-    n = np.arange(1, 200001, dtype=float)
-    zeta3 = float(np.sum(n**-3.0)) + 0.5 * 200000.0**-2.0
+    # the coefficient sum 1/(n+1)^3 is zeta(3) (mpmath)
     lim = CauchyTransform(loggamma_measure(3.0)).limit_at_one()
     assert lim.is_finite
-    assert float(lim) == pytest.approx(zeta3, abs=1e-8)
+    assert float(lim) == pytest.approx(1.2020569031595942854, abs=1e-12)
 
 
 def test_limit_at_one_divergent_density():
     lim = FLEB.limit_at_one()
     assert not lim.is_finite
+
+
+# F(1-) = sum of the moments: zeta(alpha) for loggamma(alpha) (mpmath
+# constants) and (c-1)/(c-a-1) for beta(a, c).  Near-critical exponents
+# first: their limits are finite but converge slowly.
+LIMITS_AT_ONE = [
+    (loggamma_measure(1.2), 5.5915824411777507765),
+    (beta_measure(1.0, 2.2), 6.0),
+    (loggamma_measure(1.05), 20.58084430203700259),
+    (beta_measure(1.0, 2.05), 21.0),
+    (loggamma_measure(1.0000005), 2000000.5769361453755),
+    # 0.3 zeta(1.2) + 0.7 * 6
+    (mix(loggamma_measure(1.2), beta_measure(1.0, 2.2), 0.3), 5.8774747323533252366),
+    # piecewise-linear density of mass 1.3 before normalization, by mpmath quad
+    (table_measure([0.1, 0.4, 0.8], [1.0, 3.0, 0.5]), 1.9340742617354373646),
+    # the table vanishes at t = 1, so its sum of moments converges
+    (table_measure([0.0, 0.5, 1.0], [1.0, 2.0, 0.0]), 2.4635532333438687426),
+    # atoms: w / (1 - t)
+    (Measure((Atom(0.5, 0.25), Atom(0.9, 0.75))), 8.0),
+]
+
+
+@pytest.mark.parametrize("mu, ref", LIMITS_AT_ONE)
+def test_limit_at_one_closed_forms(mu, ref):
+    lim = CauchyTransform(mu).limit_at_one()
+    assert lim.is_finite and not lim.inconclusive
+    assert float(lim) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        loggamma_measure(1.0),
+        beta_measure(1.0, 2.0),
+        table_measure([0.0, 1.0], [1.0, 1.0]),
+        mix(beta_measure(1.0, 3.0), dirac(1.0), 0.99),
+    ],
+)
+def test_limit_at_one_infinite(mu):
+    lim = CauchyTransform(mu).limit_at_one()
+    assert not lim.is_finite and not lim.inconclusive
 
 
 def test_extended_real_repr():
