@@ -6,11 +6,13 @@ co-analytic one scaled by a constant of modulus below one.  This module
 evaluates such maps, their dilatation ``c g'/h'`` and Jacobian, and issues
 numerical quasiconformality certificates.
 
-A grid certificate records a sup estimate over finitely many nodes; it is
-evidence, never a proof, since the supremum need not be attained inside the
-disk.  Boundary-limit certificates instead check a closed-form sufficient
-condition, with the boundary limits taken from the measures' endpoint
-calculus.
+A grid certificate records a sup estimate over finitely many nodes of the
+circle |z| = rmax, where the maximum modulus principle puts the sup over the
+closed disk once h' is known to be zero-free there.  It is evidence, never a
+proof: the nodes only sample the circle, and the supremum over the unit disk
+need not be attained inside it.  Boundary-limit certificates instead check a
+closed-form sufficient condition, with the boundary limits taken from the
+measures' endpoint calculus.
 """
 
 from __future__ import annotations
@@ -311,32 +313,34 @@ class QCCertificate:
 
 
 def certify_qc_grid(f, k, grid=None):
-    """Sup of |dilatation| over the polar grid, compared against k < 1.
+    """Sup of |dilatation| over the disk |z| <= rmax, from its outer ring, against k < 1.
 
-    Singular-derivative nodes are skipped and counted.  The certificate
-    records the arg-sup location; a pass is grid evidence only.  Parts
-    with real coefficients, as all parts here are, make |dilatation| even
-    under conjugation, so only the nodes with theta in [0, pi] are
-    evaluated; ``singular_nodes`` still counts the whole grid, and the
-    reported arg-sup is the first maximizing node of that half in grid
-    order.
+    The dilatation c g'/h' is analytic wherever h' does not vanish, so by
+    the maximum modulus principle its sup over the closed disk lies on the
+    circle |z| = rmax, and only that ring of the polar grid is evaluated.
+    Parts with real coefficients, as all parts here are, make |dilatation|
+    even under conjugation, so only the ring nodes with theta in [0, pi]
+    are (see ``GridSpec._upper_ring``); they are the outer row of
+    ``grid.disk_points()`` bit for bit.  The certificate records the
+    arg-sup, the first maximizing node of that half-ring in grid order.
+
+    The principle needs h' free of zeros on the closed disk.  The status
+    is inconclusive when |h'| < SINGULAR_TOL at a ring node
+    (``singular_nodes`` counts the ring nodes, with conjugates) or when
+    h' winds around 0 along the ring (``zeros_inside``, see
+    ``_zeros_inside``).  A pass is grid evidence only, and says nothing
+    about the boundary point z = 1.
     """
     if not 0.0 <= k < 1.0:
         raise ValueError(f"k must lie in [0, 1), got {k!r}")
     grid = grid or GridSpec()
-    zs, mult = grid._upper_disk()
-    omega, singular = f.dilatation_values(zs)
-    valid = ~singular
-    singular_nodes = int(mult[singular].sum())
-    if not np.any(valid):
-        return QCCertificate(
-            "grid", k, "inconclusive", grid=grid,
-            details={"singular_nodes": singular_nodes},
-        )
-    mags = np.abs(omega[valid])
+    zs, hp, spoiled = _ring_derivs(f.h, grid)
+    if spoiled:
+        return QCCertificate("grid", k, "inconclusive", grid=grid, details=spoiled)
+    mags = np.abs(f.c * f.g.derivs(zs) / hp)
     idx = int(np.argmax(mags))
     sup = float(mags[idx])
-    at = zs[valid][idx]
+    at = zs[idx]
     status = "certified" if sup <= k else "violated"
     return QCCertificate(
         "grid",
@@ -347,7 +351,7 @@ def certify_qc_grid(f, k, grid=None):
         details={
             "argsup_re": float(at.real),
             "argsup_im": float(at.imag),
-            "singular_nodes": singular_nodes,
+            "singular_nodes": 0,
         },
     )
 
@@ -587,12 +591,73 @@ def make_convolution_map(h, nu, c):
 # -- derivative-ratio machinery ---------------------------------------------------
 
 
-def _upper_disk_derivs(h, grid):
-    """Nodes of ``grid._upper_disk()`` and h' there; raises if h' vanishes on the grid."""
-    zs, _ = grid._upper_disk()
+# Bisection levels for a phase step of h' along the ring: the default ring's
+# steps of 2 pi / 64 shrink to about 1e-10 radians.
+WINDING_DEPTH = 30
+
+
+def _zeros_inside(h, grid, hp):
+    """Zeros of h' in |z| < rmax by the argument principle, from h' on the upper ring.
+
+    ``hp`` is h' at the nodes of ``grid._upper_ring()``.  h has real
+    coefficients, so the phase change of h' along the lower half of the
+    ring repeats the one along the upper half, and the winding number is
+    the upper half's phase change from theta = 0 to pi, over pi.  That is
+    the sum of the phase steps between neighbouring nodes (z = -rmax closes
+    the arc when ntheta is odd).  A step wider than pi/2 is bisected at its
+    midpoint on the ring, for at most ``WINDING_DEPTH`` levels; a step still
+    wider there, or a midpoint where |h'| < SINGULAR_TOL, is a zero on the
+    ring as far as the check can tell, and the count is then at least 1.
+    Like any sampled argument principle it reads a step that turns by
+    3 pi / 2 or more as its wrapped value; one zero turns a step by less
+    than pi + 2 pi / ntheta, so that takes several zeros near one step.
+    """
+    theta = 2.0 * np.pi * np.arange(len(hp)) / grid.ntheta
+    if grid.ntheta % 2:
+        theta = np.append(theta, np.pi)
+        hp = np.append(hp, h.derivs(np.array([-grid.rmax + 0j])))
+    ta, tb, va, vb = theta[:-1], theta[1:], hp[:-1], hp[1:]
+    phase = 0.0
+    for _ in range(WINDING_DEPTH):
+        step = np.angle(vb * np.conj(va))
+        wide = np.abs(step) > np.pi / 2
+        phase += float(np.sum(step[~wide]))
+        if not wide.any():
+            return abs(round(phase / np.pi))
+        ta, tb, va, vb = ta[wide], tb[wide], va[wide], vb[wide]
+        tm = 0.5 * (ta + tb)
+        vm = h.derivs(grid.rmax * np.exp(1j * tm))
+        if np.any(np.abs(vm) < SINGULAR_TOL):
+            break
+        ta, tb = np.concatenate([ta, tm]), np.concatenate([tm, tb])
+        va, vb = np.concatenate([va, vm]), np.concatenate([vm, vb])
+    # both ends of the arc are real, so the wrapped steps still sum to a multiple of pi
+    phase += float(np.sum(np.angle(vb * np.conj(va))))
+    return max(1, abs(round(phase / np.pi)))
+
+
+def _ring_derivs(h, grid):
+    """Nodes of ``grid._upper_ring()``, h' there, and what keeps h' from being zero-free.
+
+    The last is empty when h' has no zero on |z| <= rmax.  Otherwise it is
+    ``{"singular_nodes": n}`` when |h'| < SINGULAR_TOL at ring nodes that
+    stand for n nodes, or ``{"singular_nodes": 0, "zeros_inside": n}`` when
+    h' has n zeros inside (:func:`_zeros_inside`).
+    """
+    zs, mult = grid._upper_ring()
     hp = h.derivs(zs)
-    if np.any(np.abs(hp) < SINGULAR_TOL):
-        raise SingularDerivativeError("h' vanishes on the evaluation grid")
+    singular = np.abs(hp) < SINGULAR_TOL
+    if singular.any():
+        return zs, hp, {"singular_nodes": int(mult[singular].sum())}
+    zeros = _zeros_inside(h, grid, hp)
+    return zs, hp, ({"singular_nodes": 0, "zeros_inside": zeros} if zeros else {})
+
+
+def _zero_free_ring_derivs(h, grid):
+    """``_ring_derivs`` without the last entry; raises if h' vanishes on |z| <= rmax."""
+    zs, hp, spoiled = _ring_derivs(h, grid)
+    if spoiled:
+        raise SingularDerivativeError(f"h' vanishes on |z| <= {grid.rmax}: {spoiled}")
     return zs, hp
 
 
@@ -610,16 +675,20 @@ def _ratio_sup(h, zs, hp, ts):
 
 
 def derivative_ratio_sup(h, grid=None, nt=11):
-    """Numerical sup of |h'(t z)/h'(z)| over the disk grid times t in [0, 1].
+    """Numerical sup of |h'(t z)/h'(z)| over the disk |z| <= rmax times t in [0, 1].
 
-    ``nt >= 2`` samples of t include both ends.  h has real coefficients,
-    so the ratio is even under conjugation and only the nodes with theta
-    in [0, pi] are evaluated.
+    ``nt >= 2`` samples of t include both ends.  For each t the ratio is
+    analytic in z where h' does not vanish, so its sup over the disk lies
+    on the circle |z| = rmax (maximum modulus principle) and only the outer
+    ring is evaluated; h has real coefficients, so the ratio is even under
+    conjugation and only the ring nodes with theta in [0, pi] are.  Raises
+    :class:`SingularDerivativeError` when h' vanishes at a ring node or has
+    a zero inside (see ``_zeros_inside``).
     """
     if nt < 2:
         raise ValueError(f"nt must be at least 2 so that t = 0 and t = 1 are sampled, got {nt!r}")
     grid = grid or GridSpec()
-    zs, hp = _upper_disk_derivs(h, grid)
+    zs, hp = _zero_free_ring_derivs(h, grid)
     return _ratio_sup(h, zs, hp, grid.t_samples(nt))
 
 
@@ -640,15 +709,18 @@ class HarnackReport:
 
 
 def harnack_ratio_bound(h, m, grid=None, slack=1e-9):
-    """Check the grid floor Re[z h''/h'] > -m and verify the implied ratio bound.
+    """Check the floor Re[z h''/h'] > -m on |z| <= rmax and verify the implied ratio bound.
 
-    Both sweeps take the nodes with theta in [0, pi] only (see
-    :func:`derivative_ratio_sup`) and share one evaluation of h' there.
+    Re[z h''/h'] is harmonic where h' does not vanish, so its floor over
+    the disk lies on the circle |z| = rmax (minimum principle).  Both
+    sweeps take the outer-ring nodes with theta in [0, pi] only (see
+    :func:`derivative_ratio_sup`), share one evaluation of h' there, and
+    raise :class:`SingularDerivativeError` as it does.
     """
     if not m > 0.0:
         raise ValueError("m must be positive")
     grid = grid or GridSpec()
-    zs, hp = _upper_disk_derivs(h, grid)
+    zs, hp = _zero_free_ring_derivs(h, grid)
     quant = (zs * h.deriv2s(zs) / hp).real
     min_re = float(np.min(quant))
     holds = min_re > -m - slack

@@ -92,8 +92,13 @@ class GridSpec:
 
     Disk sweeps use a polar grid; half-plane sweeps use a rectangle in the
     open upper quadrant of {Re z < 1} plus a sample of the real ray.  The
-    default outer radius 0.98 keeps sup estimates for dilatations within a
-    couple of percent of their boundary limits.
+    sup and floor sweeps over the closed disk |z| <= rmax evaluate its
+    outer ring only (:meth:`_upper_ring`), where the maximum modulus and
+    minimum principles put their extremes; ``nr`` and ``rmin`` serve the
+    pointwise modulus check, which takes every node of
+    :meth:`disk_points`.  No disk sweep says anything about the boundary
+    point z = 1: a dilatation can stay small on |z| <= 0.98 and be
+    unbounded as z -> 1.
     """
 
     rmin: float = 0.1
@@ -120,15 +125,8 @@ class GridSpec:
         if not all(math.isfinite(b) for b in bounds):
             raise ValueError(f"grid bounds must be finite, got {bounds!r}")
 
-    def disk_points(self):
-        """Polar grid ``r_i e^{i theta_j}``, theta_j = 2 pi j / ntheta, radius-major.
-
-        The grid is exactly closed under conjugation: the angles past pi are
-        the conjugates of those below it, and theta = pi (even ntheta) is
-        exactly -1.  Parts with real coefficients take conjugate values at
-        conjugate nodes, so a disk sweep needs only :meth:`_upper_disk`.
-        """
-        r = np.linspace(self.rmin, self.rmax, self.nr)
+    def _circle(self):
+        """``e^{i theta_j}``, theta_j = 2 pi j / ntheta, exactly closed under conjugation."""
         n = self.ntheta
         upper = n // 2 + 1
         e = np.empty(n, dtype=complex)
@@ -136,22 +134,34 @@ class GridSpec:
         if n % 2 == 0:
             e[n // 2] = -1.0
         e[upper:] = np.conj(e[n - upper : 0 : -1])
-        return (r[:, None] * e[None, :]).ravel()
+        return e
 
-    def _upper_disk(self):
-        """The disk nodes with theta in [0, pi] and how many grid nodes each stands for.
+    def disk_points(self):
+        """Polar grid ``r_i e^{i theta_j}``, theta_j = 2 pi j / ntheta, radius-major.
 
-        A node on the real axis stands for itself, any other for itself and
-        its conjugate, so the multiplicities sum to ``nr * ntheta``.
+        The grid is exactly closed under conjugation: the angles past pi are
+        the conjugates of those below it, and theta = pi (even ntheta) is
+        exactly -1.  Parts with real coefficients take conjugate values at
+        conjugate nodes, so a ring sweep needs only :meth:`_upper_ring`.
         """
-        n = self.ntheta
-        upper = n // 2 + 1
-        zs = self.disk_points().reshape(self.nr, n)[:, :upper]
+        r = np.linspace(self.rmin, self.rmax, self.nr)
+        return (r[:, None] * self._circle()[None, :]).ravel()
+
+    def _upper_ring(self):
+        """The outer-ring nodes with theta in [0, pi] and how many ring nodes each stands for.
+
+        The nodes are bit for bit the first ``ntheta // 2 + 1`` entries of
+        the last row of :meth:`disk_points` (``linspace`` ends exactly at
+        rmax).  A node on the real axis stands for itself, any other for
+        itself and its conjugate, so the multiplicities sum to ``ntheta``.
+        """
+        upper = self.ntheta // 2 + 1
+        zs = self.rmax * self._circle()[:upper]
         mult = np.full(upper, 2)
         mult[0] = 1
-        if n % 2 == 0:
+        if self.ntheta % 2 == 0:
             mult[-1] = 1
-        return zs.ravel(), np.tile(mult, self.nr)
+        return zs, mult
 
     def _rect_axes(self):
         """The rectangle's x and y samples; ``rect_points`` is their tensor grid."""

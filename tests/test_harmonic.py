@@ -13,6 +13,7 @@ from cmharmonic.harmonic import (
     _derivative_quotient_limit,
     _sign_kernel_sums,
     _signed_nonneg_probe,
+    _zeros_inside,
     HarmonicMap,
     SeriesPart,
     SingularDerivativeError,
@@ -684,15 +685,20 @@ def test_disk_sweeps_match_full_grid_reference(case, ntheta):
     f, rmax = _disk_maps()[case]
     grid = replace(SMALL, ntheta=ntheta, rmax=rmax)
     singular_nodes, mags = _certify_reference(f, grid)
+    cert = certify_qc_grid(f, 0.5, grid=grid)
     if case == "singular h'":
         # rho lies on the real axis; +-i rho are nodes only when 4 divides ntheta
         assert singular_nodes == (3 if ntheta % 4 == 0 else 1)
-    cert = certify_qc_grid(f, 0.5, grid=grid)
-    assert cert.details["singular_nodes"] == singular_nodes
-    assert math.isclose(cert.sup_estimate, float(np.max(mags)), rel_tol=1e-15)
-    at = complex(cert.details["argsup_re"], cert.details["argsup_im"])
-    (idx,) = np.flatnonzero(grid.disk_points() == at)
-    assert at.imag >= 0.0 and mags[idx] == cert.sup_estimate
+        # all three zeros lie inside the outer ring, which misses them all:
+        # the winding of h' along it counts them
+        assert cert.status == "inconclusive" and cert.sup_estimate is None
+        assert cert.details == {"singular_nodes": 0, "zeros_inside": 3}
+    else:
+        assert cert.details["singular_nodes"] == singular_nodes == 0
+        assert math.isclose(cert.sup_estimate, float(np.max(mags)), rel_tol=1e-15)
+        at = complex(cert.details["argsup_re"], cert.details["argsup_im"])
+        (idx,) = np.flatnonzero(grid.disk_points() == at)
+        assert at.imag >= 0.0 and mags[idx] == cert.sup_estimate
 
     for part in (f.h, f.g):
         ref = _ratio_reference(part, grid)
@@ -707,6 +713,128 @@ def test_disk_sweeps_match_full_grid_reference(case, ntheta):
         rep = harnack_ratio_bound(part, 10.0, grid=grid)
         assert rep.hypothesis_holds
         assert math.isclose(rep.min_re_observed, min_re, rel_tol=1e-15)
+        assert math.isclose(rep.ratio_sup, ratio_sup, rel_tol=1e-15)
+
+
+def _series_with_derivative(hp):
+    """Series part whose h' has the power-series coefficients ``hp`` (``hp[0]`` = 1)."""
+    return SeriesPart(tuple(hp[n] / (n + 1) for n in range(len(hp))), radius=0.99)
+
+
+def _series_with_zeros(roots):
+    """Series part with h' = prod (1 - z / root) over the given roots (closed under conjugation)."""
+    return _series_with_derivative(np.real(npoly.polyfromroots(roots)) / np.prod(-np.asarray(roots)).real)
+
+
+def test_zero_pair_inside_the_ring_is_caught():
+    # h' = (1 - z/a)(1 - z/conj a) with a = 0.5 e^{0.3 i}: no node of the
+    # grids below sits on a zero
+    a = 0.5 * complex(math.cos(0.3), math.sin(0.3))
+    h = _series_with_zeros([a, a.conjugate()])
+    assert np.allclose(np.abs(h.derivs(np.array([a, a.conjugate()]))), 0.0, atol=1e-15)
+    f = HarmonicMap(h, SeriesPart((1.0,), radius=0.99), 0.3)
+    for ntheta in (31, 32, 64):
+        grid = replace(SMALL, ntheta=ntheta, rmax=0.98)
+        assert not np.any(np.abs(h.derivs(grid.disk_points())) < SINGULAR_TOL)
+        cert = certify_qc_grid(f, 0.5, grid=grid)
+        assert cert.status == "inconclusive" and cert.sup_estimate is None
+        assert cert.details == {"singular_nodes": 0, "zeros_inside": 2}
+        with pytest.raises(SingularDerivativeError, match="zeros_inside"):
+            derivative_ratio_sup(h, grid=grid)
+        with pytest.raises(SingularDerivativeError, match="zeros_inside"):
+            harnack_ratio_bound(h, 10.0, grid=grid)
+
+    # inside the zeros the plain ring sweep runs and matches the full grid
+    grid = replace(SMALL, rmin=0.05, rmax=0.4)
+    singular_nodes, mags = _certify_reference(f, grid)
+    cert = certify_qc_grid(f, 0.5, grid=grid)
+    assert singular_nodes == 0 and "zeros_inside" not in cert.details
+    # |h'| dips to about 0.1 near the zeros, so the sup is well above 1
+    assert cert.sup_estimate == float(np.max(mags)) and cert.status == "violated"
+    assert complex(cert.details["argsup_re"], cert.details["argsup_im"]) == grid.disk_points()[np.argmax(mags)]
+    ratio_sup, min_re = _ratio_reference(h, grid)
+    assert math.isclose(derivative_ratio_sup(h, grid=grid), ratio_sup, rel_tol=1e-15)
+    rep = harnack_ratio_bound(h, 10.0, grid=grid)
+    assert math.isclose(rep.min_re_observed, min_re, rel_tol=1e-15)
+
+
+class _CountingPart:
+    """A part's ``derivs``, recording every array of points it is asked for."""
+
+    def __init__(self, part):
+        self.part = part
+        self.calls = []
+
+    def derivs(self, zs):
+        self.calls.append(np.array(zs))
+        return self.part.derivs(zs)
+
+
+@pytest.mark.parametrize(
+    "ntheta, roots, zeros",
+    [
+        # the one step from h'(rmax) < 0 to h'(-rmax) > 0 turns by pi
+        (2, [0.5], 1),
+        (2, [-0.6], 1),
+        (2, [0.5, 1.5], 1),
+        (2, [1.5], 0),  # outside the ring: no step is wide
+        (3, [0.5], 1),
+        (3, [-0.6], 1),
+        (3, [0.5, 1.5], 1),
+        (3, [1.5], 0),
+        (3, [0.5j, -0.5j], 2),  # at ntheta 2 the one step turns by 2 pi and reads as 0
+    ],
+)
+def test_winding_check_bisects_coarse_rings(ntheta, roots, zeros):
+    grid = GridSpec(rmax=0.9, nr=3, ntheta=ntheta)
+    h = _CountingPart(_series_with_zeros(roots))
+    zs, _ = grid._upper_ring()
+    assert _zeros_inside(h, grid, h.part.derivs(zs)) == zeros
+    # an odd ring evaluates z = -rmax to close the arc; any further call is a
+    # bisection level, and every point evaluated lies on the upper half-ring
+    assert (len(h.calls) > ntheta % 2) == (zeros > 0)
+    for points in h.calls:
+        assert np.allclose(np.abs(points), grid.rmax, rtol=1e-15) and np.all(points.imag >= 0.0)
+    f = HarmonicMap(h.part, SeriesPart((1.0,), radius=0.99), 0.2)
+    cert = certify_qc_grid(f, 0.5, grid=grid)
+    assert cert.details.get("zeros_inside", 0) == zeros
+    assert (cert.status == "inconclusive") == (zeros > 0)
+
+
+def test_winding_check_counts_polynomial_zeros():
+    # h' a random real polynomial of degree 1 to 4; roots within 0.05 of the
+    # ring are redrawn, since the sampled ring cannot place those
+    rng = np.random.default_rng(17)
+    grid = GridSpec(rmax=0.9, nr=3, ntheta=32)
+    zs, _ = grid._upper_ring()
+    checked = 0
+    while checked < 200:
+        hp = np.append(1.0, rng.normal(size=int(rng.integers(1, 5))))
+        roots = npoly.polyroots(hp)
+        if np.any(np.abs(np.abs(roots) - grid.rmax) < 0.05):
+            continue
+        h = _series_with_derivative(hp)
+        assert _zeros_inside(h, grid, h.derivs(zs)) == int(np.sum(np.abs(roots) < grid.rmax)), hp
+        checked += 1
+
+
+def test_ring_sweeps_match_full_grid_on_random_maps():
+    # the sup of |dilatation| and the floor of Re[z h''/h'] sit on the outer
+    # ring (maximum modulus and minimum principles); the ring nodes are the
+    # outer row of the full grid bit for bit, so both come out bitwise equal
+    grid = GridSpec()
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        f = HarmonicMap(shifted(random_measure(rng)), shifted(random_measure(rng)), float(rng.uniform(0.05, 0.9)))
+        singular_nodes, mags = _certify_reference(f, grid)
+        cert = certify_qc_grid(f, 0.5, grid=grid)
+        assert singular_nodes == 0 and cert.details["singular_nodes"] == 0
+        assert cert.sup_estimate == float(np.max(mags))
+        assert complex(cert.details["argsup_re"], cert.details["argsup_im"]) == grid.disk_points()[np.argmax(mags)]
+        ratio_sup, min_re = _ratio_reference(f.h, grid)
+        assert math.isclose(derivative_ratio_sup(f.h, grid=grid), ratio_sup, rel_tol=1e-15)
+        rep = harnack_ratio_bound(f.h, 10.0, grid=grid)
+        assert rep.min_re_observed == min_re
         assert math.isclose(rep.ratio_sup, ratio_sup, rel_tol=1e-15)
 
 
@@ -731,9 +859,20 @@ def test_disk_points_are_conjugate_closed(ntheta):
     upper = j < ntheta / 2
     plain = r[:, None] * np.exp(1j * (2.0 * np.pi * j[upper] / ntheta))[None, :]
     assert np.array_equal(_bits(zs[:, upper]), _bits(plain))
-    half, mult = grid._upper_disk()
-    assert mult.sum() == zs.size and half.size == grid.nr * (ntheta // 2 + 1)
-    assert np.all(half.imag >= 0.0) and np.all(mult[half.imag == 0.0] == 1)
+
+
+@pytest.mark.parametrize("ntheta", [2, 3, 4, 31, 32, 64])
+@pytest.mark.parametrize("rmin, rmax, nr", [(0.1, 0.98, 12), (0.1, 0.95, 6), (0.2, 1 / 3, 7), (0.5, 0.5, 2)])
+def test_upper_ring_is_the_outer_row_of_the_disk_grid(ntheta, rmin, rmax, nr):
+    grid = GridSpec(rmin=rmin, rmax=rmax, nr=nr, ntheta=ntheta)
+    ring, mult = grid._upper_ring()
+    outer = grid.disk_points().reshape(nr, ntheta)[-1]
+    assert ring.size == ntheta // 2 + 1
+    assert np.array_equal(_bits(ring), _bits(outer[: ring.size]))
+    assert np.all(ring.real ** 2 + ring.imag ** 2 <= (rmax * (1 + 4e-16)) ** 2)
+    # each off-axis node stands for itself and its conjugate
+    assert mult.sum() == ntheta
+    assert np.all(ring.imag >= 0.0) and np.all((mult == 1) == (ring.imag == 0.0))
 
 
 def test_part_kernels_are_conjugate_equivariant():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from dataclasses import replace
 
 import numpy as np
@@ -104,6 +105,65 @@ def test_loggamma_moments_are_power_reciprocals():
         mu = loggamma_measure(alpha)
         for n in range(21):
             assert mu.moment(n) == pytest.approx((n + 1.0) ** -alpha, abs=1e-10)
+
+
+def _exact_beta_moment(a, c, n):
+    """(a)_n / (c)_n in exact rational arithmetic on the float parameters."""
+    out = Fraction(1)
+    for i in range(n):
+        out *= (Fraction(a) + i) / (Fraction(c) + i)
+    return out
+
+
+def test_moments_match_closed_forms_to_rounding():
+    # loggamma(3) at n = 22 is the case adaptive quadrature once missed by
+    # 1.4e-9 at the default tol; references are exact rationals where the
+    # closed form is rational, and correctly rounded roots otherwise
+    cases = [
+        (lebesgue(), lambda n: Fraction(1, n + 1)),
+        (beta_measure(1.0, 3.0), lambda n: _exact_beta_moment(1.0, 3.0, n)),
+        (beta_measure(0.7, 1.5), lambda n: _exact_beta_moment(0.7, 1.5, n)),
+        (beta_measure(2.5, 6.3), lambda n: _exact_beta_moment(2.5, 6.3, n)),
+        (loggamma_measure(3.0), lambda n: Fraction(1, (n + 1) ** 3)),
+        (loggamma_measure(1.0), lambda n: Fraction(1, n + 1)),
+        (loggamma_measure(2.5), lambda n: 1.0 / ((n + 1) ** 2 * math.sqrt(n + 1))),
+        (loggamma_measure(0.5), lambda n: 1.0 / math.sqrt(n + 1)),
+    ]
+    atoms = [Atom(0.25, 0.125), Atom(0.75, 0.25), Atom(1.0, 0.0625)]
+    densities = [Beta(0.7, 1.5, 0.25), LogGamma(3.0, 0.1875), Lebesgue(0.125)]
+    mixture = Measure(atoms, densities)
+    cases.append(
+        (
+            mixture,
+            lambda n: sum(Fraction(a.w) * Fraction(a.t) ** n for a in atoms)
+            + Fraction(0.25) * _exact_beta_moment(0.7, 1.5, n)
+            + Fraction(0.1875) / (n + 1) ** 3
+            + Fraction(0.125) / (n + 1),
+        )
+    )
+    for mu, exact in cases:
+        for n in range(61):
+            ref = float(exact(n))
+            assert math.isclose(mu.moment(n), ref, rel_tol=1e-13), (mu, n)
+
+
+def test_table_moments_keep_the_adaptive_route():
+    grid = (0.0, 0.3, 0.31, 1.0)
+    mu = table_measure(grid, [1.0, 2.0, 0.5, 1.5])
+    values = [Fraction(v) for v in mu.densities[0].values]
+
+    def exact(n):
+        # the linear interpolant on each segment, integrated against t**n
+        total = Fraction(0)
+        for t0, t1, v0, v1 in zip(map(Fraction, grid), map(Fraction, grid[1:]), values, values[1:]):
+            slope = (v1 - v0) / (t1 - t0)
+            total += slope * (t1 ** (n + 2) - t0 ** (n + 2)) / (n + 2)
+            total += (v0 - slope * t0) * (t1 ** (n + 1) - t0 ** (n + 1)) / (n + 1)
+        return float(total)
+
+    for n in range(61):
+        assert mu.moment(n) == pytest.approx(exact(n), abs=1e-12)
+    assert mix(mu, dirac(0.5), 0.5).moment(7) == pytest.approx(0.5 * exact(7) + 0.5**8, abs=1e-12)
 
 
 def test_batch_moments_agree_with_adaptive():
