@@ -15,10 +15,9 @@ import sys
 import numpy as np
 
 from .harmonic import (
-    HarmonicMap,
-    QCCertificate,
     certify_qc_boundary_limit,
     certify_qc_grid,
+    certify_qc_ratio_sup,
     check_modulus_bound,
     check_partial_signs,
     derivative_ratio_sup,
@@ -121,23 +120,7 @@ def cmd_check_cm(args):
         print("error: input must be a non-empty JSON array of numbers", file=sys.stderr)
         return 2
     verdict = is_completely_monotone(MomentSequence(data), tol=args.tol)
-    if verdict.holds:
-        out = {
-            "verdict": "holds",
-            "scope": "prefix-feasible",
-            "order": verdict.order,
-            "tol": verdict.tol,
-        }
-    else:
-        out = {
-            "verdict": "violated",
-            "k": verdict.k,
-            "n": verdict.n,
-            "value": verdict.value,
-            "order": verdict.order,
-            "tol": verdict.tol,
-        }
-    _emit(_json(out) + "\n", args.out)
+    _emit(_json(verdict) + "\n", args.out)
     return 0 if verdict.holds else 1
 
 
@@ -179,42 +162,26 @@ def cmd_dilatation(args):
 _EXIT_BY_STATUS = {"certified": 0, "violated": 1, "inconclusive": 2}
 
 
+def _floats(spec, *names):
+    return [float(spec[name]) for name in names]
+
+
+def _certify_boundary_limit(f, k):
+    return certify_qc_boundary_limit(f.h, f.g, f.real_c, k)
+
+
+# method name -> certifier of (spec, k, grid); the first entry is the default
+_CERTIFIERS = {
+    "grid": lambda spec, k, grid: certify_qc_grid(map_from_dict(spec), k, grid=grid),
+    "thm1.6": lambda spec, k, grid: certify_qc_ratio_sup(map_from_dict(spec), k, grid=grid),
+    "thm1.7": lambda spec, k, grid: certify_polylog_map(*_floats(spec, "alpha", "beta", "c"), k, grid=grid),
+    "thm1.9": lambda spec, k, grid: _certify_boundary_limit(map_from_dict(spec), k),
+    "hyp": lambda spec, k, grid: certify_hypergeom_map(*_floats(spec, "a", "c", "a2", "c2", "b"), k, grid=grid),
+}
+
+
 def cmd_certify(args):
-    spec = _load_json(args.path)
-    grid = _grid_from(args)
-    k = args.k
-    if args.method == "grid":
-        cert = certify_qc_grid(map_from_dict(spec), k, grid=grid)
-    elif args.method == "thm1.6":
-        f = map_from_dict(spec)
-        c = f.real_c
-        ratio_sup = derivative_ratio_sup(f.h, grid=grid)
-        bound = c * ratio_sup
-        cert = QCCertificate(
-            "thm1.6",
-            k,
-            "certified" if bound <= k else "violated",
-            sup_estimate=bound,
-            grid=grid,
-            details={"ratio_sup": ratio_sup, "c": c},
-        )
-    elif args.method == "thm1.7":
-        cert = certify_polylog_map(
-            float(spec["alpha"]), float(spec["beta"]), float(spec["c"]), k, grid=grid
-        )
-    elif args.method == "thm1.9":
-        f = map_from_dict(spec)
-        cert = certify_qc_boundary_limit(f.h, f.g, f.real_c, k)
-    else:  # hyp
-        cert = certify_hypergeom_map(
-            float(spec["a"]),
-            float(spec["c"]),
-            float(spec["a2"]),
-            float(spec["c2"]),
-            float(spec["b"]),
-            k,
-            grid=grid,
-        )
+    cert = _CERTIFIERS[args.method](_load_json(args.path), args.k, _grid_from(args))
     _emit(_json(cert) + "\n", args.out)
     return _EXIT_BY_STATUS[cert.status]
 
@@ -301,7 +268,7 @@ def _build_parser():
 
     p = sub.add_parser("certify", help="issue a quasiconformality certificate")
     p.add_argument("path", help="map spec or parameter spec (JSON)")
-    p.add_argument("--method", choices=["grid", "thm1.6", "thm1.7", "thm1.9", "hyp"], default="grid")
+    p.add_argument("--method", choices=list(_CERTIFIERS), default=next(iter(_CERTIFIERS)))
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--out")
     _add_grid_flags(p)

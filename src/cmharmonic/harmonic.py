@@ -51,6 +51,7 @@ __all__ = [
     "convex_combination",
     "make_convolution_map",
     "derivative_ratio_sup",
+    "certify_qc_ratio_sup",
     "harnack_ratio_bound",
     "HarnackReport",
     "density_ratio_condition",
@@ -282,7 +283,9 @@ class QCCertificate:
 
     ``method`` is one of grid, thm1.6, thm1.7i, thm1.7ii, thm1.9, hypergeom;
     ``status`` is certified, violated, or inconclusive.  Grid methods carry
-    the sup estimate and the grid used.
+    the sup estimate and the grid used.  Every sufficient condition here
+    needs k < 1, and this is the one place that checks it: a ``bound_k``
+    outside [0, 1), NaN included, raises ``ValueError``.
     """
 
     method: str
@@ -291,6 +294,10 @@ class QCCertificate:
     sup_estimate: float | None = None
     grid: GridSpec | None = None
     details: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not 0.0 <= self.bound_k < 1.0:
+            raise ValueError(f"k must lie in [0, 1), got {self.bound_k!r}")
 
     @property
     def holds(self):
@@ -331,8 +338,6 @@ def certify_qc_grid(f, k, grid=None):
     ``_zeros_inside``).  A pass is grid evidence only, and says nothing
     about the boundary point z = 1.
     """
-    if not 0.0 <= k < 1.0:
-        raise ValueError(f"k must lie in [0, 1), got {k!r}")
     grid = grid or GridSpec()
     zs, hp, spoiled = _ring_derivs(f.h, grid)
     if spoiled:
@@ -692,6 +697,28 @@ def derivative_ratio_sup(h, grid=None, nt=11):
     return _ratio_sup(h, zs, hp, grid.t_samples(nt))
 
 
+def certify_qc_ratio_sup(f, k, grid=None):
+    """Theorem 1.6 certificate: c * sup |h'(tz)/h'(z)| against k < 1.
+
+    ``f.g`` is read as the convolution factor of h + c conj(h * g) and
+    does not enter the bound.  The sup is the grid estimate of
+    :func:`derivative_ratio_sup` on ``grid``, so a pass is grid evidence
+    only; the certificate records the grid, ``ratio_sup`` and ``c``.
+    """
+    grid = grid or GridSpec()
+    c = f.real_c
+    ratio_sup = derivative_ratio_sup(f.h, grid=grid)
+    bound = c * ratio_sup
+    return QCCertificate(
+        "thm1.6",
+        k,
+        "certified" if bound <= k else "violated",
+        sup_estimate=bound,
+        grid=grid,
+        details={"ratio_sup": ratio_sup, "c": c},
+    )
+
+
 @dataclass(frozen=True)
 class HarnackReport:
     """Log-derivative floor check: Re[z h''/h'] > -m forces |h'(tz)/h'(z)| <= e^{2m}."""
@@ -871,7 +898,7 @@ def _derivative_quotient_limit(h_mu, g_mu):
     return f_limit, "endpoint exponents", details
 
 
-def certify_qc_boundary_limit(h, g, c, k, n=200, grid=None):
+def certify_qc_boundary_limit(h, g, c, k):
     """Certificate from the boundary limit of F = g'/h'.
 
     Requires the cross inequality for the representing densities; then the
@@ -884,12 +911,10 @@ def certify_qc_boundary_limit(h, g, c, k, n=200, grid=None):
     """
     if not 0.0 <= float(c) < 1.0:
         raise ValueError(f"c must be real in [0, 1), got {c!r}")
-    if not 0.0 <= k < 1.0:
-        raise ValueError(f"k must lie in [0, 1), got {k!r}")
     c = float(c)
     if not isinstance(h, ShiftedCauchyTransform) or not isinstance(g, ShiftedCauchyTransform):
         raise TypeError("boundary-limit certificate needs measure-backed parts")
-    ratio = density_ratio_condition(h.mu, g.mu, n=n, spot_check=False)
+    ratio = density_ratio_condition(h.mu, g.mu, spot_check=False)
     if not ratio.holds:
         return QCCertificate(
             "thm1.9",

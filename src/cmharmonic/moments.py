@@ -110,6 +110,18 @@ class CMVerdict:
     def __bool__(self):
         return self.holds
 
+    def to_dict(self):
+        if self.holds:
+            return {"verdict": "holds", "scope": "prefix-feasible", "order": self.order, "tol": self.tol}
+        return {
+            "verdict": "violated",
+            "k": self.k,
+            "n": self.n,
+            "value": self.value,
+            "order": self.order,
+            "tol": self.tol,
+        }
+
     def describe(self):
         if self.holds:
             return f"prefix-feasible up to N={self.order} (tol={self.tol:g})"

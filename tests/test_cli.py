@@ -9,6 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from cmharmonic.cli import _json
+from cmharmonic.harmonic import certify_qc_ratio_sup, derivative_ratio_sup, map_from_dict
+from cmharmonic.moments import is_completely_monotone
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 F1_ID = {"h": {"atoms": [{"t": 1.0, "w": 1.0}]}, "g": {"atoms": [{"t": 0.0, "w": 1.0}]}}
@@ -62,6 +66,18 @@ def test_check_cm_exit_codes(tmp_path):
     assert run_cli("check-cm", str(garbled)).returncode == 2
 
 
+def test_check_cm_prints_the_verdict_dict(tmp_path):
+    expected = {
+        (1, 0.5, 0.25): '{"verdict": "holds", "scope": "prefix-feasible", "order": 2, '
+        '"tol": 1.0000000000000001e-09}\n',
+        (1, 0.9, 0.5): '{"verdict": "violated", "k": 2, "n": 0, "value": -0.30000000000000004, '
+        '"order": 2, "tol": 1.0000000000000001e-09}\n',
+    }
+    for seq, text in expected.items():
+        assert _json(is_completely_monotone(seq, tol=1e-9).to_dict()) + "\n" == text
+        assert run_cli("check-cm", write(tmp_path, "seq.json", list(seq))).stdout == text
+
+
 def test_certify_exit_matrix(tmp_path):
     spec02 = write(tmp_path, "c02.json", dict(F1_ID, c=0.2))
     spec03 = write(tmp_path, "c03.json", dict(F1_ID, c=0.3))
@@ -113,6 +129,34 @@ def test_certify_thm16_and_thm19_and_hyp(tmp_path):
     res = run_cli("certify", hyp, "--method", "hyp", "--k", "0.7")
     assert res.returncode == 0
     assert json.loads(res.stdout)["M"] == 2
+
+
+def test_certify_thm16_prints_the_library_certificate(tmp_path):
+    spec = dict(F1_ID, c=0.2)
+    f = map_from_dict(spec)
+    cert = certify_qc_ratio_sup(f, 0.8)
+    assert cert.sup_estimate == 0.2 * derivative_ratio_sup(f.h)
+    res = run_cli("certify", write(tmp_path, "c02.json", spec), "--method", "thm1.6", "--k", "0.8")
+    assert res.returncode == 0 and res.stdout == _json(cert) + "\n"
+
+
+@pytest.mark.parametrize("k", ["1.5", "-0.5", "nan"])
+def test_certify_rejects_k_outside_the_unit_interval(tmp_path, k):
+    specs = {
+        "grid": dict(F1_ID, c=0.2),
+        "thm1.6": dict(F1_ID, c=0.2),
+        "thm1.7": {"alpha": 4, "beta": 3, "c": 0.5},
+        "thm1.9": {
+            "h": {"densities": [{"family": "loggamma", "alpha": 4.0, "w": 1.0}]},
+            "g": {"densities": [{"family": "loggamma", "alpha": 3.0, "w": 1.0}]},
+            "c": 0.5,
+        },
+        "hyp": {"a": 1, "c": 6, "a2": 2, "c2": 6, "b": 0.3},
+    }
+    for method, spec in specs.items():
+        res = run_cli("certify", write(tmp_path, "spec.json", spec), "--method", method, f"--k={k}")
+        assert (res.returncode, res.stdout) == (2, ""), method
+        assert res.stderr == f"error: k must lie in [0, 1), got {float(k)!r}\n", method
 
 
 def test_eval_and_dilatation(tmp_path):

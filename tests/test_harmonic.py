@@ -19,6 +19,7 @@ from cmharmonic.harmonic import (
     SingularDerivativeError,
     certify_qc_boundary_limit,
     certify_qc_grid,
+    certify_qc_ratio_sup,
     check_modulus_bound,
     check_partial_signs,
     convex_combination,
@@ -597,6 +598,20 @@ def test_ratio_sup_point_mass_approaches_four():
     sup = derivative_ratio_sup(F1)
     assert sup == pytest.approx((1.0 + 0.98) ** 2, abs=1e-9)
     assert 3.8 <= sup < 4.0
+
+
+def test_ratio_sup_certificate_on_the_point_mass_map():
+    # criterion 14's map c02: h = shifted dirac(1), g = shifted dirac(0), c = 0.2
+    f = HarmonicMap(F1, IDENT, 0.2)
+    ratio_sup = derivative_ratio_sup(F1)
+    cert = certify_qc_ratio_sup(f, 0.8)
+    assert (cert.method, cert.status, cert.grid) == ("thm1.6", "certified", GridSpec())
+    assert cert.sup_estimate == 0.2 * ratio_sup
+    assert cert.details == {"ratio_sup": ratio_sup, "c": 0.2}
+    assert certify_qc_ratio_sup(f, 0.1).status == "violated"
+    for k in (1.5, -0.5, math.nan):
+        with pytest.raises(ValueError, match=r"k must lie in \[0, 1\)"):
+            certify_qc_ratio_sup(f, k)
 
 
 def test_harnack_bound_point_mass():
