@@ -28,7 +28,7 @@ _NORMALIZED_TOL = 1e-12
 
 @dataclass(frozen=True, init=False)
 class MomentSequence:
-    """Finite prefix ``a_0..a_N`` of a candidate completely monotone sequence."""
+    """Finite prefix ``a_0..a_N`` (finite entries) of a candidate completely monotone sequence."""
 
     values: tuple
     normalized: bool
@@ -37,6 +37,9 @@ class MomentSequence:
         vals = tuple(float(v) for v in values)
         if len(vals) < 1:
             raise ValueError("a moment sequence needs at least one entry")
+        bad = next((n for n, v in enumerate(vals) if not math.isfinite(v)), None)
+        if bad is not None:
+            raise ValueError(f"moment sequence entries must be finite, got a_{bad}={vals[bad]!r}")
         if normalized is None:
             normalized = abs(vals[0] - 1.0) <= _NORMALIZED_TOL
         elif normalized and abs(vals[0] - 1.0) > _NORMALIZED_TOL:
@@ -141,8 +144,10 @@ def is_completely_monotone(seq, tol=0.0):
     """Scan every difference of the prefix for negativity beyond ``tol``.
 
     Differences are visited in lexicographic (k, n) order so the reported
-    violation is the first one.
+    violation is the first one.  ``tol`` must be finite and nonnegative.
     """
+    if not math.isfinite(tol):
+        raise ValueError(f"tolerance must be finite, got {tol!r}")
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     seq = seq if isinstance(seq, MomentSequence) else MomentSequence(seq)

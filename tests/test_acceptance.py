@@ -200,7 +200,7 @@ def test_criterion_13_density_pipeline():
         (beta_measure(1.0, 3.0), beta_measure(2.0, 3.0)),
         (loggamma_measure(2.0), loggamma_measure(1.0)),
     ]:
-        verdict = density_ratio_condition(phi, psi, n=200, spot_check=False)
+        verdict = density_ratio_condition(phi, psi, n=200)
         assert verdict.holds
         rep = check_membership(derivative_quotient(shifted(phi), shifted(psi)))
         assert rep.consistent

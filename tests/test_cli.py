@@ -78,6 +78,18 @@ def test_check_cm_prints_the_verdict_dict(tmp_path):
         assert run_cli("check-cm", write(tmp_path, "seq.json", list(seq))).stdout == text
 
 
+def test_check_cm_rejects_non_finite_input(tmp_path):
+    # json reads NaN and Infinity; both used to pass or fail the scan silently
+    cases = [("[1, NaN, 0.5]", "1e-9"), ("[1, Infinity]", "1e-9"), ("[1, 2, 3]", "nan"), ("[1, 2, 3]", "inf")]
+    for text, tol in cases:
+        path = tmp_path / "seq.json"
+        path.write_text(text)
+        res = run_cli("check-cm", str(path), "--tol", tol)
+        assert res.returncode == 2, (text, tol)
+        assert res.stdout == ""
+        assert "must be finite" in res.stderr
+
+
 def test_certify_exit_matrix(tmp_path):
     spec02 = write(tmp_path, "c02.json", dict(F1_ID, c=0.2))
     spec03 = write(tmp_path, "c03.json", dict(F1_ID, c=0.3))
@@ -363,6 +375,24 @@ def test_certify_thm19_rounded_equal_exponents_is_violated(tmp_path):
     cert = json.loads(res.stdout)
     assert cert["status"] == "violated" and cert["path"] == "endpoint exponents"
     assert math.isclose(cert["f_limit"], 1.0 / 0.9, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "h, g, k",
+    [
+        ({"family": "lebesgue"}, {"family": "table", "grid": [0, 0.999, 1], "values": [1, 2, 0.1]}, "0.4"),
+        ({"family": "beta", "a": 1.0, "c": 3.0}, {"family": "beta", "a": 2.0, "c": 4.001}, "0.1"),
+    ],
+)
+def test_certify_thm19_boundary_limit_below_one_exits_2(tmp_path, h, g, k):
+    # the sampled cross inequality holds, but g'/h' -> F(1-) < 1 refutes it
+    spec = {"h": {"densities": [h]}, "g": {"densities": [g]}, "c": 0.5}
+    res = run_cli("certify", write(tmp_path, "pair.json", spec), "--method", "thm1.9", "--k", k)
+    assert res.returncode == 2
+    cert = json.loads(res.stdout)
+    assert cert["status"] == "inconclusive" and "sup_estimate" not in cert
+    assert cert["reason"] == "boundary limit below 1 contradicts the cross inequality"
+    assert cert["f_limit"] < 1.0
 
 
 def test_certify_thm19_needs_densities(tmp_path):

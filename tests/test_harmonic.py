@@ -25,11 +25,13 @@ from cmharmonic.harmonic import (
     convex_combination,
     convolve,
     density_ratio_condition,
+    derivative_quotient,
     derivative_ratio_sup,
     harnack_ratio_bound,
     make_convolution_map,
     map_from_dict,
     map_to_dict,
+    quotient,
     radial_limit,
     shifted,
 )
@@ -44,7 +46,7 @@ from cmharmonic.measures import (
     table_measure,
 )
 from cmharmonic.special import hyp_ratio_constant
-from cmharmonic.transforms import GridSpec, _block_rows, _kernel_sums
+from cmharmonic.transforms import GridSpec, _block_rows, _kernel_sums, check_membership
 from conftest import random_disk_points, random_measure
 
 F1 = shifted(dirac(1.0))  # z/(1-z)
@@ -908,14 +910,10 @@ def test_part_kernels_are_conjugate_equivariant():
 
 
 def test_density_ratio_condition_cases():
-    assert density_ratio_condition(lebesgue(), lebesgue(), spot_check=False).holds
-    assert density_ratio_condition(
-        beta_measure(1.0, 3.0), beta_measure(2.0, 3.0), spot_check=False
-    ).holds
-    assert density_ratio_condition(
-        loggamma_measure(2.0), loggamma_measure(1.0), spot_check=False
-    ).holds
-    bad = density_ratio_condition(beta_measure(2.0, 3.0), beta_measure(1.0, 3.0), spot_check=False)
+    assert density_ratio_condition(lebesgue(), lebesgue()).holds
+    assert density_ratio_condition(beta_measure(1.0, 3.0), beta_measure(2.0, 3.0)).holds
+    assert density_ratio_condition(loggamma_measure(2.0), loggamma_measure(1.0)).holds
+    bad = density_ratio_condition(beta_measure(2.0, 3.0), beta_measure(1.0, 3.0))
     assert not bad.holds and bad.max_violation > 0
     assert bad.worst_s is not None and bad.worst_s < bad.worst_t
 
@@ -926,12 +924,12 @@ def test_density_ratio_rejects_atoms():
 
 
 def test_density_ratio_spot_check_membership():
-    verdict = density_ratio_condition(
-        beta_measure(1.0, 3.0), beta_measure(2.0, 3.0), grid=GridSpec(nx=30, ny=30)
-    )
-    assert verdict.holds
-    assert verdict.quotient_report.consistent
-    assert verdict.derivative_quotient_report.consistent
+    phi, psi = beta_measure(1.0, 3.0), beta_measure(2.0, 3.0)
+    assert density_ratio_condition(phi, psi).holds
+    h, g = shifted(phi), shifted(psi)
+    grid = GridSpec(nx=30, ny=30)
+    assert check_membership(quotient(h, g), grid=grid).consistent
+    assert check_membership(derivative_quotient(h, g), grid=grid).consistent
 
 
 def test_boundary_limit_equal_parts():
@@ -1038,6 +1036,27 @@ def test_derivative_quotient_limit_routes():
     assert (f_limit, path) == (math.inf, "endpoint exponents")
     f_limit, _, _ = _derivative_quotient_limit(dirac(1.0), mix(dirac(1.0), lebesgue(), 0.25))
     assert f_limit == 0.25
+
+
+# Two maps whose densities pass the sampled cross inequality although psi/phi
+# turns down past the last sample point: F(1-) < 1 gives them away.
+# Their grid sups are 0.631 and 1.058, so neither is k-QC at the k below.
+SAMPLE_MISSED_PAIRS = [
+    # psi/phi falls from 2 to 0.1 on the last 0.001, after the sample stops
+    (lebesgue(), table_measure([0.0, 0.999, 1.0], [1.0, 2.0, 0.1]), 0.4, "endpoint exponents"),
+    # psi/phi ~ t (1 - t)^0.001 peaks at t = 1/1.001
+    (beta_measure(1.0, 3.0), beta_measure(2.0, 4.001), 0.1, "vanishing"),
+]
+
+
+@pytest.mark.parametrize("phi, psi, k, path", SAMPLE_MISSED_PAIRS)
+def test_boundary_limit_below_one_is_inconclusive(phi, psi, k, path):
+    assert density_ratio_condition(phi, psi).holds  # the sample misses the turn
+    cert = certify_qc_boundary_limit(shifted(phi), shifted(psi), 0.5, k)
+    assert cert.status == "inconclusive" and cert.sup_estimate is None
+    assert cert.details["reason"] == "boundary limit below 1 contradicts the cross inequality"
+    assert cert.details["path"] == path and cert.details["f_limit"] < 1.0
+    assert set(cert.details) >= {"g_deriv_limit", "h_deriv_limit"}
 
 
 def test_boundary_limit_requires_cross_inequality():

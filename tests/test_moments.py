@@ -97,6 +97,17 @@ def test_cm_tolerance():
         is_completely_monotone(seq, tol=-1.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_entries_and_tolerances_are_rejected(bad):
+    # a NaN entry or tol fails every comparison, so it would pass the scan
+    with pytest.raises(ValueError, match="must be finite"):
+        MomentSequence([1.0, bad, 0.5])
+    with pytest.raises(ValueError, match="must be finite"):
+        is_completely_monotone([1.0, bad, 0.5])
+    with pytest.raises(ValueError, match="must be finite"):
+        is_completely_monotone(MomentSequence([1.0, 2.0, 3.0]), tol=bad)
+
+
 def test_hadamard_identity_and_geometric():
     ones = MomentSequence([1.0, 1.0, 1.0])
     geo = MomentSequence([1.0, 0.5, 0.25])

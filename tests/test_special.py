@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cmharmonic import special
-from cmharmonic.harmonic import shifted
-from cmharmonic.measures import beta_measure, loggamma_measure
+from cmharmonic.harmonic import HarmonicMap, certify_qc_boundary_limit, certify_qc_grid, shifted
+from cmharmonic.measures import beta_measure, loggamma_measure, same_exponent
 from cmharmonic.special import (
     ConvergenceError,
     certify_hypergeom_map,
@@ -312,6 +314,63 @@ def test_hypergeom_certificate_inconclusive():
     assert cert.status == "inconclusive"
     with pytest.raises(ValueError):
         certify_hypergeom_map(2.0, 1.0, 1.0, 3.0, 0.1, 0.5)
+
+
+# -- closed-form branches against the boundary-limit route -------------------------
+#
+# Inside hyp's branch (ii) and thm1.7ii the densities satisfy the cross
+# inequality, so thm1.9 applies to the same map and must reach the same
+# constant.  The scale is s / M, so both routes certify exactly when s <= k.
+
+
+def _cross_route_check(h_mu, g_mu, m_const, closed, s, k=0.5):
+    assume(abs(s - k) > 1e-9)
+    scale = s / m_const
+    closed_cert = closed(scale, k)
+    cert = certify_qc_boundary_limit(shifted(h_mu), shifted(g_mu), scale, k)
+    assert cert.details["f_limit"] == pytest.approx(m_const, rel=1e-13)
+    assert cert.holds == closed_cert.holds == (s <= k)
+    ring = certify_qc_grid(HarmonicMap(shifted(h_mu), shifted(g_mu), scale), k, grid=SMALL)
+    assert ring.sup_estimate <= cert.sup_estimate * (1.0 + 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(0.3, 3.0),
+    st.floats(0.0, 2.0),
+    st.floats(2.0, 6.0, exclude_min=True),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(0.05, 0.95),
+)
+def test_hyp_boundary_branch_agrees_with_thm19(a, da, gap, shrink, s):
+    a2 = a + da
+    c, c2 = a + gap, a2 + 2.0 + (gap - 2.0) * shrink
+    assume(a2 >= a and 2.0 < c2 - a2 <= c - a)  # branch (ii) as the library computes it
+    # hyp compares c2 - a2 with 2 exactly, the endpoint calculus up to rounding:
+    # at c2 - a2 = 2.0000000000000004 hyp finds M = 7e15 and thm1.9 F(1-) = inf.
+    # Deciding that band is part of the open parameter rules, so it is left out.
+    assume(not same_exponent(c2 - a2, 2.0))
+    m_const = hyp_ratio_constant(a, c, a2, c2)
+    _cross_route_check(
+        beta_measure(a, c), beta_measure(a2, c2), m_const,
+        lambda b, k: certify_hypergeom_map(a, c, a2, c2, b, k, spot_check=False), s,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(2.0, 6.0, exclude_min=True),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(0.05, 0.95),
+)
+def test_polylog_zeta_branch_agrees_with_thm19(alpha, shrink, s):
+    beta = 2.0 + (alpha - 2.0) * shrink
+    assume(2.0 < beta <= alpha)
+    m_const = zeta(beta - 1.0) / zeta(alpha - 1.0)
+    _cross_route_check(
+        loggamma_measure(alpha), loggamma_measure(beta), m_const,
+        lambda c, k: certify_polylog_map(alpha, beta, c, k, spot_check=False), s,
+    )
 
 
 def test_deriv_limit_closed_vs_quadrature():
