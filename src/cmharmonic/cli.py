@@ -125,6 +125,8 @@ def cmd_check_cm(args):
 
 
 def cmd_moments(args):
+    if args.count < 0:
+        raise ValueError(f"count must be nonnegative, got {args.count}")
     mu = measure_from_dict(_load_json(args.path))
     vals = [mu.moment(n, tol=args.tol) for n in range(args.count)]
     if args.format == "csv":

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .measures import Measure, measure_from_dict, measure_to_dict, mix, same_exponent
-from .transforms import GridSpec, ShiftedCauchyTransform, _rect_kernel_sums
+from .transforms import CHECK_SLACK, GridSpec, ShiftedCauchyTransform, _check_slit, _rect_kernel_sums
 
 __all__ = [
     "SingularDerivativeError",
@@ -56,6 +56,10 @@ __all__ = [
 ]
 
 SINGULAR_TOL = 1e-13
+# Kernel scale sum |kern| |w| at or below which a partial-sign node is degenerate.
+DEGENERATE_TOL = 1e-12
+# Interior sample size of the density domination in the signed-measure probe.
+PROBE_SAMPLES = 1000
 
 
 class SingularDerivativeError(ArithmeticError):
@@ -114,7 +118,7 @@ class SeriesPart(_VectorPart):
     def _polyval(self, zs, coefs):
         """``sum coefs[n] z**n`` at each point of ``zs``, inside the radius only."""
         zs = np.asarray(zs, dtype=complex)
-        if np.any(np.abs(zs) > self.radius + 1e-15):
+        if not np.all(np.abs(zs) <= self.radius + 1e-15):
             raise ValueError(f"series part only evaluable on |z| <= {self.radius}")
         return np.polynomial.polynomial.polyval(zs, np.asarray(coefs))
 
@@ -158,10 +162,13 @@ class ConvolutionPart(_VectorPart):
         """``sums(z t) @ weights`` at each point of ``zs``, t the nodes of nu's rule.
 
         Works through blocks of 256 points, one row of scaled copies each.
+        The points themselves are checked first, so an error names the
+        point given rather than a scaled copy of it.
         """
         zs = np.asarray(zs, dtype=complex)
         t = self.nu._rule[0]
         flat = zs.ravel()
+        _check_slit(flat)
         out = np.empty(flat.shape, dtype=complex)
         for i in range(0, len(flat), 256):
             out[i : i + 256] = sums(np.outer(flat[i : i + 256], t)) @ weights
@@ -381,12 +388,13 @@ def radial_limit(f):
     return -(f.h.base.real_part_floor() + c * f.g.base.real_part_floor())
 
 
-def check_modulus_bound(f, a=None, samples=None, slack=1e-9):
+def check_modulus_bound(f, a=None, samples=None):
     """Verify the radial lower bound for |a + f| on the given sample points.
 
     ``a`` defaults to the smallest nonnegative constant that keeps the
     boundary limit nonnegative.  Needs real c in [0, 1) and measure-backed
-    parts (the limit is a closed-form integral against each measure).
+    parts (the limit is a closed-form integral against each measure).  Both
+    margins may dip to ``-CHECK_SLACK``.
     """
     c = f.real_c
     if not isinstance(f.h, ShiftedCauchyTransform) or not isinstance(f.g, ShiftedCauchyTransform):
@@ -405,7 +413,7 @@ def check_modulus_bound(f, a=None, samples=None, slack=1e-9):
     radial = f.values(-radii).real[inverse].reshape(zs.shape)
     margin1 = np.abs(a + vals) - (a + radial)
     margin2 = radial - limit
-    passed = bool(np.min(margin1) >= -slack and np.min(margin2) >= -slack)
+    passed = bool(np.min(margin1) >= -CHECK_SLACK and np.min(margin2) >= -CHECK_SLACK)
     return ModulusBoundReport(
         passed=passed,
         a=float(a),
@@ -413,7 +421,7 @@ def check_modulus_bound(f, a=None, samples=None, slack=1e-9):
         n_samples=int(zs.size),
         min_margin_pointwise=float(np.min(margin1)),
         min_margin_limit=float(np.min(margin2)),
-        slack=slack,
+        slack=CHECK_SLACK,
     )
 
 
@@ -458,13 +466,14 @@ class PartialSignReport:
         return {"passed": self.passed, **asdict(self)}
 
 
-def _signed_nonneg_probe(mu, nu, c, n_samples=1000):
+def _signed_nonneg_probe(mu, nu, c):
     """Sufficient structural check that mu - c*nu is a nonnegative measure.
 
     Every nu atom must be matched at the same location by a mu atom of
     weight at least c times as large, and the densities must dominate
-    pointwise on an interior sample.  Failure does not prove the signed
-    measure is negative somewhere; the check errs on the safe side.
+    pointwise on the ``PROBE_SAMPLES`` midpoints (i + 1/2)/``PROBE_SAMPLES``.
+    Failure does not prove the signed measure is negative somewhere; the
+    check errs on the safe side.
     """
     if c == 0.0:
         return True, None
@@ -473,7 +482,7 @@ def _signed_nonneg_probe(mu, nu, c, n_samples=1000):
         if match < c * a.w - 1e-15:
             return False, f"nu atom at t={a.t:g} (weight {a.w:g}) not dominated in mu"
     if nu.densities:
-        ts = (np.arange(n_samples) + 0.5) / n_samples
+        ts = (np.arange(PROBE_SAMPLES) + 0.5) / PROBE_SAMPLES
         gap = mu.pdf(ts) - c * nu.pdf(ts)
         if np.min(gap) < -1e-12:
             t_bad = float(ts[int(np.argmin(gap))])
@@ -493,7 +502,7 @@ def _sign_kernel_sums(x, y, t, weights):
     return out.reshape(len(x) * len(y), weights.shape[1])
 
 
-def check_partial_signs(f, grid=None, slack=1e-9, degenerate_tol=1e-12):
+def check_partial_signs(f, grid=None, slack=CHECK_SLACK):
     """Evaluate both partial-sign integrals on the half-plane grid and its mirror.
 
     Only ``grid.rect_points()`` are evaluated.  Each kernel term is odd in
@@ -503,7 +512,8 @@ def check_partial_signs(f, grid=None, slack=1e-9, degenerate_tol=1e-12):
     equal measures parsed apart count too) the rules merge into one with
     weights (1 + c) w and (1 - c) w.  The kernel is taken in its factored
     form over the rectangle's x and y axes (see ``_sign_kernel_sums``),
-    which also avoids the cancellation in 1 - 2 x t + t^2 |z|^2.
+    which also avoids the cancellation in 1 - 2 x t + t^2 |z|^2.  Nodes
+    whose kernel scale is at most ``DEGENERATE_TOL`` are degenerate.
     """
     c = f.real_c
     if not isinstance(f.h, ShiftedCauchyTransform) or not isinstance(f.g, ShiftedCauchyTransform):
@@ -528,7 +538,7 @@ def check_partial_signs(f, grid=None, slack=1e-9, degenerate_tol=1e-12):
     # For y > 0, x < 1 and t in [0, 1] the kernel is nonnegative, so the
     # degeneracy scale sum |kern| |w+| is one more column of the same sums.
     sums = _sign_kernel_sums(x, y, t, np.stack([np.abs(w_plus), w_plus, w_minus], axis=1))
-    deg = sums[:, 0] <= degenerate_tol
+    deg = sums[:, 0] <= DEGENERATE_TOL
     live = ~deg
     y_live = np.tile(y, len(x))[live]
     q_re = -(y_live * sums[live, 1])
@@ -730,14 +740,15 @@ class HarnackReport:
         return asdict(self)
 
 
-def harnack_ratio_bound(h, m, grid=None, slack=1e-9):
+def harnack_ratio_bound(h, m, grid=None):
     """Check the floor Re[z h''/h'] > -m on |z| <= rmax and verify the implied ratio bound.
 
     Re[z h''/h'] is harmonic where h' does not vanish, so its floor over
     the disk lies on the circle |z| = rmax (minimum principle).  Both
     sweeps take the outer-ring nodes with theta in [0, pi] only (see
     :func:`derivative_ratio_sup`), share one evaluation of h' there, and
-    raise :class:`SingularDerivativeError` as it does.
+    raise :class:`SingularDerivativeError` as it does.  Both comparisons
+    allow ``CHECK_SLACK``.
     """
     if not m > 0.0:
         raise ValueError("m must be positive")
@@ -745,12 +756,12 @@ def harnack_ratio_bound(h, m, grid=None, slack=1e-9):
     zs, hp = _zero_free_ring_derivs(h, grid)
     quant = (zs * h.deriv2s(zs) / hp).real
     min_re = float(np.min(quant))
-    holds = min_re > -m - slack
+    holds = min_re > -m - CHECK_SLACK
     bound = ratio_sup = within = None
     if holds:
         bound = math.exp(2.0 * m)
         ratio_sup = _ratio_sup(h, zs, hp, grid.t_samples())
-        within = bool(ratio_sup <= bound + slack)
+        within = bool(ratio_sup <= bound + CHECK_SLACK)
     return HarnackReport(
         hypothesis_holds=bool(holds),
         m=float(m),
@@ -758,7 +769,7 @@ def harnack_ratio_bound(h, m, grid=None, slack=1e-9):
         min_re_observed=min_re,
         ratio_sup=ratio_sup,
         ratio_within_bound=within,
-        slack=slack,
+        slack=CHECK_SLACK,
     )
 
 

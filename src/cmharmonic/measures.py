@@ -22,11 +22,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
-from .quadrature import QuadratureError, adaptive_quad, composite_rule, graded_edges
+from .quadrature import adaptive_quad, composite_rule, graded_edges
 
 __all__ = [
     "Atom",
@@ -127,8 +127,9 @@ class Lebesgue:
     def pdf(self, t):
         return np.ones_like(np.asarray(t, dtype=float))
 
-    def charts(self, cut=1.0):
-        return (Chart(0.0, float(cut), lambda s: s, lambda s: np.ones_like(s)),)
+    def charts(self):
+        """One chart, the identity on [0, 1]."""
+        return (Chart(0.0, 1.0, lambda s: s, lambda s: np.ones_like(s)),)
 
     def moment(self, n, tol=None):
         """1/(n + 1); ``tol`` is unused, the value is exact to rounding."""
@@ -164,43 +165,23 @@ class Beta:
         t = np.asarray(t, dtype=float)
         return self._norm * t ** (self.a - 1.0) * (1.0 - t) ** (self.c - self.a - 1.0)
 
-    def charts(self, cut=1.0):
+    def charts(self):
+        """Charts t = s**p below t = 1/2 and t = 1 - s**q above, p = ceil(3/a), q = ceil(3/(c-a)).
+
+        Raising the endpoint exponents to 3 or more (p, q at least 1) makes
+        both pulled-back weights smooth enough for Gauss panels.
+        """
         a = self.a
         ca = self.c - self.a
         norm = self._norm
-        cut = float(cut)
-        mid = min(0.5, cut)
         p = max(1.0, math.ceil(3.0 / a))
-        out = []
-        if mid > 0.0:
-            s1 = mid ** (1.0 / p)
-            out.append(
-                Chart(
-                    0.0,
-                    s1,
-                    lambda s, p=p: s**p,
-                    lambda s, p=p, a=a, ca=ca, norm=norm: norm
-                    * p
-                    * s ** (p * a - 1.0)
-                    * (1.0 - s**p) ** (ca - 1.0),
-                )
-            )
-        if cut > mid:
-            q = max(1.0, math.ceil(3.0 / ca))
-            slo = (1.0 - cut) ** (1.0 / q) if cut < 1.0 else 0.0
-            shi = (1.0 - mid) ** (1.0 / q)
-            out.append(
-                Chart(
-                    slo,
-                    shi,
-                    lambda s, q=q: 1.0 - s**q,
-                    lambda s, q=q, a=a, ca=ca, norm=norm: norm
-                    * q
-                    * s ** (q * ca - 1.0)
-                    * (1.0 - s**q) ** (a - 1.0),
-                )
-            )
-        return tuple(out)
+        q = max(1.0, math.ceil(3.0 / ca))
+        return (
+            Chart(0.0, 0.5 ** (1.0 / p), lambda s: s**p,
+                  lambda s: norm * p * s ** (p * a - 1.0) * (1.0 - s**p) ** (ca - 1.0)),
+            Chart(0.0, 0.5 ** (1.0 / q), lambda s: 1.0 - s**q,
+                  lambda s: norm * q * s ** (q * ca - 1.0) * (1.0 - s**q) ** (a - 1.0)),
+        )
 
     def moment(self, n, tol=None):
         """(a)_n / (c)_n, the product of (a + i)/(c + i) over i < n; ``tol`` is unused.
@@ -255,35 +236,21 @@ class LogGamma:
         with np.errstate(divide="ignore"):
             return inv_gamma * (-np.log(t)) ** (self.alpha - 1.0)
 
-    def charts(self, cut=1.0):
+    def charts(self):
+        """Charts t = exp(-v) below t = 1/2 and t = 1 - s**q above, q = ceil(3/alpha).
+
+        v runs up to 60 + 12 alpha in panels of at most 2; q (at least 1)
+        smooths the right endpoint.
+        """
         alpha = self.alpha
         inv_gamma = math.exp(-math.lgamma(alpha))
-        cut = float(cut)
-        mid = min(0.5, cut)
-        out = []
-        if mid > 0.0:
-            v_lo = -math.log(mid)
-            v_hi = 60.0 + 12.0 * alpha
-            out.append(
-                Chart(
-                    v_lo,
-                    v_hi,
-                    lambda v: np.exp(-v),
-                    lambda v, alpha=alpha, g=inv_gamma: g * np.exp(-v) * v ** (alpha - 1.0),
-                    max_panel=2.0,
-                )
-            )
-        if cut > mid:
-            q = max(1.0, math.ceil(3.0 / alpha))
-            slo = (1.0 - cut) ** (1.0 / q) if cut < 1.0 else 0.0
-            shi = (1.0 - mid) ** (1.0 / q)
-
-            def w_right(s, q=q, alpha=alpha, g=inv_gamma):
-                u = s**q
-                return g * (-np.log1p(-u)) ** (alpha - 1.0) * q * s ** (q - 1.0)
-
-            out.append(Chart(slo, shi, lambda s, q=q: 1.0 - s**q, w_right))
-        return tuple(out)
+        q = max(1.0, math.ceil(3.0 / alpha))
+        return (
+            Chart(-math.log(0.5), 60.0 + 12.0 * alpha, lambda v: np.exp(-v),
+                  lambda v: inv_gamma * np.exp(-v) * v ** (alpha - 1.0), max_panel=2.0),
+            Chart(0.0, 0.5 ** (1.0 / q), lambda s: 1.0 - s**q,
+                  lambda s: inv_gamma * (-np.log1p(-s**q)) ** (alpha - 1.0) * q * s ** (q - 1.0)),
+        )
 
     def moment(self, n, tol=None):
         """(n + 1)**-alpha; ``tol`` is unused, the value is exact to rounding."""
@@ -350,17 +317,10 @@ class Table:
         out = np.interp(t, self.grid, self.values)
         return np.where((t < self.grid[0]) | (t > self.grid[-1]), 0.0, out)
 
-    def charts(self, cut=1.0):
-        cut = float(cut)
-        out = []
-        for lo, hi in zip(self.grid, self.grid[1:]):
-            hi = min(hi, cut)
-            if hi <= lo:
-                break
-            out.append(
-                Chart(lo, hi, lambda s: s, lambda s, self=self: np.interp(s, self.grid, self.values))
-            )
-        return tuple(out)
+    def charts(self):
+        """One identity chart per segment of the grid, weighted by the interpolant."""
+        weight = partial(np.interp, xp=self.grid, fp=self.values)
+        return tuple(Chart(lo, hi, lambda s: s, weight) for lo, hi in zip(self.grid, self.grid[1:]))
 
     def moment(self, n, tol=1e-12):
         """The integral of t**n against the density, by adaptive quadrature to ``tol``.
@@ -476,21 +436,14 @@ class Measure:
         """Integrate a (possibly complex-valued) vectorized function against the measure.
 
         Atoms are added exactly; each density chart gets an adaptive pass
-        with its share of the tolerance.  Raises
+        with an equal share of the tolerance.  Raises
         :class:`~cmharmonic.quadrature.QuadratureError` when refinement
-        cannot reach the requested tolerance.  This is
-        :meth:`integrate_below` at cut 1, which keeps every chart and atom.
+        cannot reach the requested tolerance.
         """
-        return self.integrate_below(integrand, 1.0, tol)
-
-    def integrate_below(self, integrand, cut, tol=1e-10):
-        """Like :meth:`integrate` but restricted to t <= cut (atoms above cut dropped)."""
-        pieces = [(d, ch) for d in self.densities for ch in d.charts(cut=cut)]
+        pieces = [(d, ch) for d in self.densities for ch in d.charts()]
         tol_piece = tol / max(1, len(pieces))
         total = 0.0
         for d, ch in pieces:
-            if ch.hi <= ch.lo:
-                continue
             val, _ = adaptive_quad(
                 lambda s, ch=ch: np.asarray(integrand(ch.to_t(s))) * ch.weight(s),
                 ch.lo,
@@ -499,11 +452,20 @@ class Measure:
             )
             total = total + d.weight * val
         for a in self.atoms:
-            if a.t <= cut:
-                total = total + a.w * complex(integrand(np.asarray(a.t)))
+            total = total + a.w * complex(integrand(np.asarray(a.t)))
         if isinstance(total, complex) and total.imag == 0.0:
             return total.real
         return total
+
+    def integrate_below(self, integrand, cut, tol=1e-10):
+        """:meth:`integrate` of the integrand times the indicator of t <= cut.
+
+        The mask drops atoms above the cut along with the density beyond it;
+        the jump at the cut is left to the adaptive refinement.  Nothing in
+        the package truncates: this delegate is kept as the entry point
+        ``perfbench/spans.py`` wraps by name.
+        """
+        return self.integrate(lambda t: np.asarray(integrand(t)) * (np.asarray(t) <= cut), tol)
 
     def moment(self, n, tol=1e-12):
         """n-th power moment: exact atom sums plus each density family's ``moment(n)``.

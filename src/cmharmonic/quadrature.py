@@ -17,6 +17,8 @@ _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 # Panels per integrand call: a level of up to 16384 panels is evaluated in
 # slices, so the working set stays a few MB whatever the integrand.
 _PANELS_PER_EVAL = 512
+# Gauss-Legendre points per panel of the composite rule.
+COMPOSITE_ORDER = 15
 
 
 def _leggauss(n):
@@ -133,9 +135,9 @@ def graded_edges(lo, hi, levels=12, max_panel=None):
     return np.asarray(edges)
 
 
-def composite_rule(edges, order=15):
-    """Nodes and weights of the composite Gauss-Legendre rule on ``edges``."""
-    x, w = _leggauss(order)
+def composite_rule(edges):
+    """Nodes and weights of the composite ``COMPOSITE_ORDER``-point Gauss-Legendre rule on ``edges``."""
+    x, w = _leggauss(COMPOSITE_ORDER)
     edges = np.asarray(edges, dtype=float)
     lo = edges[:-1]
     hi = edges[1:]

@@ -284,6 +284,9 @@ def certify_hypergeom_map(a, c, a2, c2, b, k, grid=None, spot_check=True):
     Branch (i): a >= a2, c - a <= c2 - a2 and 2b <= k < 1.  Branch (ii):
     a2 >= a, 2 < c2 - a2 <= c - a and b M <= k with the gamma-free constant
     M; that branch also reports the closed-form derivative limit h'(1-).
+    Its test 2 < c2 - a2 is g'(1-) < inf, read from the beta(a2, c2)
+    endpoint moment, so a c2 - a2 that equals 2 up to rounding counts as
+    divergent here as it does in :func:`certify_qc_boundary_limit`.
     """
     if not (c > a > 0 and c2 > a2 > 0):
         raise ValueError("parameters must satisfy c > a > 0 and c2 > a2 > 0")
@@ -296,7 +299,7 @@ def certify_hypergeom_map(a, c, a2, c2, b, k, grid=None, spot_check=True):
         method = "hypergeom"
         details["branch"] = "floor"
         details["claimed_bound"] = 2.0 * b
-    elif a2 >= a and 2.0 < (c2 - a2) <= (c - a):
+    elif a2 >= a and math.isfinite(Beta(a2, c2).endpoint_moment(2)) and (c2 - a2) <= (c - a):
         m_const = hyp_ratio_constant(a, c, a2, c2)
         details["branch"] = "boundary-limit"
         details["M"] = m_const

@@ -4,7 +4,7 @@
 plane (the complex plane minus the ray [1, oo)); the shifted variant
 ``z F(z)`` fixes the origin with unit derivative.  Evaluations reject points
 within 1e-12 of the slit, where the kernel blows up and quadrature is
-meaningless.
+meaningless, and points that are not finite.
 """
 
 from __future__ import annotations
@@ -30,10 +30,14 @@ __all__ = [
 ]
 
 SLIT_MARGIN = 1e-12
+# Allowance below zero, and above zero for gaps, that the sample checks accept.
+CHECK_SLACK = 1e-9
+# Quadrature tolerance of the disk floor of Re F.
+FLOOR_TOL = 1e-11
 
 
 class SlitDomainError(ValueError):
-    """Evaluation point on or too near the ray [1, oo)."""
+    """Evaluation point not finite, or on or too near the ray [1, oo)."""
 
 
 def slit_distance(z):
@@ -43,22 +47,25 @@ def slit_distance(z):
     return abs(z - 1.0)
 
 
+def _outside_domain(z):
+    """Mask of the points of ``z`` outside the evaluation domain.
+
+    A point is outside when it is not finite or lies within ``SLIT_MARGIN``
+    of the slit; the distance test is written so that NaN fails it.
+    """
+    z = np.asarray(z, dtype=complex)
+    dist = np.where(z.real >= 1.0, np.abs(z.imag), np.abs(z - 1.0))
+    return ~np.isfinite(z) | ~(dist >= SLIT_MARGIN)
+
+
 def _check_slit(z):
-    if slit_distance(z) < SLIT_MARGIN:
-        raise SlitDomainError(f"point {z!r} within {SLIT_MARGIN:g} of the slit [1, oo)")
-
-
-def _near_slit(flat):
-    """Mask of the points of a complex array within ``SLIT_MARGIN`` of the slit."""
-    dist = np.where(flat.real >= 1.0, np.abs(flat.imag), np.abs(flat - 1.0))
-    return dist < SLIT_MARGIN
-
-
-def _check_slit_array(flat):
-    bad = _near_slit(flat)
+    """Raise :class:`SlitDomainError` at the first point of ``z`` (scalar or array) outside the domain."""
+    bad = np.ravel(_outside_domain(z))
     if np.any(bad):
-        z = flat[int(np.argmax(bad))]
-        raise SlitDomainError(f"point {z!r} within {SLIT_MARGIN:g} of the slit [1, oo)")
+        p = complex(np.ravel(z)[int(np.argmax(bad))])
+        if not np.isfinite(p):
+            raise SlitDomainError(f"point {p!r} is not finite")
+        raise SlitDomainError(f"point {p!r} within {SLIT_MARGIN:g} of the slit [1, oo)")
 
 
 @dataclass(frozen=True)
@@ -235,7 +242,7 @@ def _kernel_sums(zs, t, w, power):
     """
     zs = np.asarray(zs, dtype=complex)
     flat = zs.ravel()
-    _check_slit_array(flat)
+    _check_slit(flat)
     rows = _block_rows(len(t))
     tc = t.astype(complex)
     out = np.empty(flat.shape, dtype=complex)
@@ -349,9 +356,9 @@ class CauchyTransform:
         """
         return ExtendedReal(self.mu.endpoint_moment(1))
 
-    def real_part_floor(self, tol=1e-11):
-        """The lower bound ``integral of 1/(1+t) d mu`` for Re F on the disk."""
-        return float(self.mu.integrate(lambda t: 1.0 / (1.0 + t), tol=tol).real)
+    def real_part_floor(self):
+        """The lower bound ``integral of 1/(1+t) d mu`` for Re F on the disk, to ``FLOOR_TOL``."""
+        return float(self.mu.integrate(lambda t: 1.0 / (1.0 + t), tol=FLOOR_TOL).real)
 
 
 @dataclass(frozen=True)
@@ -467,12 +474,12 @@ def _upper_imag(F, grid):
     im = _rect_kernel_sums(x, y, t, w, 1)
     im *= y
     im = im.ravel()
-    bad = _near_slit(grid.rect_points())
+    bad = _outside_domain(grid.rect_points())
     im[bad] = np.nan
     return im, int(bad.sum())
 
 
-def check_membership(fn, grid=None, slack=1e-9):
+def check_membership(fn, grid=None):
     """Probe a function for transform-class consistency on the default grids.
 
     ``fn`` may be a :class:`CauchyTransform` or any callable on complex
@@ -483,7 +490,7 @@ def check_membership(fn, grid=None, slack=1e-9):
     values; the real ray and F(0) use :meth:`CauchyTransform.values`, and
     any other callable goes through vector-then-per-node evaluation.  A
     probe with no finite value on the rectangle or on the ray is never
-    consistent.
+    consistent.  Each probe may miss by ``CHECK_SLACK``.
     """
     grid = grid or GridSpec()
     if isinstance(fn, CauchyTransform):
@@ -506,10 +513,10 @@ def check_membership(fn, grid=None, slack=1e-9):
     consistent = (
         ray_ok.size > 0
         and upper_ok.size > 0
-        and f0_gap <= slack
-        and min_re_ray >= -slack
-        and max_abs_im_ray <= slack
-        and min_im_upper >= -slack
+        and f0_gap <= CHECK_SLACK
+        and min_re_ray >= -CHECK_SLACK
+        and max_abs_im_ray <= CHECK_SLACK
+        and min_im_upper >= -CHECK_SLACK
     )
     return MembershipReport(
         consistent=bool(consistent),
@@ -518,5 +525,5 @@ def check_membership(fn, grid=None, slack=1e-9):
         max_abs_im_ray=max_abs_im_ray,
         min_im_upper=min_im_upper,
         skipped=skipped,
-        slack=slack,
+        slack=CHECK_SLACK,
     )

@@ -273,6 +273,55 @@ def test_render_rejects_curve_outside_disk(tmp_path):
     assert run_cli("render", spec, "--curve", "segment", "--x0=-2", "--x1=0").returncode == 2
 
 
+DENSITY_MAP = {
+    "h": {"densities": [{"family": "beta", "a": 1, "c": 3}]},
+    "g": {"densities": [{"family": "lebesgue"}]},
+    "c": 0.3,
+}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("eval", "--z", "nan"),
+        ("eval", "--z=-inf"),
+        ("eval", "--z", "nan+1j"),
+        ("dilatation", "--z", "nan"),
+        ("render", "--curve", "segment", "--y", "nan", "--n", "3"),
+    ],
+)
+def test_non_finite_points_exit_2(tmp_path, args):
+    # NaN fails every distance comparison and -inf lies infinitely far from
+    # the slit, so a distance test alone lets both through to a "nan" result
+    spec = write(tmp_path, "map.json", DENSITY_MAP)
+    res = run_cli(args[0], spec, *args[1:])
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "is not finite" in res.stderr
+
+
+def test_moments_count_must_be_nonnegative(tmp_path):
+    mu = write(tmp_path, "mu.json", {"densities": [{"family": "beta", "a": 1, "c": 3}]})
+    res = run_cli("moments", mu, "--count", "-2")
+    assert (res.returncode, res.stdout) == (2, "")
+    assert "count must be nonnegative" in res.stderr
+    res = run_cli("moments", mu, "--count", "0")
+    assert (res.returncode, res.stdout) == (0, "[]\n")
+
+
+def test_certify_hyp_within_rounding_of_the_divergent_band_exits_2(tmp_path):
+    # c2 - a2 computes to 2.0000000000000004, which thm1.9 reads as a divergent
+    # g'(1-); an exact test 2 < c2 - a2 would certify with M = 7132129186994138
+    spec = write(
+        tmp_path,
+        "hyp.json",
+        {"a": 1, "c": 4, "a2": 2.622804003712431, "c2": 4.622804003712432, "b": 3.5e-17},
+    )
+    res = run_cli("certify", spec, "--method", "hyp", "--k", "0.5")
+    assert res.returncode == 2
+    assert json.loads(res.stdout)["status"] == "inconclusive"
+
+
 def test_rect_flag(tmp_path):
     fmap = write(tmp_path, "f.json", {"h": F1_ID["h"], "g": F1_ID["h"], "c": 0.5})
     res = run_cli("verify-thm", "1.3", fmap, "--rect=-2,0.9,0.05,2,15,15")

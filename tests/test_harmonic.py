@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -440,6 +441,29 @@ def test_series_part_radius_guard_and_coeff_limit():
     for fn in ("values", "derivs", "deriv2s"):
         with pytest.raises(ValueError):
             getattr(part, fn)(np.array([0.1, -0.96, 0.2j]))
+
+
+@pytest.mark.parametrize(
+    "z", [complex(math.nan, 0.0), complex(-math.inf, 0.0), complex(math.nan, 0.3)], ids=repr
+)
+def test_non_finite_points_are_rejected_by_every_part(z):
+    # np.abs(nan) > radius is False, so the radius guard is written to fail on NaN
+    part = SeriesPart((1.0, 0.5), radius=0.95)
+    for fn in ("value", "deriv", "deriv2"):
+        with pytest.raises(ValueError, match="only evaluable"):
+            getattr(part, fn)(z)
+    for fn in ("values", "derivs", "deriv2s"):
+        with pytest.raises(ValueError, match="only evaluable"):
+            getattr(part, fn)(np.array([0.1, z]))
+    # a convolution part scales z by its rule points, t = 0 included, so
+    # -inf would turn into a NaN copy (with a warning) before any check
+    conv = make_convolution_map(shifted(lebesgue()), beta_measure(1.0, 3.0), 0.3).g
+    for fn in ("value", "deriv", "deriv2"):
+        with pytest.raises(ValueError, match=re.escape(f"point {z!r} is not finite")):
+            getattr(conv, fn)(z)
+    for fn in ("values", "derivs", "deriv2s"):
+        with pytest.raises(ValueError, match="not finite"):
+            getattr(conv, fn)(np.array([0.1, z]))
 
 
 def test_convex_combination():

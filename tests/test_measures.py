@@ -317,6 +317,21 @@ def test_integrate_is_integrate_below_at_one():
             assert np.array([got]).tobytes() == np.array([ref]).tobytes()
 
 
+def test_integrate_below_cut_masks_density_and_atoms():
+    # integrate_below is integrate of the integrand times 1[t <= cut];
+    # beta(2, 5) has density 12 t (1 - t)^2, so mass 6 x^2 - 8 x^3 + 3 x^4 below x
+    got = beta_measure(2.0, 5.0).integrate_below(lambda t: np.ones_like(t), 0.3, 1e-12)
+    assert got == pytest.approx(0.3483, abs=1e-12)
+    assert lebesgue().integrate_below(lambda t: t, 0.5, 1e-12) == pytest.approx(0.125, abs=1e-12)
+    atoms = Measure(((0.3, 0.5), (0.7, 0.5)))
+    assert atoms.integrate_below(lambda t: t, 0.5, 1e-12) == pytest.approx(0.15, abs=1e-12)
+    assert atoms.integrate_below(lambda t: t, 0.7, 1e-12) == pytest.approx(0.5, abs=1e-12)
+    # a cut at or past 1 keeps everything
+    assert _FOUR_FAMILIES.integrate_below(lambda t: t**2, 1.0, 1e-12) == pytest.approx(
+        _FOUR_FAMILIES.moment(2), abs=1e-12
+    )
+
+
 def test_mix_and_scaled_reweight_every_family():
     # the reweighted density equals the family constructed directly with the
     # new weight; a table keeps its (already normalized) values

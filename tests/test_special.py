@@ -334,22 +334,36 @@ def _cross_route_check(h_mu, g_mu, m_const, closed, s, k=0.5):
     assert ring.sup_estimate <= cert.sup_estimate * (1.0 + 1e-12)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     st.floats(0.3, 3.0),
     st.floats(0.0, 2.0),
     st.floats(2.0, 6.0, exclude_min=True),
     st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     st.floats(0.05, 0.95),
+    st.none() | st.floats(-4e-12, 4e-12),
 )
-def test_hyp_boundary_branch_agrees_with_thm19(a, da, gap, shrink, s):
+def test_hyp_boundary_branch_agrees_with_thm19(a, da, gap, shrink, s, band):
+    # c2 - a2 lies above 2, or (band drawn) within a few 1e-12 of 2, where the
+    # endpoint calculus counts it as 2 and g'(1-) diverges
     a2 = a + da
-    c, c2 = a + gap, a2 + 2.0 + (gap - 2.0) * shrink
-    assume(a2 >= a and 2.0 < c2 - a2 <= c - a)  # branch (ii) as the library computes it
-    # hyp compares c2 - a2 with 2 exactly, the endpoint calculus up to rounding:
-    # at c2 - a2 = 2.0000000000000004 hyp finds M = 7e15 and thm1.9 F(1-) = inf.
-    # Deciding that band is part of the open parameter rules, so it is left out.
-    assume(not same_exponent(c2 - a2, 2.0))
+    c, c2 = a + gap, a2 + 2.0 + ((gap - 2.0) * shrink if band is None else band)
+    assume(a2 >= a and c2 - a2 <= c - a)
+    if same_exponent(c2 - a2, 2.0):
+        # hyp's M is huge or undefined here and thm1.9 reads F(1-) = inf: hyp
+        # must not certify at the scale that would pass its bound test
+        assume(not same_exponent(c - a, 2.0))  # h'(1-) finite
+        try:
+            scale = s / abs(hyp_ratio_constant(a, c, a2, c2))
+        except ValueError:  # c2 - a2 computed to exactly 2
+            scale = s * 1e-16
+        cert = certify_hypergeom_map(a, c, a2, c2, scale, 0.5, spot_check=False)
+        assert cert.status == "inconclusive"
+        h, g = shifted(beta_measure(a, c)), shifted(beta_measure(a2, c2))
+        thm = certify_qc_boundary_limit(h, g, scale, 0.5)
+        assert (thm.status, thm.details["path"]) == ("violated", "divergent")
+        return
+    assume(2.0 < c2 - a2)  # branch (ii)
     m_const = hyp_ratio_constant(a, c, a2, c2)
     _cross_route_check(
         beta_measure(a, c), beta_measure(a2, c2), m_const,

@@ -91,6 +91,37 @@ def test_slit_guard():
         FLEB.values(np.array([0.5, 1.25 + 0j]))
 
 
+_NON_FINITE = [
+    complex(math.nan, 0.0),
+    complex(math.inf, 0.0),
+    complex(-math.inf, 0.0),
+    complex(math.nan, 1.0),
+    complex(0.0, math.inf),
+    complex(0.5, -math.inf),
+    complex(math.inf, math.nan),
+]
+
+
+@pytest.mark.parametrize("z", _NON_FINITE, ids=repr)
+def test_non_finite_points_are_rejected(z):
+    # NaN fails every distance comparison and -inf lies infinitely far from
+    # the slit, so a distance test alone lets both through to a NaN result
+    h = ShiftedCauchyTransform(FLEB)
+    for scalar in (FLEB.eval, h.value, h.deriv, h.deriv2):
+        with pytest.raises(SlitDomainError, match="is not finite"):
+            scalar(z)
+    for vector in (FLEB.values, h.values, h.derivs, h.deriv2s):
+        with pytest.raises(SlitDomainError, match="is not finite"):
+            vector(np.array([0.5, z, 0.25j]))
+
+
+def test_slit_message_names_the_first_bad_point():
+    with pytest.raises(SlitDomainError, match=r"point \(1\.25\+0j\) within 1e-12 of the slit"):
+        FLEB.values(np.array([0.5, 1.25 + 0j, complex(math.nan, 0.0)]))
+    with pytest.raises(SlitDomainError, match=r"point \(nan\+0j\) is not finite"):
+        FLEB.values(np.array([[0.5, complex(math.nan, 0.0)], [1.25 + 0j, 0.0]]))
+
+
 def test_requires_probability_measure():
     with pytest.raises(ValueError):
         CauchyTransform(dirac(0.5).scaled(2.0))
