@@ -71,6 +71,22 @@ def shifted(mu):
     return ShiftedCauchyTransform.from_measure(mu)
 
 
+def _measures(*parts):
+    """The representing measures of ``parts``; ``TypeError`` unless each is a shifted transform."""
+    for part in parts:
+        if not isinstance(part, ShiftedCauchyTransform):
+            raise TypeError(f"this operation needs measure-backed parts, got {type(part).__name__}")
+    return tuple(part.mu for part in parts)
+
+
+def _real_c(c):
+    """``c`` as a float; ``ValueError`` unless it is real and in [0, 1) (NaN is not)."""
+    z = complex(c)
+    if z.imag != 0.0 or not 0.0 <= z.real < 1.0:
+        raise ValueError(f"c must be real in [0, 1), got {c!r}")
+    return z.real
+
+
 # -- alternative part representations ----------------------------------------
 
 
@@ -153,9 +169,8 @@ class ConvolutionPart(_VectorPart):
     nu: Measure
 
     def __post_init__(self):
-        if not isinstance(self.h, ShiftedCauchyTransform):
-            raise TypeError("convolution part needs a measure-backed analytic part")
-        if abs(self.nu.mass - 1.0) > 1e-10:
+        _measures(self.h)
+        if not self.nu.is_normalized:
             raise ValueError("convolution factor must be a probability measure")
 
     def _scaled_sums(self, sums, zs, weights):
@@ -210,10 +225,7 @@ class HarmonicMap:
 
     @property
     def real_c(self):
-        c = complex(self.c)
-        if c.imag != 0.0 or not 0.0 <= c.real < 1.0:
-            raise ValueError(f"this operation needs real c in [0, 1), got {self.c!r}")
-        return c.real
+        return _real_c(self.c)
 
     def eval(self, z, tol=1e-10):
         z = complex(z)
@@ -383,8 +395,9 @@ class ModulusBoundReport:
 
 
 def radial_limit(f):
-    """lim of f(-r) as r -> 1-, finite for every map of this class."""
+    """lim of f(-r) as r -> 1-, finite for every map with real c and measure-backed parts."""
     c = f.real_c
+    _measures(f.h, f.g)
     return -(f.h.base.real_part_floor() + c * f.g.base.real_part_floor())
 
 
@@ -392,16 +405,15 @@ def check_modulus_bound(f, a=None, samples=None):
     """Verify the radial lower bound for |a + f| on the given sample points.
 
     ``a`` defaults to the smallest nonnegative constant that keeps the
-    boundary limit nonnegative.  Needs real c in [0, 1) and measure-backed
-    parts (the limit is a closed-form integral against each measure).  Both
-    margins may dip to ``-CHECK_SLACK``.
+    boundary limit nonnegative; a given ``a`` must be finite and
+    nonnegative.  The map must suit :func:`radial_limit`.  Both margins may
+    dip to ``-CHECK_SLACK``.
     """
-    c = f.real_c
-    if not isinstance(f.h, ShiftedCauchyTransform) or not isinstance(f.g, ShiftedCauchyTransform):
-        raise TypeError("modulus bound needs measure-backed parts")
     limit = radial_limit(f)
     if a is None:
         a = max(0.0, -limit)
+    if not math.isfinite(a):
+        raise ValueError(f"the shift a must be finite, got {a!r}")
     if a < 0:
         raise ValueError("the shift a must be nonnegative")
     zs = np.asarray(samples if samples is not None else GridSpec().disk_points(), dtype=complex)
@@ -490,18 +502,6 @@ def _signed_nonneg_probe(mu, nu, c):
     return True, None
 
 
-def _sign_kernel_sums(x, y, t, weights):
-    """``kern @ weights`` on the tensor grid x + i y, in ``rect_points`` order.
-
-    ``kern = 2 y t a / (a^2 + (y t)^2)^2`` with ``a = 1 - x t``, the
-    factored form of ``2 y t (1 - x t) / (1 - 2 x t + t^2 |z|^2)^2``:
-    ``2 y`` times the power-2 kernel of ``transforms._rect_kernel_sums``.
-    """
-    out = _rect_kernel_sums(x, y, t, weights, 2)
-    out *= 2.0 * y[:, None]
-    return out.reshape(len(x) * len(y), weights.shape[1])
-
-
 def check_partial_signs(f, grid=None, slack=CHECK_SLACK):
     """Evaluate both partial-sign integrals on the half-plane grid and its mirror.
 
@@ -510,16 +510,13 @@ def check_partial_signs(f, grid=None, slack=CHECK_SLACK):
     scale are exactly even in y: every mirror node repeats the value of its
     image and is counted with it.  When mu equals nu (structurally, so two
     equal measures parsed apart count too) the rules merge into one with
-    weights (1 + c) w and (1 - c) w.  The kernel is taken in its factored
-    form over the rectangle's x and y axes (see ``_sign_kernel_sums``),
+    weights (1 + c) w and (1 - c) w.  The kernel is twice the power-2 one
+    of ``transforms._rect_kernel_sums``, factored over the rectangle's axes,
     which also avoids the cancellation in 1 - 2 x t + t^2 |z|^2.  Nodes
     whose kernel scale is at most ``DEGENERATE_TOL`` are degenerate.
     """
     c = f.real_c
-    if not isinstance(f.h, ShiftedCauchyTransform) or not isinstance(f.g, ShiftedCauchyTransform):
-        raise TypeError("partial-sign check needs measure-backed parts")
-    mu = f.h.mu
-    nu = f.g.mu
+    mu, nu = _measures(f.h, f.g)
     grid = grid or GridSpec()
     x, y = grid._rect_axes()
 
@@ -537,7 +534,9 @@ def check_partial_signs(f, grid=None, slack=CHECK_SLACK):
 
     # For y > 0, x < 1 and t in [0, 1] the kernel is nonnegative, so the
     # degeneracy scale sum |kern| |w+| is one more column of the same sums.
-    sums = _sign_kernel_sums(x, y, t, np.stack([np.abs(w_plus), w_plus, w_minus], axis=1))
+    weights = np.stack([np.abs(w_plus), w_plus, w_minus], axis=1)
+    sums = _rect_kernel_sums(x, y, t, weights, 2).reshape(-1, 3)
+    sums *= 2.0
     deg = sums[:, 0] <= DEGENERATE_TOL
     live = ~deg
     y_live = np.tile(y, len(x))[live]
@@ -582,20 +581,14 @@ def convex_combination(f1, f2, s):
     """Mix two maps with the same c by mixing their representing measures."""
     if complex(f1.c) != complex(f2.c):
         raise ValueError(f"c mismatch: {f1.c!r} vs {f2.c!r}")
-    if not isinstance(f1.h, ShiftedCauchyTransform) or not isinstance(f2.h, ShiftedCauchyTransform):
-        raise TypeError("convex combination needs measure-backed parts")
-    return HarmonicMap(
-        shifted(mix(f1.h.mu, f2.h.mu, s)),
-        shifted(mix(f1.g.mu, f2.g.mu, s)),
-        f1.c,
-    )
+    mu1, nu1, mu2, nu2 = _measures(f1.h, f1.g, f2.h, f2.g)
+    return HarmonicMap(shifted(mix(mu1, mu2, s)), shifted(mix(nu1, nu2, s)), f1.c)
 
 
 def make_convolution_map(h, nu, c):
     """Map whose co-analytic part is the Hadamard product of h with nu's generator."""
-    if not 0.0 <= float(c) < 1.0:
-        raise ValueError(f"c must be real in [0, 1), got {c!r}")
-    return HarmonicMap(h, ConvolutionPart(h, nu), float(c))
+    c = _real_c(c)
+    return HarmonicMap(h, ConvolutionPart(h, nu), c)
 
 
 # -- derivative-ratio machinery ---------------------------------------------------
@@ -902,12 +895,9 @@ def certify_qc_boundary_limit(h, g, c, k):
     (Karlin, Total Positivity, 1968).  F(1-) below 1 by more than
     CROSS_SLACK refutes it, and the certificate is then inconclusive.
     """
-    if not 0.0 <= float(c) < 1.0:
-        raise ValueError(f"c must be real in [0, 1), got {c!r}")
-    c = float(c)
-    if not isinstance(h, ShiftedCauchyTransform) or not isinstance(g, ShiftedCauchyTransform):
-        raise TypeError("boundary-limit certificate needs measure-backed parts")
-    ratio = density_ratio_condition(h.mu, g.mu)
+    c = _real_c(c)
+    mu, nu = _measures(h, g)
+    ratio = density_ratio_condition(mu, nu)
     if not ratio.holds:
         return QCCertificate(
             "thm1.9",
@@ -919,7 +909,7 @@ def certify_qc_boundary_limit(h, g, c, k):
             },
         )
 
-    f_limit, path, details = _derivative_quotient_limit(h.mu, g.mu)
+    f_limit, path, details = _derivative_quotient_limit(mu, nu)
     details = {"f_limit": float(f_limit), "path": path, **details}
     if f_limit < 1.0 - CROSS_SLACK:
         reason = "boundary limit below 1 contradicts the cross inequality"

@@ -26,7 +26,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .quadrature import adaptive_quad, composite_rule, graded_edges
+from .quadrature import _check_tol, adaptive_quad, composite_rule, graded_edges
 
 __all__ = [
     "Atom",
@@ -49,7 +49,7 @@ __all__ = [
     "same_exponent",
 ]
 
-MASS_TOL = 1e-12
+MASS_TOL = 1e-10  # of Measure.is_normalized, which transforms and convolution factors need
 DENSITY_CHECK_TOL = 1e-10
 # Endpoint exponents this close (relative, or absolute near 0) count as equal.
 # Beta's exponent c - a is a computed difference, and decimal parameters miss
@@ -428,6 +428,7 @@ class Measure:
 
     @property
     def is_normalized(self):
+        """Whether the total mass is 1 within ``MASS_TOL``."""
         return abs(self.mass - 1.0) <= MASS_TOL
 
     # -- quadrature ---------------------------------------------------------
@@ -436,10 +437,12 @@ class Measure:
         """Integrate a (possibly complex-valued) vectorized function against the measure.
 
         Atoms are added exactly; each density chart gets an adaptive pass
-        with an equal share of the tolerance.  Raises
+        with an equal share of the tolerance, which must be finite and
+        nonnegative (atoms-only measures check it too).  Raises
         :class:`~cmharmonic.quadrature.QuadratureError` when refinement
         cannot reach the requested tolerance.
         """
+        _check_tol(tol)
         pieces = [(d, ch) for d in self.densities for ch in d.charts()]
         tol_piece = tol / max(1, len(pieces))
         total = 0.0
@@ -471,10 +474,12 @@ class Measure:
         """n-th power moment: exact atom sums plus each density family's ``moment(n)``.
 
         Lebesgue, beta and log-power densities have closed forms; tables
-        integrate to ``tol``, shared out between them.
+        integrate to ``tol``, shared out between them.  ``tol`` must be
+        finite and nonnegative whichever families are present.
         """
         if n < 0 or n != int(n):
             raise ValueError(f"moment order must be a nonnegative integer, got {n!r}")
+        _check_tol(tol)
         n = int(n)
         tol_piece = tol / max(1, len(self.densities))
         total = sum(a.w * a.t**n for a in self.atoms)

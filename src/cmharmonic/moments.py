@@ -13,6 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .quadrature import _check_tol
+
 __all__ = [
     "MomentSequence",
     "DifferenceTable",
@@ -146,10 +148,7 @@ def is_completely_monotone(seq, tol=0.0):
     Differences are visited in lexicographic (k, n) order so the reported
     violation is the first one.  ``tol`` must be finite and nonnegative.
     """
-    if not math.isfinite(tol):
-        raise ValueError(f"tolerance must be finite, got {tol!r}")
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    _check_tol(tol)
     seq = seq if isinstance(seq, MomentSequence) else MomentSequence(seq)
     table = seq.table
     for k, row in enumerate(table.rows):

@@ -9,6 +9,8 @@ the identical sequence of floating operations.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["QuadratureError", "adaptive_quad", "graded_edges", "composite_rule"]
@@ -27,6 +29,14 @@ def _leggauss(n):
     return _GL_CACHE[n]
 
 
+def _check_tol(tol):
+    """Raise ``ValueError`` unless ``tol`` is finite and nonnegative; 0 means to rounding."""
+    if not math.isfinite(tol):
+        raise ValueError(f"tolerance must be finite, got {tol!r}")
+    if tol < 0:
+        raise ValueError("tolerance must be nonnegative")
+
+
 class QuadratureError(RuntimeError):
     """Requested tolerance was not met; carries the best available estimate."""
 
@@ -43,8 +53,10 @@ def adaptive_quad(f, a, b, tol=1e-10, max_depth=48):
     7/15-point discrepancy fits its proportional share of ``tol``; panels
     still failing at ``max_depth`` are summed anyway and, if the accumulated
     estimate misses ``tol``, a :class:`QuadratureError` carrying the partial
-    result is raised.
+    result is raised.  ``tol`` must be finite and nonnegative; 0 asks for
+    the rounding floor.
     """
+    _check_tol(tol)
     a = float(a)
     b = float(b)
     if not b > a:

@@ -196,6 +196,13 @@ def shifted_2f1(a, c, z, tol=1e-12):
 # -- closed-form certificates ---------------------------------------------------
 
 
+def _check_finite(**params):
+    """Raise ``ValueError`` naming the first parameter that is NaN or infinite."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"parameter {name} must be finite, got {value!r}")
+
+
 def _spot_checked(method, k, details, grid, spot_check, make_map):
     """Certificate for a closed-form bound that holds, with the optional grid spot check.
 
@@ -221,11 +228,13 @@ def certify_polylog_map(alpha, beta, c, k, grid=None, spot_check=True):
     Branch thm1.7i applies when alpha <= beta and 2c <= k < 1; branch
     thm1.7ii when 2 < beta <= alpha and c zeta(beta-1)/zeta(alpha-1) <= k.
     Neither branch applying yields an inconclusive certificate (no claim).
-    Orders below 1 are refused outright.
+    Orders below 1, a negative c and parameters that are NaN or infinite
+    are refused outright.
     """
-    if alpha < 1.0 or beta < 1.0:
+    _check_finite(alpha=alpha, beta=beta, c=c)
+    if not (alpha >= 1.0 and beta >= 1.0):
         raise ValueError("certification requires both orders at least 1")
-    if c < 0.0:
+    if not c >= 0.0:
         raise ValueError("c must be nonnegative")
 
     method = None
@@ -261,19 +270,22 @@ def hyp_ratio_constant(a, c, a2, c2):
 
 
 def shifted_2f1_deriv_limit(a, c):
-    """Closed-form boundary limit (c-1)(c-2)/((c-a-1)(c-a-2)) of the derivative."""
-    if not c - a > 2.0:
+    """Boundary limit (c-1)(c-2)/((c-a-1)(c-a-2)) of the derivative, ``Beta(a, c).endpoint_moment(2)``.
+
+    Raises ``ValueError`` where that is infinite: c - a <= 2 up to rounding.
+    """
+    limit = Beta(a, c).endpoint_moment(2)
+    if not math.isfinite(limit):
         raise ValueError("finite derivative limit needs c - a > 2")
-    return (c - 1.0) * (c - 2.0) / ((c - a - 1.0) * (c - a - 2.0))
+    return limit
 
 
 def shifted_2f1_deriv_limit_quad(a, c):
     """The same limit as the endpoint moment ``integral of (1 - t)**-2`` of the beta(a, c) density.
 
-    :meth:`Beta.endpoint_moment` evaluates the same product of Gamma
-    quotients as :func:`shifted_2f1_deriv_limit`, so this is no independent
-    check of it; it is +inf where that one raises (c - a <= 2).  No
-    quadrature is left; the name is kept for callers.
+    :func:`shifted_2f1_deriv_limit` returns this same value, so this is no
+    independent check of it; it is +inf where that one raises (c - a <= 2).
+    No quadrature is left; the name is kept for callers.
     """
     return Beta(a, c).endpoint_moment(2)
 
@@ -287,10 +299,12 @@ def certify_hypergeom_map(a, c, a2, c2, b, k, grid=None, spot_check=True):
     Its test 2 < c2 - a2 is g'(1-) < inf, read from the beta(a2, c2)
     endpoint moment, so a c2 - a2 that equals 2 up to rounding counts as
     divergent here as it does in :func:`certify_qc_boundary_limit`.
+    Parameters that are NaN or infinite are refused.
     """
+    _check_finite(a=a, c=c, a2=a2, c2=c2, b=b)
     if not (c > a > 0 and c2 > a2 > 0):
         raise ValueError("parameters must satisfy c > a > 0 and c2 > a2 > 0")
-    if b < 0.0:
+    if not b >= 0.0:
         raise ValueError("b must be nonnegative")
 
     method = None

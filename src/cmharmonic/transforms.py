@@ -268,16 +268,16 @@ def _kernel_sums(zs, t, w, power):
 def _rect_kernel_sums(x, y, t, weights, power):
     """``kern @ weights`` at every node x_i + i y_k of a tensor grid, power 1 or 2.
 
-    ``kern = t a**(power - 1) / (a^2 + (y t)^2)**power`` with ``a = 1 - x t``,
-    a real form of the Cauchy kernel off the real axis:
-    ``Im 1/(1 - t z) = y`` times the power-1 kernel, and the partial-sign
-    kernel ``2 y t (1 - x t) / |1 - t z|^4`` is ``2 y`` times the power-2
-    one.  The squares (y t)^2 are formed once per block of y values, and a,
-    a^2 and t a once per x, so each term costs one add and one divide (and
-    one square at power 2).  Two real block buffers are allocated once per
-    call with aligned rows (see :func:`_aligned_rows`), and the loop runs
-    under :func:`_kernel_bufsize` because the add and the divide broadcast
-    rows of the rule.  The result has shape
+    ``kern = y t a**(power - 1) / (a^2 + (y t)^2)**power`` with
+    ``a = 1 - x t``, a real form of the Cauchy kernel off the real axis:
+    ``Im 1/(1 - t z)`` at power 1, and half the partial-sign kernel
+    ``2 y t (1 - x t) / |1 - t z|^4`` at power 2.  The squares (y t)^2 are
+    formed once per block of y values, and a, a^2 and t a once per x, so
+    each term costs one add and one divide (and one square at power 2); y
+    multiplies the sums once, after the loop.  Two real block buffers are
+    allocated once per call with aligned rows (see :func:`_aligned_rows`),
+    and the loop runs under :func:`_kernel_bufsize` because the add and the
+    divide broadcast rows of the rule.  The result has shape
     ``(len(x), len(y)) + weights.shape[1:]``.
     """
     rows = _block_rows(len(t))
@@ -304,17 +304,18 @@ def _rect_kernel_sums(x, y, t, weights, power):
                     d *= d
                 np.divide(num, d, out=d)
                 np.matmul(d, weights, out=out[i, j : j + rows])
+    out *= y.reshape((-1,) + (1,) * (weights.ndim - 1))
     return out
 
 
 @dataclass(frozen=True)
 class CauchyTransform:
-    """Transform ``F(z)`` of a normalized measure; ``F(0) = 1``."""
+    """Transform ``F(z)`` of a probability measure (``mu.is_normalized``); ``F(0) = 1``."""
 
     mu: Measure
 
     def __post_init__(self):
-        if abs(self.mu.mass - 1.0) > 1e-10:
+        if not self.mu.is_normalized:
             raise ValueError(
                 f"transform needs a probability measure; mass is {self.mu.mass!r}"
             )
@@ -463,7 +464,7 @@ def _eval_grid(fn, pts):
 
 
 def _upper_imag(F, grid):
-    """Im F on ``grid.rect_points()`` through the real power-1 rectangle kernel.
+    """Im F on ``grid.rect_points()``: the power-1 rectangle kernel sums.
 
     ``Im F(x + i y) = y * sum_j t_j w_j / ((1 - x t_j)^2 + (y t_j)^2)``.
     Nodes within ``SLIT_MARGIN`` of the slit read NaN and are counted, as
@@ -471,9 +472,7 @@ def _upper_imag(F, grid):
     """
     x, y = grid._rect_axes()
     t, w = F.mu._rule
-    im = _rect_kernel_sums(x, y, t, w, 1)
-    im *= y
-    im = im.ravel()
+    im = _rect_kernel_sums(x, y, t, w, 1).ravel()
     bad = _outside_domain(grid.rect_points())
     im[bad] = np.nan
     return im, int(bad.sum())

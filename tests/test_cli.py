@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cmharmonic.cli import _json
+from cmharmonic.cli import _json, main
 from cmharmonic.harmonic import certify_qc_ratio_sup, derivative_ratio_sup, map_from_dict
 from cmharmonic.moments import is_completely_monotone
 
@@ -307,6 +307,49 @@ def test_moments_count_must_be_nonnegative(tmp_path):
     assert "count must be nonnegative" in res.stderr
     res = run_cli("moments", mu, "--count", "0")
     assert (res.returncode, res.stdout) == (0, "[]\n")
+
+
+_POLY = {"alpha": 4, "beta": 3, "c": 0.5}
+_HYP = {"a": 1, "c": 6, "a2": 2, "c2": 6, "b": 0.3}
+
+
+def _malformed_number_calls(value):
+    """(fixture name, fixture, argv after the path) for each place a number can be malformed."""
+    text = repr(value)  # nan, inf, -inf
+    beta = {"densities": [{"family": "beta", "a": 1, "c": 3}]}
+    table = {"densities": [{"family": "table", "grid": [0, 0.5, 1], "values": [1, 2, 1]}]}
+    calls = [
+        ("map.json", DENSITY_MAP, ["verify-thm", "1.2", "{}", f"--a={text}"]),
+        ("map.json", DENSITY_MAP, ["eval", "{}", "--z", "0.5", f"--tol={text}"]),
+        ("table.json", table, ["moments", "{}", f"--tol={text}"]),
+        ("beta.json", beta, ["moments", "{}", f"--tol={text}"]),
+    ]
+    for name in _POLY:
+        calls.append(("poly.json", dict(_POLY, **{name: value}), ["certify", "{}", "--method", "thm1.7", "--k", "0.7"]))
+    for name in _HYP:
+        calls.append(("hyp.json", dict(_HYP, **{name: value}), ["certify", "{}", "--method", "hyp", "--k", "0.7"]))
+    return calls
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_malformed_numbers_exit_2_with_empty_stdout(tmp_path, capsys, value):
+    # run in process: 36 subprocesses would cost about 15 s of import time
+    for name, fixture, argv in _malformed_number_calls(value):
+        path = write(tmp_path, name, fixture)
+        argv = [arg.replace("{}", path) for arg in argv]
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert err.startswith("error: ") and "must be finite" in err, (argv, err)
+
+
+def test_negative_tolerance_exits_2(tmp_path):
+    mu = write(tmp_path, "beta.json", {"densities": [{"family": "beta", "a": 1, "c": 3}]})
+    spec = write(tmp_path, "map.json", DENSITY_MAP)
+    for args in (("moments", mu, "--tol", "-1"), ("eval", spec, "--z", "0.5", "--tol", "-1")):
+        res = run_cli(*args)
+        assert (res.returncode, res.stdout) == (2, ""), args
+        assert "tolerance must be nonnegative" in res.stderr
 
 
 def test_certify_hyp_within_rounding_of_the_divergent_band_exits_2(tmp_path):

@@ -12,7 +12,6 @@ from cmharmonic.harmonic import (
     SINGULAR_TOL,
     ConvolutionPart,
     _derivative_quotient_limit,
-    _sign_kernel_sums,
     _signed_nonneg_probe,
     _zeros_inside,
     HarmonicMap,
@@ -37,6 +36,7 @@ from cmharmonic.harmonic import (
     shifted,
 )
 from cmharmonic.measures import (
+    Atom,
     Measure,
     beta_measure,
     dirac,
@@ -47,7 +47,14 @@ from cmharmonic.measures import (
     table_measure,
 )
 from cmharmonic.special import hyp_ratio_constant
-from cmharmonic.transforms import GridSpec, _block_rows, _kernel_sums, check_membership
+from cmharmonic.transforms import (
+    CauchyTransform,
+    GridSpec,
+    _block_rows,
+    _kernel_sums,
+    _rect_kernel_sums,
+    check_membership,
+)
 from conftest import random_disk_points, random_measure
 
 F1 = shifted(dirac(1.0))  # z/(1-z)
@@ -243,6 +250,16 @@ def test_modulus_bound_requires_real_c():
         check_modulus_bound(HarmonicMap(F1, F1, 0.5j))
 
 
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+def test_modulus_bound_refuses_a_shift_that_is_not_finite(a):
+    # a NaN shift used to give a "nan" margin and a violation verdict
+    f = HarmonicMap(shifted(beta_measure(1.0, 3.0)), shifted(lebesgue()), 0.5)
+    with pytest.raises(ValueError, match="the shift a must be finite"):
+        check_modulus_bound(f, a=a)
+    with pytest.raises(ValueError, match="the shift a must be nonnegative"):
+        check_modulus_bound(f, a=-1.0)
+
+
 # -- partial-sign checks -------------------------------------------------------------
 
 
@@ -379,7 +396,7 @@ def test_sign_kernel_sums_match_plain_formula_at_block_edges():
     rows = _block_rows(len(t))
     for ny in (1, rows - 1, rows, rows + 1, 2 * rows + 1):
         x, y = np.array([-3.0, 0.99]), np.linspace(0.01, 3.0, ny)
-        got = _sign_kernel_sums(x, y, t, weights)
+        got = 2.0 * _rect_kernel_sums(x, y, t, weights, 2).reshape(-1, 3)
         nodes = (x[:, None] + 1j * y[None, :]).ravel()
         xs, ys = nodes.real[:, None], nodes.imag[:, None]
         kern = 2.0 * ys * t * (1.0 - xs * t) / (1.0 - 2.0 * xs * t + t * t * (xs * xs + ys * ys)) ** 2
@@ -1136,3 +1153,53 @@ def test_map_json_round_trip():
     assert map_from_dict(back).h.mu == f.h.mu
     with pytest.raises(ValueError):
         map_from_dict({"h": {}})
+
+
+# -- the shared preconditions, one definition each ----------------------------------
+
+
+def _series_part_calls():
+    series = SeriesPart((1.0, 0.5))
+    good = HarmonicMap(shifted(lebesgue()), shifted(lebesgue()), 0.3)
+    with_h = HarmonicMap(series, IDENT, 0.3)
+    with_g = HarmonicMap(IDENT, series, 0.3)
+    return {
+        "radial_limit": lambda: radial_limit(with_h),
+        "check_modulus_bound": lambda: check_modulus_bound(with_g),
+        "check_partial_signs": lambda: check_partial_signs(with_h, grid=SMALL),
+        "convex_combination h": lambda: convex_combination(good, with_h, 0.5),
+        "convex_combination g": lambda: convex_combination(with_g, good, 0.5),
+        "certify_qc_boundary_limit": lambda: certify_qc_boundary_limit(IDENT, series, 0.3, 0.5),
+        "ConvolutionPart": lambda: ConvolutionPart(series, lebesgue()),
+    }
+
+
+@pytest.mark.parametrize("name", list(_series_part_calls()))
+def test_every_measure_operation_refuses_a_series_part_by_name(name):
+    with pytest.raises(TypeError, match="measure-backed parts, got SeriesPart"):
+        _series_part_calls()[name]()
+
+
+@pytest.mark.parametrize("c", [0.2j, -0.1, 1.0, math.nan])
+def test_every_real_c_operation_refuses_c_outside_zero_one(c):
+    msg = r"c must be real in \[0, 1\)"
+    h = shifted(lebesgue())
+    with pytest.raises(ValueError, match=msg):
+        make_convolution_map(h, lebesgue(), c)
+    with pytest.raises(ValueError, match=msg):
+        certify_qc_boundary_limit(h, h, c, 0.5)
+    # a map refuses |c| >= 1 and NaN when built, and real_c the rest
+    with pytest.raises(ValueError, match=msg + r"|\|c\| must be below 1"):
+        HarmonicMap(h, h, c).real_c
+
+
+@pytest.mark.parametrize("excess, accepted", [(5e-11, True), (-5e-11, True), (2e-10, False), (-2e-10, False)])
+def test_mass_tolerance_is_the_same_for_transforms_and_convolution_factors(excess, accepted):
+    mu = Measure((Atom(0.3, 1.0 + excess),))
+    assert mu.is_normalized is accepted
+    for build in (lambda: CauchyTransform(mu), lambda: ConvolutionPart(shifted(lebesgue()), mu)):
+        if accepted:
+            build()
+        else:
+            with pytest.raises(ValueError, match="probability measure"):
+                build()

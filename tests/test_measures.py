@@ -250,6 +250,20 @@ def test_moment_rejects_bad_order():
         lebesgue().moment(1.5)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_moment_and_integrate_check_the_tolerance_for_every_family(tol):
+    # closed-form families never reach the quadrature, so its check alone
+    # would let these through for beta, log-power, Lebesgue and atoms
+    words = "tolerance must be finite" if tol != -1.0 else "tolerance must be nonnegative"
+    for mu in (beta_measure(1.0, 3.0), loggamma_measure(2.0), lebesgue(), dirac(0.5),
+               table_measure([0.0, 1.0], [1.0, 1.0])):
+        with pytest.raises(ValueError, match=words):
+            mu.moment(2, tol=tol)
+        with pytest.raises(ValueError, match=words):
+            mu.integrate(lambda t: t, tol=tol)
+    assert dirac(0.5).moment(2, tol=0.0) == 0.25
+
+
 def test_unreachable_tolerance_raises():
     with pytest.raises(QuadratureError):
         lebesgue().integrate(lambda t: np.sin(3e5 * t), tol=1e-300)

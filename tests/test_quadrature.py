@@ -77,3 +77,20 @@ def test_graded_edges_structure():
 def test_composite_rule_integrates():
     nodes, weights = composite_rule(graded_edges(0.0, 1.0, levels=10))
     assert abs(np.sum(weights * np.exp(nodes)) - (math.e - 1.0)) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "tol, words",
+    [(math.nan, "tolerance must be finite"), (math.inf, "tolerance must be finite"),
+     (-math.inf, "tolerance must be finite"), (-1e-12, "tolerance must be nonnegative")],
+)
+def test_tolerance_must_be_finite_and_nonnegative(tol, words):
+    # a NaN tolerance made the final "err_total > tol" False, so even an
+    # exhausted refinement returned without an error
+    with pytest.raises(ValueError, match=words):
+        adaptive_quad(np.exp, 0.0, 1.0, tol=tol)
+
+
+def test_zero_tolerance_means_to_rounding():
+    val, _ = adaptive_quad(lambda t: t**3, 0.0, 1.0, tol=0.0)
+    assert abs(val - 0.25) < 1e-15

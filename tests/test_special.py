@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cmharmonic import special
 from cmharmonic.harmonic import HarmonicMap, certify_qc_boundary_limit, certify_qc_grid, shifted
-from cmharmonic.measures import beta_measure, loggamma_measure, same_exponent
+from cmharmonic.measures import Beta, beta_measure, loggamma_measure, same_exponent
 from cmharmonic.special import (
     ConvergenceError,
     certify_hypergeom_map,
@@ -397,6 +397,36 @@ def test_deriv_limit_closed_vs_quadrature():
     assert shifted_2f1_deriv_limit_quad(1.0, 2.5) == math.inf
     with pytest.raises(ValueError):
         shifted_2f1_deriv_limit(1.0, 2.5)
+
+
+def test_deriv_limit_is_the_beta_endpoint_moment_bit_for_bit():
+    for a in np.linspace(0.1, 5.0, 25):
+        for d in np.linspace(2.05, 6.0, 25):
+            a, c = float(a), float(a + d)
+            assert shifted_2f1_deriv_limit(a, c) == Beta(a, c).endpoint_moment(2), (a, c)
+    # c - a computes to 2.0000000000000004: an exact test c - a > 2 returned
+    # 4.5e15 here, where thm1.9 reads the limit as divergent
+    assert Beta(1.0, 3.0000000000000004).endpoint_moment(2) == math.inf
+    with pytest.raises(ValueError, match="finite derivative limit needs c - a > 2"):
+        shifted_2f1_deriv_limit(1.0, 3.0000000000000004)
+
+
+_POLY = {"alpha": 4.0, "beta": 3.0, "c": 0.5}
+_HYP = {"a": 1.0, "c": 6.0, "a2": 2.0, "c2": 6.0, "b": 0.3}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_closed_form_certificates_refuse_parameters_that_are_not_finite(value):
+    # NaN failed no bound and +inf passed c > a > 0, so both came back as an
+    # "inconclusive" certificate instead of an error
+    for name in _POLY:
+        params = dict(_POLY, **{name: value})
+        with pytest.raises(ValueError, match=f"parameter {name} must be finite"):
+            certify_polylog_map(**params, k=0.7, spot_check=False)
+    for name in _HYP:
+        params = dict(_HYP, **{name: value})
+        with pytest.raises(ValueError, match=f"parameter {name} must be finite"):
+            certify_hypergeom_map(**params, k=0.7, spot_check=False)
 
 
 def test_loggamma_moments_match_series_coefficients():
