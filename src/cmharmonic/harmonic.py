@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .measures import Measure, measure_from_dict, measure_to_dict, mix, same_exponent
+from .measures import Measure, _pair_points, measure_from_dict, measure_to_dict, mix, same_exponent
 from .transforms import CHECK_SLACK, GridSpec, ShiftedCauchyTransform, _check_slit, _rect_kernel_sums
 
 __all__ = [
@@ -58,8 +58,8 @@ __all__ = [
 SINGULAR_TOL = 1e-13
 # Kernel scale sum |kern| |w| at or below which a partial-sign node is degenerate.
 DEGENERATE_TOL = 1e-12
-# Interior sample size of the density domination in the signed-measure probe.
-PROBE_SAMPLES = 1000
+# Midpoint count of the density-pair sample both hypothesis checks read.
+PAIR_MIDPOINTS = 1000
 
 
 class SingularDerivativeError(ArithmeticError):
@@ -447,10 +447,11 @@ class PartialSignReport:
     Both quantities are integrals of the closed-form kernel
     ``2 y t (1 - x t) / (1 - 2 x t + t^2 |z|^2)^2`` against mu + c nu and
     mu - c nu respectively; the second needs the structural nonnegativity
-    probe of mu - c nu to pass.  Nodes where the kernel annihilates the
-    measure are labeled degenerate rather than judged.  ``worst_re`` and
-    ``worst_im`` are oriented so that anything above the slack counts as a
-    violation.
+    probe of mu - c nu to pass (``im_checked``).  ``passed`` counts
+    violations only, so a failed probe does not fail the report.  Nodes
+    where the kernel annihilates the measure are labeled degenerate rather
+    than judged.  ``worst_re`` and ``worst_im`` are oriented so that
+    anything above the slack counts as a violation.
 
     The counts cover the half-plane rectangle and its mirror image in the
     real axis: ``checked_nodes``, both violation counts and
@@ -482,8 +483,9 @@ def _signed_nonneg_probe(mu, nu, c):
     """Sufficient structural check that mu - c*nu is a nonnegative measure.
 
     Every nu atom must be matched at the same location by a mu atom of
-    weight at least c times as large, and the densities must dominate
-    pointwise on the ``PROBE_SAMPLES`` midpoints (i + 1/2)/``PROBE_SAMPLES``.
+    weight at least c times as large, and phi - c psi >= -CROSS_SLACK phi
+    must hold for the densities on the density-pair sample
+    (``measures._pair_points``), which decides the named same-family pairs.
     Failure does not prove the signed measure is negative somewhere; the
     check errs on the safe side.
     """
@@ -494,11 +496,11 @@ def _signed_nonneg_probe(mu, nu, c):
         if match < c * a.w - 1e-15:
             return False, f"nu atom at t={a.t:g} (weight {a.w:g}) not dominated in mu"
     if nu.densities:
-        ts = (np.arange(PROBE_SAMPLES) + 0.5) / PROBE_SAMPLES
-        gap = mu.pdf(ts) - c * nu.pdf(ts)
-        if np.min(gap) < -1e-12:
-            t_bad = float(ts[int(np.argmin(gap))])
-            return False, f"density domination fails near t={t_bad:g}"
+        ts = _pair_points(mu, nu, PAIR_MIDPOINTS)
+        phi = mu.pdf(ts)
+        gap = phi - c * nu.pdf(ts)
+        if np.any(gap < -CROSS_SLACK * phi):
+            return False, f"density domination fails near t={float(ts[np.argmin(gap)])!r}"
     return True, None
 
 
@@ -532,16 +534,17 @@ def check_partial_signs(f, grid=None, slack=CHECK_SLACK):
 
     probe_ok, reason = _signed_nonneg_probe(mu, nu, c)
 
-    # For y > 0, x < 1 and t in [0, 1] the kernel is nonnegative, so the
-    # degeneracy scale sum |kern| |w+| is one more column of the same sums.
-    weights = np.stack([np.abs(w_plus), w_plus, w_minus], axis=1)
-    sums = _rect_kernel_sums(x, y, t, weights, 2).reshape(-1, 3)
+    # For y > 0, x < 1 and t in [0, 1] the kernel is nonnegative, and so is
+    # every weight of w+ (rule and atom weights, c >= 0), so the degeneracy
+    # scale sum |kern| |w+| is the w+ column itself.
+    weights = np.stack([w_plus, w_minus], axis=1)
+    sums = _rect_kernel_sums(x, y, t, weights, 2).reshape(-1, 2)
     sums *= 2.0
     deg = sums[:, 0] <= DEGENERATE_TOL
     live = ~deg
     y_live = np.tile(y, len(x))[live]
-    q_re = -(y_live * sums[live, 1])
-    q_im = y_live * sums[live, 2]
+    q_re = -(y_live * sums[live, 0])
+    q_im = y_live * sums[live, 1]
 
     worst_re = float(np.max(q_re)) if q_re.size else -math.inf
     worst_im = None
@@ -769,8 +772,7 @@ def harnack_ratio_bound(h, m, grid=None):
 # -- density comparison and the boundary-limit certificate -------------------------
 
 
-# Rounding allowance for the cross inequality phi(s) psi(t) - phi(t) psi(s) >= 0
-# and, relative, for F(1-) >= 1.
+# Rounding allowance, relative, for both density comparisons and for F(1-) >= 1.
 CROSS_SLACK = 1e-12
 
 
@@ -778,8 +780,10 @@ CROSS_SLACK = 1e-12
 class DensityRatioVerdict:
     """Cross inequality phi(s) psi(t) >= phi(t) psi(s) on all sampled s <= t.
 
-    ``max_violation`` is the largest shortfall below 0, and ``worst_s``,
-    ``worst_t`` locate it when the inequality fails (None when it holds).
+    ``max_violation`` is the largest relative shortfall 1 - r(t) / r(s) of
+    r = psi/phi below its running max r(s), s < t (1 when r falls from
+    +inf); ``worst_s``, ``worst_t`` locate it when the inequality fails
+    (None when it holds).  ``n_samples`` counts the points scanned.
     """
 
     holds: bool
@@ -820,32 +824,37 @@ def quotient(h, g):
     return fn
 
 
-def density_ratio_condition(phi, psi, n=200):
-    """Check the cross inequality on the n x n midpoint sample (i + 0.5) / n.
+def density_ratio_condition(phi, psi, n=PAIR_MIDPOINTS):
+    """Check that psi/phi is nondecreasing on the density-pair sample with n midpoints.
 
     ``phi`` and ``psi`` may be density objects or purely density measures;
-    phi plays the h role and psi the g role.  Gaps down to -CROSS_SLACK
-    count as rounding.  The sample stops short of both endpoints, so a
-    pass is evidence for the hypothesis, not a proof of it.
+    phi plays the h role and psi the g role.  On ``measures._pair_points``,
+    less the points where both densities vanish, r = psi/phi (+inf where
+    only phi vanishes) fails where it falls below the largest r before it
+    by more than CROSS_SLACK, relative: the cross inequality on every pair
+    of sample points, in one pass.  The sample decides the named
+    same-family pairs; for other pairs a pass is evidence only.
     """
     mu = _as_density_measure(phi)
     nu = _as_density_measure(psi)
-    ts = (np.arange(n) + 0.5) / n
+    ts = _pair_points(mu, nu, n)
     p = mu.pdf(ts)
     q = nu.pdf(ts)
-    a = p[:, None] * q[None, :]
-    diff = a - a.T
-    iu = np.triu_indices(n, k=1)
-    gaps = diff[iu]
-    worst = int(np.argmin(gaps))
-    max_violation = float(max(0.0, -np.min(gaps)))
-    holds = bool(np.min(gaps) >= -CROSS_SLACK)
+    live = (p > 0.0) | (q > 0.0)
+    ts, p, q = ts[live], p[live], q[live]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = q / p
+        prior = np.maximum.accumulate(np.concatenate([[0.0], r[:-1]]))
+        shortfall = np.where(r < prior, 1.0 - r / prior, 0.0)
+    max_violation = float(np.max(shortfall, initial=0.0))
+    holds = max_violation <= CROSS_SLACK
+    worst = None if holds else int(np.argmax(shortfall))
     return DensityRatioVerdict(
         holds=holds,
         max_violation=max_violation,
-        worst_s=None if holds else float(ts[iu[0][worst]]),
-        worst_t=None if holds else float(ts[iu[1][worst]]),
-        n_samples=n,
+        worst_s=None if holds else float(ts[np.argmax(r[:worst])]),
+        worst_t=None if holds else float(ts[worst]),
+        n_samples=int(ts.size),
     )
 
 
@@ -890,10 +899,12 @@ def certify_qc_boundary_limit(h, g, c, k):
     violation.  ``details`` names the route taken and carries both
     derivative limits, and the exponents and coefficients when used.
 
-    The sampled hypothesis has one free check: the kernel (1 - t x)**-2 is
-    TP2, so under the cross inequality F rises on [0, 1) from F(0) = 1
-    (Karlin, Total Positivity, 1968).  F(1-) below 1 by more than
-    CROSS_SLACK refutes it, and the certificate is then inconclusive.
+    ``density_ratio_condition`` decides the cross inequality for the named
+    same-family pairs and samples it for the others, and the limit gives
+    one free check on it: the kernel (1 - t x)**-2 is TP2, so under the
+    cross inequality F rises on [0, 1) from F(0) = 1 (Karlin, Total
+    Positivity, 1968).  F(1-) below 1 by more than CROSS_SLACK refutes it,
+    and the certificate is then inconclusive.
     """
     c = _real_c(c)
     mu, nu = _measures(h, g)

@@ -62,6 +62,34 @@ def same_exponent(x, y):
     return math.isclose(x, y, rel_tol=EXPONENT_TOL, abs_tol=EXPONENT_TOL)
 
 
+def _pair_points(mu, nu, n):
+    """Sorted points of (0, 1) at which to compare the densities phi of mu and psi of nu.
+
+    The n midpoints (i + 1/2)/n, the dyadic points 2**-j and 1 - 2**-j for
+    j = 1 .. J, with 2**-J the first below ``EXPONENT_TOL``, and every table
+    breakpoint inside (0, 1).  Points where both densities vanish
+    constrain nothing.  The sample decides the named same-family pairs:
+    - beta against beta, Lebesgue being beta(1, 2): psi/phi ~ t**p (1 - t)**q
+      with p = a_g - a_h and q = (c_g - a_g) - (c_h - a_h).  It fails to be
+      nondecreasing iff p < 0 or q > 0, and then falls by a factor of about
+      2**-|p| (or 2**-q) between the two outermost dyadic points at that
+      end: a fall above 1e-12 once the gap is above about 1.5e-12, which
+      ``same_exponent`` treats as rounding anyway.
+    - log-power against log-power: psi/phi ~ (-log t)**(alpha_g - alpha_h)
+      is monotone, nondecreasing iff alpha_g <= alpha_h.
+    - tables and Lebesgue: both densities are linear between breakpoints,
+      so phi - c psi is linear and psi/phi monotone on each piece, and its
+      ends decide; a piece ending at 0 or 1 is read at 2**-J or 1 - 2**-J.
+    Other pairs (mixtures, mixed families) are only sampled.
+    """
+    levels = int(-math.log2(EXPONENT_TOL)) + 1
+    dyadic = 0.5 ** np.arange(1, levels + 1)
+    breaks = [x for m in (mu, nu) for d in m.densities if isinstance(d, Table) for x in d.grid]
+    ts = np.sort(np.concatenate([(np.arange(n) + 0.5) / n, dyadic, 1.0 - dyadic, breaks]))
+    # np.unique would import numpy.ma, about 1 MB of resident memory
+    return ts[(np.diff(ts, prepend=0.0) > 0.0) & (ts < 1.0)]
+
+
 def zeta(s, tol=1e-12):
     """Riemann zeta for real s > 1, the endpoint moments of the log-power family.
 

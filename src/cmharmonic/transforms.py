@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .measures import Measure
+from .quadrature import _check_tol
 
 __all__ = [
     "SLIT_MARGIN",
@@ -378,6 +379,7 @@ class ShiftedCauchyTransform:
 
     def value(self, z, tol=1e-10):
         z = complex(z)
+        _check_tol(tol)
         if z == 0:
             return 0.0 + 0.0j
         return z * self.base.eval(z, tol=tol)

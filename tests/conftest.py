@@ -4,6 +4,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from hypothesis import settings
+
+# Every run draws the same examples, so two runs of the suite compare code, not draws.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:

@@ -321,6 +321,7 @@ def _malformed_number_calls(value):
     calls = [
         ("map.json", DENSITY_MAP, ["verify-thm", "1.2", "{}", f"--a={text}"]),
         ("map.json", DENSITY_MAP, ["eval", "{}", "--z", "0.5", f"--tol={text}"]),
+        ("map.json", DENSITY_MAP, ["eval", "{}", "--z", "0", f"--tol={text}"]),
         ("table.json", table, ["moments", "{}", f"--tol={text}"]),
         ("beta.json", beta, ["moments", "{}", f"--tol={text}"]),
     ]
@@ -333,7 +334,7 @@ def _malformed_number_calls(value):
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_malformed_numbers_exit_2_with_empty_stdout(tmp_path, capsys, value):
-    # run in process: 36 subprocesses would cost about 15 s of import time
+    # run in process: 39 subprocesses would cost about 16 s of import time
     for name, fixture, argv in _malformed_number_calls(value):
         path = write(tmp_path, name, fixture)
         argv = [arg.replace("{}", path) for arg in argv]
@@ -346,7 +347,11 @@ def test_malformed_numbers_exit_2_with_empty_stdout(tmp_path, capsys, value):
 def test_negative_tolerance_exits_2(tmp_path):
     mu = write(tmp_path, "beta.json", {"densities": [{"family": "beta", "a": 1, "c": 3}]})
     spec = write(tmp_path, "map.json", DENSITY_MAP)
-    for args in (("moments", mu, "--tol", "-1"), ("eval", spec, "--z", "0.5", "--tol", "-1")):
+    for args in (
+        ("moments", mu, "--tol", "-1"),
+        ("eval", spec, "--z", "0.5", "--tol", "-1"),
+        ("eval", spec, "--z", "0", "--tol", "-1"),
+    ):
         res = run_cli(*args)
         assert (res.returncode, res.stdout) == (2, ""), args
         assert "tolerance must be nonnegative" in res.stderr
@@ -477,14 +482,52 @@ def test_certify_thm19_rounded_equal_exponents_is_violated(tmp_path):
     ],
 )
 def test_certify_thm19_boundary_limit_below_one_exits_2(tmp_path, h, g, k):
-    # the sampled cross inequality holds, but g'/h' -> F(1-) < 1 refutes it
+    # g/h turns down after t = 0.999, which the density-pair sample sees
     spec = {"h": {"densities": [h]}, "g": {"densities": [g]}, "c": 0.5}
     res = run_cli("certify", write(tmp_path, "pair.json", spec), "--method", "thm1.9", "--k", k)
     assert res.returncode == 2
     cert = json.loads(res.stdout)
     assert cert["status"] == "inconclusive" and "sup_estimate" not in cert
+    assert cert["reason"] == "density cross inequality failed"
+    assert 0.0 < cert["max_violation"] <= 1.0
+
+
+def test_certify_thm19_boundary_limit_vetoes_a_turn_the_sample_misses(tmp_path):
+    # g falls to 0 on the last 1e-14, past the sample; g'/h' -> F(1-) = 0 < 1 refutes it
+    g = {"family": "table", "grid": [0, 1 - 1e-14, 1], "values": [1, 1, 0]}
+    spec = {"h": {"densities": [{"family": "lebesgue"}]}, "g": {"densities": [g]}, "c": 0.5}
+    res = run_cli("certify", write(tmp_path, "pair.json", spec), "--method", "thm1.9", "--k", "0.7")
+    assert res.returncode == 2
+    cert = json.loads(res.stdout)
+    assert cert["status"] == "inconclusive" and "sup_estimate" not in cert
     assert cert["reason"] == "boundary limit below 1 contradicts the cross inequality"
     assert cert["f_limit"] < 1.0
+
+
+@pytest.mark.parametrize("values", [[0, 3, 2], [0, 5, 2.6]])
+def test_certify_thm19_ratio_falling_after_the_midpoints_exits_2(tmp_path, values):
+    # g/h rises to t = 0.999 and falls after it, with F(1-) >= 1: only the
+    # sample's points past 0.999 see the fall, and --method grid reads a
+    # ring sup above 0.9
+    g = {"family": "table", "grid": [0, 0.999, 1], "values": values}
+    spec = {"h": {"densities": [{"family": "lebesgue"}]}, "g": {"densities": [g]}, "c": 0.5}
+    res = run_cli("certify", write(tmp_path, "pair.json", spec), "--method", "thm1.9", "--k", "0.7")
+    assert res.returncode == 2
+    cert = json.loads(res.stdout)
+    assert cert["status"] == "inconclusive" and cert["reason"] == "density cross inequality failed"
+
+
+def test_verify_thm13_probe_reads_past_the_last_midpoint(tmp_path):
+    # mu - c nu = 1 - 0.45 (1 - t)**-0.1 turns negative for t > 0.99966
+    spec = {
+        "h": {"densities": [{"family": "lebesgue"}]},
+        "g": {"densities": [{"family": "beta", "a": 1.0, "c": 1.9}]},
+        "c": 0.5,
+    }
+    res = run_cli("verify-thm", "1.3", write(tmp_path, "map.json", spec), "--rect=-1,0.9,0.1,2,5,5")
+    out = json.loads(res.stdout)
+    assert not out["im_checked"]
+    assert out["im_skip_reason"] == "density domination fails near t=0.9999999999990905"
 
 
 def test_certify_thm19_needs_densities(tmp_path):

@@ -1,14 +1,16 @@
 import math
 import re
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cmharmonic.harmonic import (
+    CROSS_SLACK,
     SINGULAR_TOL,
     ConvolutionPart,
     _derivative_quotient_limit,
@@ -42,6 +44,7 @@ from cmharmonic.measures import (
     dirac,
     lebesgue,
     loggamma_measure,
+    _pair_points,
     measure_from_dict,
     mix,
     table_measure,
@@ -973,6 +976,164 @@ def test_density_ratio_spot_check_membership():
     assert check_membership(derivative_quotient(h, g), grid=grid).consistent
 
 
+def test_probe_reads_the_density_pair_sample_to_both_ends():
+    # mu - c nu = 1 - 0.45 (1 - t)**-0.1 is negative for t > 0.99966, past the last midpoint
+    ok, reason = _signed_nonneg_probe(lebesgue(), beta_measure(1.0, 1.9), 0.5)
+    assert not ok and reason == "density domination fails near t=0.9999999999990905"
+    # mu - c nu = 1 - 0.475 t**-0.05 is negative for t < 3.5e-7, before the first one
+    ok, reason = _signed_nonneg_probe(lebesgue(), beta_measure(0.95, 1.95), 0.5)
+    assert not ok and reason == f"density domination fails near t={2.0**-40!r}"
+
+
+# Signed exponent gaps: zero, or between 1e-9 and 2 in size.
+_GAP = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]), st.floats(-9.0, 0.3)),
+)
+
+
+def _beta_or_lebesgue(a, ca):
+    return lebesgue() if (a, ca) == (1.0, 1.0) else beta_measure(a, a + ca)
+
+
+@st.composite
+def _same_family_pair(draw):
+    """(phi, psi, rule): a named same-family pair and whether its parameters make psi/phi nondecreasing."""
+    kind = draw(st.sampled_from(["beta/beta", "lebesgue/beta", "beta/lebesgue", "loggamma/loggamma"]))
+    p, q = draw(_GAP), draw(_GAP)
+    if kind == "loggamma/loggamma":
+        alpha = draw(st.floats(0.3, 4.0))
+        assume(alpha + p >= 0.2)
+        return loggamma_measure(alpha), loggamma_measure(alpha + p), p <= 0.0
+    # exponents (a, c - a) at t = 0 and t = 1; Lebesgue is beta(1, 2)
+    if kind == "beta/beta":
+        h = (draw(st.floats(0.3, 3.0)), draw(st.floats(0.3, 3.0)))
+        g = (h[0] + p, h[1] + q)
+    elif kind == "lebesgue/beta":
+        h, g = (1.0, 1.0), (1.0 + p, 1.0 + q)
+    else:
+        h, g = (1.0 - p, 1.0 - q), (1.0, 1.0)
+    assume(min(h + g) >= 0.2)
+    return _beta_or_lebesgue(*h), _beta_or_lebesgue(*g), p >= 0.0 and q <= 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(_same_family_pair())
+def test_density_ratio_scan_follows_the_parameter_rules(pair):
+    # beta: psi/phi ~ t**p (1 - t)**q; log-power: psi/phi ~ (-log t)**p
+    phi, psi, rule = pair
+    assert density_ratio_condition(phi, psi).holds is rule
+
+
+def _cross_inequality_all_pairs(phi, psi, ts):
+    """The cross inequality on every pair s < t of ts, from the n x n product matrix.
+
+    Reference for the one-pass scan: the product-matrix code on the scan's
+    points, with its relative rounding rule
+    phi(s) psi(t) >= (1 - CROSS_SLACK) phi(t) psi(s).
+    """
+    p = phi.pdf(ts)
+    q = psi.pdf(ts)
+    a = p[:, None] * q[None, :]
+    diff = a - (1.0 - CROSS_SLACK) * a.T
+    iu = np.triu_indices(len(ts), k=1)
+    return bool(np.min(diff[iu]) >= 0.0)
+
+
+def _density_pairs(rng, count):
+    """Random atom-free pairs: mixtures of the named families, tables, and equal pairs."""
+    pairs = []
+    while len(pairs) < count:
+        mu, nu = random_measure(rng, max_atoms=0), random_measure(rng, max_atoms=0)
+        if not (mu.atoms or nu.atoms):
+            pairs += [(mu, nu), (mu, mu)]
+        grid = np.concatenate([[0.0], np.sort(rng.choice(np.arange(1, 16) / 16, 3, replace=False)), [1.0]])
+        pairs.append((lebesgue(), table_measure(grid, rng.integers(1, 5, size=5))))
+    return pairs + [(phi, psi) for phi, psi, _, _ in SAMPLE_MISSED_PAIRS] + [
+        (beta_measure(1.0, 3.0), beta_measure(2.0, 3.0)),
+        (loggamma_measure(2.0), loggamma_measure(1.0)),
+        VETO_PAIR,
+    ]
+
+
+def test_density_ratio_scan_matches_the_all_pairs_cross_inequality():
+    verdicts = []
+    for phi, psi in _density_pairs(np.random.default_rng(16), 30):
+        verdict = density_ratio_condition(phi, psi, n=100)
+        assert verdict.holds is _cross_inequality_all_pairs(phi, psi, _pair_points(phi, psi, 100))
+        verdicts.append(verdict.holds)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def _linear_pieces(grid, values):
+    """(lo, hi, intercept, slope) of each piece, exactly."""
+    g = [Fraction(x) for x in grid]
+    v = [Fraction(x) for x in values]
+    out = []
+    for lo, hi, v0, v1 in zip(g, g[1:], v, v[1:]):
+        slope = (v1 - v0) / (hi - lo)
+        out.append((lo, hi, v0 - slope * lo, slope))
+    return out
+
+
+def _line(pieces, t):
+    """Intercept and slope of a piece holding t (at a breakpoint both give the same value)."""
+    return next((p, q) for lo, hi, p, q in pieces if lo <= t <= hi)
+
+
+def _table_of(mu):
+    d = mu.densities[0]
+    return ((0.0, 1.0), (1.0, 1.0)) if d.family == "lebesgue" else (d.grid, d.values)
+
+
+# Inner breakpoints: sixteenths, and two points closer to an end than any midpoint (i + 1/2)/1000.
+_TABLE_POINTS = [i / 16 for i in range(1, 16)] + [1e-4, 1.0 - 1e-4]
+
+
+@st.composite
+def _table_pair(draw):
+    """(phi, psi): phi Lebesgue or a positive table, psi a table that may start with a zero piece and end falling."""
+    def grid():
+        inner = draw(st.lists(st.sampled_from(_TABLE_POINTS), max_size=4, unique=True))
+        return [0.0] + sorted(inner) + [1.0]
+
+    phi_grid, psi_grid = grid(), grid()
+    phi_values = draw(st.none() | st.lists(st.integers(1, 4), min_size=len(phi_grid), max_size=len(phi_grid)))
+    values = [draw(st.integers(0, 4)) for _ in psi_grid]
+    if draw(st.booleans()) and len(psi_grid) > 2:
+        values[0] = values[1] = 0
+    if draw(st.booleans()):
+        values[-1] = draw(st.integers(0, max(0, values[-2] - 1)))
+    assume(any(values[1:-1]) or values[0] + values[-1] > 0)
+    phi = lebesgue() if phi_values is None else table_measure(phi_grid, phi_values)
+    return phi, table_measure(psi_grid, values)
+
+
+# psi peaks at the breakpoint 0.3, between two midpoints, dips by less than it
+# rose since the midpoint before, and c psi exceeds 1 at the peak only: only
+# the breakpoint itself shows either failure.
+_PEAK = table_measure([0.0, 0.3, 0.3002, 1.0], [1.0, 2.0, 1.999, 1.9995])
+_PEAK_C = 1.0 / (0.9999 * _PEAK.densities[0].values[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_table_pair(), st.floats(0.05, 0.95))
+@example((lebesgue(), _PEAK), _PEAK_C)
+def test_density_pair_sample_decides_tables_piece_by_piece(pair, c):
+    phi, psi = pair
+    phi_pieces, psi_pieces = _linear_pieces(*_table_of(phi)), _linear_pieces(*_table_of(psi))
+    points = sorted({lo for lo, *_ in phi_pieces + psi_pieces} | {Fraction(1)})
+    # phi = p + q t and psi = r + s t on each merged piece: psi/phi has the slope sign of p s - q r
+    lines = [(_line(phi_pieces, (a + b) / 2), _line(psi_pieces, (a + b) / 2)) for a, b in zip(points, points[1:])]
+    rule = all(p * s - q * r >= 0 for (p, q), (r, s) in lines)
+    assert density_ratio_condition(phi, psi).holds is rule
+    # phi - c psi is linear on each merged piece, so its values at the breakpoints decide
+    phi_at = [p + q * t for t in points for p, q in [_line(phi_pieces, t)]]
+    psi_at = [r + s * t for t in points for r, s in [_line(psi_pieces, t)]]
+    nonneg = all(f - Fraction(c) * g >= -Fraction(CROSS_SLACK) * f for f, g in zip(phi_at, psi_at))
+    assert _signed_nonneg_probe(phi, psi, c)[0] is nonneg
+
+
 def test_boundary_limit_equal_parts():
     h = shifted(lebesgue())
     cert = certify_qc_boundary_limit(h, h, 0.3, 0.5)
@@ -1079,11 +1240,12 @@ def test_derivative_quotient_limit_routes():
     assert f_limit == 0.25
 
 
-# Two maps whose densities pass the sampled cross inequality although psi/phi
-# turns down past the last sample point: F(1-) < 1 gives them away.
+# Two maps whose psi/phi turns down after t = 0.999, past the last midpoint
+# (i + 1/2)/n: the dyadic points 1 - 2**-j of the density-pair sample see the
+# turn, and F(1-) < 1 refutes the cross inequality as well.
 # Their grid sups are 0.631 and 1.058, so neither is k-QC at the k below.
 SAMPLE_MISSED_PAIRS = [
-    # psi/phi falls from 2 to 0.1 on the last 0.001, after the sample stops
+    # psi/phi falls from 2 to 0.1 on the last 0.001
     (lebesgue(), table_measure([0.0, 0.999, 1.0], [1.0, 2.0, 0.1]), 0.4, "endpoint exponents"),
     # psi/phi ~ t (1 - t)^0.001 peaks at t = 1/1.001
     (beta_measure(1.0, 3.0), beta_measure(2.0, 4.001), 0.1, "vanishing"),
@@ -1092,11 +1254,27 @@ SAMPLE_MISSED_PAIRS = [
 
 @pytest.mark.parametrize("phi, psi, k, path", SAMPLE_MISSED_PAIRS)
 def test_boundary_limit_below_one_is_inconclusive(phi, psi, k, path):
-    assert density_ratio_condition(phi, psi).holds  # the sample misses the turn
+    verdict = density_ratio_condition(phi, psi)
+    assert not verdict.holds and verdict.worst_s < verdict.worst_t and verdict.worst_t > 0.999
     cert = certify_qc_boundary_limit(shifted(phi), shifted(psi), 0.5, k)
     assert cert.status == "inconclusive" and cert.sup_estimate is None
+    assert cert.details == {"reason": "density cross inequality failed", "max_violation": verdict.max_violation}
+    f_limit, route, _ = _derivative_quotient_limit(phi, psi)
+    assert route == path and f_limit < 1.0
+
+
+# psi/phi = psi falls from 1 to 0 on the last 1e-14 of [0, 1], inside the
+# sample's last gap of 2**-40, so the scan passes; g'/h' -> 0 gives it away.
+VETO_PAIR = (lebesgue(), table_measure([0.0, 1.0 - 1e-14, 1.0], [1.0, 1.0, 0.0]))
+
+
+def test_boundary_limit_below_one_vetoes_a_turn_the_sample_misses():
+    phi, psi = VETO_PAIR
+    assert density_ratio_condition(phi, psi).holds
+    cert = certify_qc_boundary_limit(shifted(phi), shifted(psi), 0.5, 0.7)
+    assert cert.status == "inconclusive" and cert.sup_estimate is None
     assert cert.details["reason"] == "boundary limit below 1 contradicts the cross inequality"
-    assert cert.details["path"] == path and cert.details["f_limit"] < 1.0
+    assert cert.details["path"] == "endpoint exponents" and cert.details["f_limit"] < 1.0
     assert set(cert.details) >= {"g_deriv_limit", "h_deriv_limit"}
 
 

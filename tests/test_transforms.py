@@ -35,6 +35,13 @@ F1 = CauchyTransform(dirac(1.0))
 FLEB = CauchyTransform(lebesgue())
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_shifted_value_checks_the_tolerance_at_zero(tol):
+    # h(0) = 0 needs no quadrature, but a malformed tolerance is still refused
+    with pytest.raises(ValueError, match="tolerance must be"):
+        ShiftedCauchyTransform(FLEB).value(0.0, tol=tol)
+
+
 def test_point_mass_is_geometric():
     assert F1.eval(0.5) == pytest.approx(2.0, abs=1e-14)
     assert F1.eval(-1.0 + 0.0j) == pytest.approx(0.5, abs=1e-14)
