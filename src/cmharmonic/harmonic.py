@@ -482,19 +482,20 @@ class PartialSignReport:
 def _signed_nonneg_probe(mu, nu, c):
     """Sufficient structural check that mu - c*nu is a nonnegative measure.
 
-    Every nu atom must be matched at the same location by a mu atom of
-    weight at least c times as large, and phi - c psi >= -CROSS_SLACK phi
-    must hold for the densities on the density-pair sample
-    (``measures._pair_points``), which decides the named same-family pairs.
-    Failure does not prove the signed measure is negative somewhere; the
-    check errs on the safe side.
+    At each location of nu's atoms, in listed order, their total weight n
+    and mu's total there, m, must satisfy m - c n >= -CROSS_SLACK m; on the
+    density-pair sample (``measures._pair_points``), which decides the named
+    same-family pairs, phi - c psi >= -CROSS_SLACK phi must hold.  Failure
+    does not prove the signed measure is negative somewhere; the check errs
+    on the safe side.
     """
     if c == 0.0:
         return True, None
-    for a in nu.atoms:
-        match = sum(b.w for b in mu.atoms if b.t == a.t)
-        if match < c * a.w - 1e-15:
-            return False, f"nu atom at t={a.t:g} (weight {a.w:g}) not dominated in mu"
+    for t in dict.fromkeys(a.t for a in nu.atoms):
+        m = sum(a.w for a in mu.atoms if a.t == t)
+        n = sum(a.w for a in nu.atoms if a.t == t)
+        if m - c * n < -CROSS_SLACK * m:
+            return False, f"nu atoms at t={t!r} (weight {n!r}) not dominated in mu"
     if nu.densities:
         ts = _pair_points(mu, nu, PAIR_MIDPOINTS)
         phi = mu.pdf(ts)

@@ -1,12 +1,12 @@
 """Borel probability measures on [0, 1]: atoms plus weighted named densities.
 
-Every integral in the package funnels through :meth:`Measure.integrate`,
-which adds atom contributions exactly and handles densities by adaptive
-quadrature; power moments of the named families are closed forms
-(:meth:`Measure.moment`).  Families with integrable endpoint singularities
-(beta with small exponents, log-power with small order) are integrated
-after a regularizing change of variable chosen from the exponents, since
-plain panels stall near the endpoints.
+Each density has one fixed rule (:func:`_density_rule`): every sweep, the
+unit-mass check and the table moments sum over it.  :meth:`Measure.integrate`
+is the adaptive route, for pointwise values to a tolerance near the slit;
+power moments of the other families are closed forms (:meth:`Measure.moment`).
+Families with integrable endpoint singularities (beta with small exponents,
+log-power with small order) are charted by a regularizing change of variable
+chosen from the exponents, since plain panels stall near the endpoints.
 
 Boundary values at z = 1- of the transforms built from a measure are its
 endpoint moments, integrals of (1 - t)**-p; every family has them in closed
@@ -49,8 +49,9 @@ __all__ = [
     "same_exponent",
 ]
 
-MASS_TOL = 1e-10  # of Measure.is_normalized, which transforms and convolution factors need
-DENSITY_CHECK_TOL = 1e-10
+# The one probability-mass tolerance: of each density's rule at construction,
+# and of Measure.is_normalized, which transforms and convolution factors need.
+MASS_TOL = 1e-10
 # Endpoint exponents this close (relative, or absolute near 0) count as equal.
 # Beta's exponent c - a is a computed difference, and decimal parameters miss
 # the exact value: 1.9 - 0.9 is 0.9999999999999999, not 1.
@@ -159,8 +160,8 @@ class Lebesgue:
         """One chart, the identity on [0, 1]."""
         return (Chart(0.0, 1.0, lambda s: s, lambda s: np.ones_like(s)),)
 
-    def moment(self, n, tol=None):
-        """1/(n + 1); ``tol`` is unused, the value is exact to rounding."""
+    def moment(self, n):
+        """1/(n + 1), exact to rounding."""
         return 1.0 / (n + 1)
 
     def endpoint_moment(self, p):
@@ -211,8 +212,8 @@ class Beta:
                   lambda s: norm * q * s ** (q * ca - 1.0) * (1.0 - s**q) ** (a - 1.0)),
         )
 
-    def moment(self, n, tol=None):
-        """(a)_n / (c)_n, the product of (a + i)/(c + i) over i < n; ``tol`` is unused.
+    def moment(self, n):
+        """(a)_n / (c)_n, the product of (a + i)/(c + i) over i < n.
 
         Each factor lies in (0, 1), so the running product neither
         overflows nor underflows early, and n factors cost n roundings.
@@ -268,20 +269,29 @@ class LogGamma:
         """Charts t = exp(-v) below t = 1/2 and t = 1 - s**q above, q = ceil(3/alpha).
 
         v runs up to 60 + 12 alpha in panels of at most 2; q (at least 1)
-        smooths the right endpoint.
+        smooths the right endpoint.  Where x = s**q is below the smallest
+        normal float, -log1p(-x) ~ x and the right weight is its limit
+        inv_gamma q s**(q alpha - 1); the plain form would read 0 * inf there.
         """
         alpha = self.alpha
         inv_gamma = math.exp(-math.lgamma(alpha))
         q = max(1.0, math.ceil(3.0 / alpha))
+
+        def right_weight(s):
+            x = s**q
+            tiny = x < np.finfo(float).tiny
+            # 0.5 keeps log1p finite at the points where the plain value is discarded
+            plain = inv_gamma * (-np.log1p(-np.where(tiny, 0.5, x))) ** (alpha - 1.0) * q * s ** (q - 1.0)
+            return np.where(tiny, inv_gamma * q * s ** (q * alpha - 1.0), plain)
+
         return (
             Chart(-math.log(0.5), 60.0 + 12.0 * alpha, lambda v: np.exp(-v),
                   lambda v: inv_gamma * np.exp(-v) * v ** (alpha - 1.0), max_panel=2.0),
-            Chart(0.0, 0.5 ** (1.0 / q), lambda s: 1.0 - s**q,
-                  lambda s: inv_gamma * (-np.log1p(-s**q)) ** (alpha - 1.0) * q * s ** (q - 1.0)),
+            Chart(0.0, 0.5 ** (1.0 / q), lambda s: 1.0 - s**q, right_weight),
         )
 
-    def moment(self, n, tol=None):
-        """(n + 1)**-alpha; ``tol`` is unused, the value is exact to rounding."""
+    def moment(self, n):
+        """(n + 1)**-alpha, exact to rounding."""
         return (n + 1.0) ** -self.alpha
 
     def endpoint_moment(self, p):
@@ -350,17 +360,15 @@ class Table:
         weight = partial(np.interp, xp=self.grid, fp=self.values)
         return tuple(Chart(lo, hi, lambda s: s, weight) for lo, hi in zip(self.grid, self.grid[1:]))
 
-    def moment(self, n, tol=1e-12):
-        """The integral of t**n against the density, by adaptive quadrature to ``tol``.
+    def moment(self, n):
+        """The integral of t**n against the density: a power sum over its rule.
 
         The exact form, a sum of differences of powers of the grid points
-        over the segments, cancels badly on short segments.
+        over the segments, cancels badly on short segments; the rule's panels
+        grade toward both ends of each segment and resolve the peak at t = 1.
         """
-        charts = self.charts()
-        return sum(
-            adaptive_quad(lambda s, ch=ch: s**n * ch.weight(s), ch.lo, ch.hi, tol=tol / len(charts))[0]
-            for ch in charts
-        )
+        t, w = _density_rule(self)
+        return float((t**n) @ w)
 
     def endpoint_moment(self, p):
         """Exact integral of (1 - t)**-p against the piecewise-linear density.
@@ -426,9 +434,9 @@ def _density(family, params, weight=1.0):
 class Measure:
     """Positive Borel measure on [0, 1], stored as atoms plus named densities.
 
-    Construction validates atom locations and weights and checks by
-    quadrature that every density family integrates to one before
-    weighting (tolerance 1e-10).
+    Construction validates atom locations and weights and checks that each
+    density's rule (:func:`_density_rule`, before weighting), the one the
+    sweeps use, has unit mass within ``MASS_TOL``.
     """
 
     atoms: tuple
@@ -440,10 +448,10 @@ class Measure:
         for d in densities:
             if not 0.0 < d.weight < math.inf:
                 raise ValueError(f"density weight must be finite and positive, got {d.weight!r}")
-            unit = _density_unit_mass(d)
-            if not abs(unit - 1.0) <= DENSITY_CHECK_TOL:
+            unit = float(np.sum(_density_rule(d)[1]))
+            if not abs(unit - 1.0) <= MASS_TOL:
                 raise ValueError(
-                    f"{d.family} density integrates to {unit!r}, expected 1 within {DENSITY_CHECK_TOL:g}"
+                    f"{d.family} density integrates to {unit!r}, expected 1 within {MASS_TOL:g}"
                 )
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "densities", densities)
@@ -501,51 +509,37 @@ class Measure:
     def moment(self, n, tol=1e-12):
         """n-th power moment: exact atom sums plus each density family's ``moment(n)``.
 
-        Lebesgue, beta and log-power densities have closed forms; tables
-        integrate to ``tol``, shared out between them.  ``tol`` must be
-        finite and nonnegative whichever families are present.
+        Lebesgue, beta and log-power densities have closed forms; a table
+        sums t**n over its rule.  No family reads ``tol``, which must still
+        be finite and nonnegative.
         """
         if n < 0 or n != int(n):
             raise ValueError(f"moment order must be a nonnegative integer, got {n!r}")
         _check_tol(tol)
         n = int(n)
-        tol_piece = tol / max(1, len(self.densities))
         total = sum(a.w * a.t**n for a in self.atoms)
-        return float(total + sum(d.weight * d.moment(n, tol_piece) for d in self.densities))
+        return float(total + sum(d.weight * d.moment(n) for d in self.densities))
 
     @cached_property
     def _rule(self):
-        """Graded composite rule (t-nodes, weights) for fast grid sweeps.
+        """The fixed rule (t-nodes, weights) every sweep integrates with.
 
-        Atoms are appended as exact nodes.  Good to roughly 1e-12 for
+        Each density contributes :func:`_density_rule` at its weight, and
+        atoms are appended as exact nodes.  Good to roughly 1e-12 for
         integrands smooth away from the endpoints; single-point evaluations
         with guaranteed tolerances go through :meth:`integrate` instead.
         """
-        ts = []
-        ws = []
-        for d in self.densities:
-            for ch in d.charts():
-                edges = graded_edges(ch.lo, ch.hi, levels=14, max_panel=ch.max_panel)
-                s, w = composite_rule(edges)
-                ts.append(ch.to_t(s))
-                ws.append(d.weight * w * ch.weight(s))
-        for a in self.atoms:
-            ts.append(np.array([a.t]))
-            ws.append(np.array([a.w]))
+        parts = [_density_rule(d, d.weight) for d in self.densities]
+        parts += [(np.array([a.t]), np.array([a.w])) for a in self.atoms]
+        ts, ws = zip(*parts)
         return np.concatenate(ts), np.concatenate(ws)
 
     def moments(self, count):
-        """First ``count`` moments as an array; exact power sums for atomic measures.
+        """First ``count`` moments as an array: power sums over :attr:`_rule`, exact for atoms.
 
-        Density contributions use the fixed composite rule, which is the fast
-        path behind series coefficients; the certified route is :meth:`moment`.
+        This is the fast path behind series coefficients; :meth:`moment` gives the closed forms.
         """
         ns = np.arange(count)
-        if not self.densities:
-            out = np.zeros(count)
-            for a in self.atoms:
-                out += a.w * a.t ** ns.astype(float)
-            return out
         t, w = self._rule
         return (t[None, :] ** ns[:, None]) @ w
 
@@ -602,13 +596,15 @@ class Measure:
         return measure_to_dict(self)
 
 
-def _density_unit_mass(density):
-    total = 0.0
-    charts = density.charts()
-    for ch in charts:
-        val, _ = adaptive_quad(ch.weight, ch.lo, ch.hi, tol=DENSITY_CHECK_TOL / (2 * len(charts)))
-        total += val
-    return total
+def _density_rule(density, weight=1.0):
+    """Graded composite rule (t-nodes, weights) over a density's charts, weights times ``weight``."""
+    ts = []
+    ws = []
+    for ch in density.charts():
+        s, w = composite_rule(graded_edges(ch.lo, ch.hi, levels=14, max_panel=ch.max_panel))
+        ts.append(ch.to_t(s))
+        ws.append(weight * w * ch.weight(s))
+    return np.concatenate(ts), np.concatenate(ws)
 
 
 # -- constructors -----------------------------------------------------------

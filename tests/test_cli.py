@@ -412,12 +412,11 @@ def test_rect_with_non_finite_bounds_is_rejected(tmp_path, rect):
 def test_density_with_nan_mass_exits_2(tmp_path):
     # the density of each spec integrates to NaN
     lg150 = {"densities": [{"family": "loggamma", "alpha": 150}]}
-    lg001 = {"densities": [{"family": "loggamma", "alpha": 0.01}]}
     nan_table = {"densities": [{"family": "table", "grid": [0, 0.5, 1], "values": [1, math.nan, 1]}]}
     fmap = write(tmp_path, "f.json", {"h": lg150, "g": lg150, "c": 0.5})
     for args in (
         ("verify-thm", "1.3", fmap),
-        ("ratio-sup", write(tmp_path, "lg.json", lg001)),
+        ("ratio-sup", write(tmp_path, "lg.json", lg150)),
         ("moments", write(tmp_path, "tab.json", nan_table)),
     ):
         res = run_cli(*args)
@@ -528,6 +527,27 @@ def test_verify_thm13_probe_reads_past_the_last_midpoint(tmp_path):
     out = json.loads(res.stdout)
     assert not out["im_checked"]
     assert out["im_skip_reason"] == "density domination fails near t=0.9999999999990905"
+
+
+def test_verify_thm13_reads_split_atoms_as_one(tmp_path):
+    h = {"atoms": [{"t": 0.5, "w": 0.6}], "densities": [{"family": "lebesgue", "w": 0.4}]}
+    outs = []
+    for g in ({"atoms": [{"t": 0.5, "w": 0.5}, {"t": 0.5, "w": 0.5}]}, {"atoms": [{"t": 0.5, "w": 1.0}]}):
+        fmap = write(tmp_path, "map.json", {"h": h, "g": g, "c": 0.9})
+        res = run_cli("verify-thm", "1.3", fmap, "--rect=-3,0.99,0.01,3,10,10")
+        assert res.returncode == 0
+        outs.append(res.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["im_checked"] is False
+
+
+def test_small_order_log_power_map_gets_a_finite_grid_sup(tmp_path):
+    # the right-chart weight of h underflows near s = 0 for alpha this small
+    spec = {"h": {"densities": [{"family": "loggamma", "alpha": 0.05}]},
+            "g": {"atoms": [{"t": 0.0, "w": 1.0}]}, "c": 0.5}
+    res = run_cli("certify", write(tmp_path, "map.json", spec), "--method", "grid", "--k", "0.9")
+    assert res.returncode in (0, 1), res.stderr
+    assert math.isfinite(json.loads(res.stdout)["sup_estimate"])
 
 
 def test_certify_thm19_needs_densities(tmp_path):

@@ -985,6 +985,19 @@ def test_probe_reads_the_density_pair_sample_to_both_ends():
     assert not ok and reason == f"density domination fails near t={2.0**-40!r}"
 
 
+def test_probe_compares_the_total_atom_weight_at_each_location():
+    # at c = 0.9 each atom's 0.45 fits under mu's 0.6, their total 0.9 does not
+    h = measure_from_dict({"atoms": [{"t": 0.5, "w": 0.6}], "densities": [{"family": "lebesgue", "w": 0.4}]})
+    split = measure_from_dict({"atoms": [{"t": 0.5, "w": 0.5}, {"t": 0.5, "w": 0.5}]})
+    joined = measure_from_dict({"atoms": [{"t": 0.5, "w": 1.0}]})
+    grid = GridSpec(nx=10, ny=10)
+    reports = [check_partial_signs(HarmonicMap(shifted(h), shifted(g), 0.9), grid) for g in (split, joined)]
+    assert reports[0] == reports[1]
+    assert not reports[0].im_checked
+    assert reports[0].im_skip_reason == "nu atoms at t=0.5 (weight 1.0) not dominated in mu"
+    assert _signed_nonneg_probe(h, split, 0.6)[0] and _signed_nonneg_probe(h, joined, 0.6)[0]
+
+
 # Signed exponent gaps: zero, or between 1e-9 and 2 in size.
 _GAP = st.one_of(
     st.just(0.0),

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 from dataclasses import replace
 
@@ -26,6 +27,7 @@ from cmharmonic.measures import (
 )
 from cmharmonic.quadrature import QuadratureError
 from cmharmonic.special import pochhammer
+from cmharmonic.transforms import ShiftedCauchyTransform
 from conftest import random_measure
 
 
@@ -147,23 +149,45 @@ def test_moments_match_closed_forms_to_rounding():
             assert math.isclose(mu.moment(n), ref, rel_tol=1e-13), (mu, n)
 
 
-def test_table_moments_keep_the_adaptive_route():
-    grid = (0.0, 0.3, 0.31, 1.0)
-    mu = table_measure(grid, [1.0, 2.0, 0.5, 1.5])
-    values = [Fraction(v) for v in mu.densities[0].values]
+def _exact_table_moment(table, n):
+    """The linear interpolant on each segment of the table, integrated against t**n exactly."""
+    grid = [Fraction(x) for x in table.grid]
+    values = [Fraction(v) for v in table.values]
+    total = Fraction(0)
+    for t0, t1, v0, v1 in zip(grid, grid[1:], values, values[1:]):
+        slope = (v1 - v0) / (t1 - t0)
+        total += slope * (t1 ** (n + 2) - t0 ** (n + 2)) / (n + 2)
+        total += (v0 - slope * t0) * (t1 ** (n + 1) - t0 ** (n + 1)) / (n + 1)
+    return float(total)
 
-    def exact(n):
-        # the linear interpolant on each segment, integrated against t**n
-        total = Fraction(0)
-        for t0, t1, v0, v1 in zip(map(Fraction, grid), map(Fraction, grid[1:]), values, values[1:]):
-            slope = (v1 - v0) / (t1 - t0)
-            total += slope * (t1 ** (n + 2) - t0 ** (n + 2)) / (n + 2)
-            total += (v0 - slope * t0) * (t1 ** (n + 1) - t0 ** (n + 1)) / (n + 1)
-        return float(total)
 
+def test_table_moments_match_the_exact_segment_integrals():
+    mu = table_measure((0.0, 0.3, 0.31, 1.0), [1.0, 2.0, 0.5, 1.5])
+    tb = mu.densities[0]
     for n in range(61):
-        assert mu.moment(n) == pytest.approx(exact(n), abs=1e-12)
-    assert mix(mu, dirac(0.5), 0.5).moment(7) == pytest.approx(0.5 * exact(7) + 0.5**8, abs=1e-12)
+        assert mu.moment(n) == pytest.approx(_exact_table_moment(tb, n), abs=1e-12)
+    expected = 0.5 * _exact_table_moment(tb, 7) + 0.5**8
+    assert mix(mu, dirac(0.5), 0.5).moment(7) == pytest.approx(expected, abs=1e-12)
+
+
+def test_table_moments_resolve_the_peak_at_one_for_large_orders():
+    # t**n peaks at t = 1, inside the last panel of each segment; the 7- and
+    # 15-point sums of one panel can agree while both miss that peak
+    for grid, values in [
+        ([0.0, 1.0], [1.0, 1.0]),
+        ([0.0, 0.3, 0.999, 1.0], [0.0, 3.0, 2.0, 1.0]),
+        ([0.2, 0.5, 0.9, 1.0], [1.0, 0.0, 2.0, 0.5]),
+    ]:
+        mu = table_measure(grid, values)
+        for n in (3999, 4000, 5000):
+            exact = _exact_table_moment(mu.densities[0], n)
+            assert math.isclose(mu.moment(n), exact, rel_tol=1e-12), (grid, n)
+
+
+def test_uniform_table_moments_equal_lebesgue_moments():
+    tab, leb = table_measure([0.0, 1.0], [1.0, 1.0]), lebesgue()
+    for n in range(5001):
+        assert math.isclose(tab.moment(n), leb.moment(n), rel_tol=1e-13), n
 
 
 def test_batch_moments_agree_with_adaptive():
@@ -363,13 +387,42 @@ def test_mix_and_scaled_reweight_every_family():
     assert mix(other, _FOUR_FAMILIES, 0.25).densities[1] == Beta(0.7, 2.9, 0.3 * 0.75)
 
 
+@pytest.mark.parametrize("alpha", [0.005, 0.01, 0.03, 0.05])
+def test_small_order_log_power_rules_are_finite(alpha):
+    # s**q underflows near s = 0 on the right chart, where the plain weight
+    # reads 0**(alpha - 1) times 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        mu = loggamma_measure(alpha)
+        t, w = mu._rule
+        assert np.all(np.isfinite(t)) and np.all(np.isfinite(w))
+        h = ShiftedCauchyTransform.from_measure(mu)
+        zs = np.array([0.5, -0.7, 0.3 + 0.4j, 0.9j, -0.2 - 0.6j])
+        exact = np.array([h.deriv(z, tol=1e-12) for z in zs])
+        assert np.all(np.abs(h.derivs(zs) - exact) <= 1e-14 * np.abs(exact))
+
+
+def test_unit_mass_check_reads_the_rule_the_sweeps_use():
+    # the rule of beta(0.001, 1) has unit mass to 1.1e-15, that of
+    # beta(95.76, 589.55) misses it by 2.5e-10
+    assert beta_measure(0.001, 1.0).is_normalized
+    with pytest.raises(ValueError, match="beta density integrates to 0.99999999"):
+        beta_measure(95.76, 589.55)
+
+
+def test_atomic_moments_are_exact_power_sums():
+    atoms = [Atom(0.5, 0.25), Atom(0.75, 0.5), Atom(0.0, 0.125), Atom(1.0, 0.125)]
+    exact = [sum(Fraction(a.w) * Fraction(a.t) ** n for a in atoms) for n in range(20)]
+    assert Measure(atoms).moments(20).tolist() == [float(x) for x in exact]
+
+
 def test_density_with_nan_unit_mass_is_rejected():
     # a NaN unit mass fails every comparison, so the check must be written
     # to reject it rather than to accept on "not too far from 1"
     with np.errstate(all="ignore"):
         for build in (
             lambda: loggamma_measure(150.0),
-            lambda: loggamma_measure(0.01),
+            lambda: table_measure([0.0, 0.5, 1.0], [math.nan, 1.0, 1.0]),
             lambda: table_measure([0.0, 0.5, 1.0], [1.0, math.nan, 1.0]),
             lambda: table_measure([0.0, 0.5, 1.0], [1.0, math.inf, 1.0]),
         ):

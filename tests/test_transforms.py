@@ -204,6 +204,13 @@ def test_real_part_floor():
     assert FLEB.real_part_floor() == pytest.approx(math.log(2.0), abs=1e-10)
 
 
+def test_real_part_floor_is_the_fixed_rule_value_at_minus_one():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        F = CauchyTransform(random_measure(rng))
+        assert F.real_part_floor() == F.values(np.array([-1.0 + 0.0j]))[0].real
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_modulus_bound_and_floor(seed):
@@ -233,6 +240,14 @@ def test_series_quadrature_agreement():
         F = CauchyTransform(random_measure(rng))
         for z in random_disk_points(rng, 4, rmax=0.9):
             assert abs(F.series_eval(z, 320) - F.eval(z)) < 1e-8
+
+
+def test_series_eval_refuses_points_where_the_series_diverges():
+    # past |z| = 1 the partial sums diverge: -8.9e49 for lebesgue at z = -1.5, where F = 0.611
+    for z in (-1.5, 1.5, 2j, 1.0, -1.0, complex(math.nan, 0.0), math.inf):
+        with pytest.raises(ValueError, match="moment series needs"):
+            FLEB.series_eval(z)
+    assert FLEB.series_eval(-0.5) == pytest.approx(2.0 * math.log(1.5), abs=1e-12)
 
 
 def test_limit_dominates_disk_values():
