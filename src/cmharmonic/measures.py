@@ -7,6 +7,9 @@ power moments of the other families are closed forms (:meth:`Measure.moment`).
 Families with integrable endpoint singularities (beta with small exponents,
 log-power with small order) are charted by a regularizing change of variable
 chosen from the exponents, since plain panels stall near the endpoints.
+Each chart also gives the complement u = 1 - t of its points (see
+:class:`Chart`), and the adaptive route hands integrands the pair (t, u), so
+a kernel with a pole near t = 1 can be formed without the rounding of t.
 
 Boundary values at z = 1- of the transforms built from a measure are its
 endpoint moments, integrals of (1 - t)**-p; every family has them in closed
@@ -125,13 +128,26 @@ class Chart:
     ``weight(s)`` is ``pdf(t(s)) * |dt/ds|``, so integrating a function g
     against the density over the covered t-range equals integrating
     ``g(to_t(s)) * weight(s)`` over ``[lo, hi]``.
+
+    ``to_u(s)`` is the complement u = 1 - t of the same point.  Near t = 1 a
+    rounded t has lost the digits of 1 - t that a pole at z ~ 1 amplifies:
+    ``1 - t z`` at z = 1 - 1e-6 carries relative noise of about 1e-10, which
+    adaptive refinement bisects forever.  The right charts of the beta and
+    log-power families map t = 1 - s**q, so there u = s**q is exact; on the
+    other charts u = 1 - t, which is exact for t >= 1/2 (Sterbenz).
     """
 
     lo: float
     hi: float
     to_t: object
+    to_u: object
     weight: object
     max_panel: float | None = None
+
+
+def _complement(s):
+    """u = 1 - s, the complement of an identity chart, exact for s >= 1/2."""
+    return 1.0 - s
 
 
 @dataclass(frozen=True)
@@ -158,7 +174,7 @@ class Lebesgue:
 
     def charts(self):
         """One chart, the identity on [0, 1]."""
-        return (Chart(0.0, 1.0, lambda s: s, lambda s: np.ones_like(s)),)
+        return (Chart(0.0, 1.0, lambda s: s, _complement, lambda s: np.ones_like(s)),)
 
     def moment(self, n):
         """1/(n + 1), exact to rounding."""
@@ -183,6 +199,13 @@ class Beta:
     def __post_init__(self):
         if not (self.c > self.a > 0.0):
             raise ValueError(f"beta density needs c > a > 0, got a={self.a!r}, c={self.c!r}")
+        try:
+            self._norm
+        except OverflowError:
+            raise ValueError(
+                f"beta density with a={self.a!r}, c={self.c!r}: its normalizing constant"
+                " Gamma(c) / (Gamma(a) Gamma(c - a)) overflows"
+            ) from None
 
     @property
     def _norm(self):
@@ -206,9 +229,9 @@ class Beta:
         p = max(1.0, math.ceil(3.0 / a))
         q = max(1.0, math.ceil(3.0 / ca))
         return (
-            Chart(0.0, 0.5 ** (1.0 / p), lambda s: s**p,
+            Chart(0.0, 0.5 ** (1.0 / p), lambda s: s**p, lambda s: 1.0 - s**p,
                   lambda s: norm * p * s ** (p * a - 1.0) * (1.0 - s**p) ** (ca - 1.0)),
-            Chart(0.0, 0.5 ** (1.0 / q), lambda s: 1.0 - s**q,
+            Chart(0.0, 0.5 ** (1.0 / q), lambda s: 1.0 - s**q, lambda s: s**q,
                   lambda s: norm * q * s ** (q * ca - 1.0) * (1.0 - s**q) ** (a - 1.0)),
         )
 
@@ -286,8 +309,9 @@ class LogGamma:
 
         return (
             Chart(-math.log(0.5), 60.0 + 12.0 * alpha, lambda v: np.exp(-v),
+                  lambda v: 1.0 - np.exp(-v),
                   lambda v: inv_gamma * np.exp(-v) * v ** (alpha - 1.0), max_panel=2.0),
-            Chart(0.0, 0.5 ** (1.0 / q), lambda s: 1.0 - s**q, right_weight),
+            Chart(0.0, 0.5 ** (1.0 / q), lambda s: 1.0 - s**q, lambda s: s**q, right_weight),
         )
 
     def moment(self, n):
@@ -358,7 +382,9 @@ class Table:
     def charts(self):
         """One identity chart per segment of the grid, weighted by the interpolant."""
         weight = partial(np.interp, xp=self.grid, fp=self.values)
-        return tuple(Chart(lo, hi, lambda s: s, weight) for lo, hi in zip(self.grid, self.grid[1:]))
+        return tuple(
+            Chart(lo, hi, lambda s: s, _complement, weight) for lo, hi in zip(self.grid, self.grid[1:])
+        )
 
     def moment(self, n):
         """The integral of t**n against the density: a power sum over its rule.
@@ -472,11 +498,14 @@ class Measure:
     def integrate(self, integrand, tol=1e-10):
         """Integrate a (possibly complex-valued) vectorized function against the measure.
 
-        Atoms are added exactly; each density chart gets an adaptive pass
-        with an equal share of the tolerance, which must be finite and
-        nonnegative (atoms-only measures check it too).  Raises
-        :class:`~cmharmonic.quadrature.QuadratureError` when refinement
-        cannot reach the requested tolerance.
+        The integrand is called as ``integrand(t, u)`` on arrays of points t
+        and their complements u = 1 - t (see :class:`Chart`); an integrand
+        with a pole near t = 1 forms its small factors from u, where t has
+        rounded them away.  Atoms are added exactly, with u = 1 - a.t; each
+        density chart gets an adaptive pass with an equal share of the
+        tolerance, which must be finite and nonnegative (atoms-only measures
+        check it too).  Raises :class:`~cmharmonic.quadrature.QuadratureError`
+        when refinement cannot reach the requested tolerance.
         """
         _check_tol(tol)
         pieces = [(d, ch) for d in self.densities for ch in d.charts()]
@@ -484,27 +513,28 @@ class Measure:
         total = 0.0
         for d, ch in pieces:
             val, _ = adaptive_quad(
-                lambda s, ch=ch: np.asarray(integrand(ch.to_t(s))) * ch.weight(s),
+                lambda s, ch=ch: np.asarray(integrand(ch.to_t(s), ch.to_u(s))) * ch.weight(s),
                 ch.lo,
                 ch.hi,
                 tol=tol_piece,
             )
             total = total + d.weight * val
         for a in self.atoms:
-            total = total + a.w * complex(integrand(np.asarray(a.t)))
+            total = total + a.w * complex(integrand(np.asarray(a.t), np.asarray(1.0 - a.t)))
         if isinstance(total, complex) and total.imag == 0.0:
             return total.real
         return total
 
     def integrate_below(self, integrand, cut, tol=1e-10):
-        """:meth:`integrate` of the integrand times the indicator of t <= cut.
+        """:meth:`integrate` of ``integrand(t)`` times the indicator of t <= cut.
 
-        The mask drops atoms above the cut along with the density beyond it;
-        the jump at the cut is left to the adaptive refinement.  Nothing in
-        the package truncates: this delegate is kept as the entry point
-        ``perfbench/spans.py`` wraps by name.
+        The integrand takes t alone.  The mask drops atoms above the cut
+        along with the density beyond it; the jump at the cut is left to the
+        adaptive refinement.  Nothing in the package truncates: this
+        delegate is kept as the entry point ``perfbench/spans.py`` wraps by
+        name.
         """
-        return self.integrate(lambda t: np.asarray(integrand(t)) * (np.asarray(t) <= cut), tol)
+        return self.integrate(lambda t, u: np.asarray(integrand(t)) * (t <= cut), tol)
 
     def moment(self, n, tol=1e-12):
         """n-th power moment: exact atom sums plus each density family's ``moment(n)``.

@@ -307,6 +307,18 @@ def _rect_kernel_sums(x, y, t, weights, power):
     return out
 
 
+def _kernel_base(z, t, u):
+    """``1 - t z`` at points t with complements u: ``(1 - z) + z u`` where t >= 1/2.
+
+    Near t = 1 the rounded product t z has lost the digits of 1 - t z that
+    a pole at z ~ 1 leaves; the complement u keeps them.  For t >= 1/2 and
+    u <= 1/2 the two terms cancel no more than the pole itself forces.
+    Below t = 1/2, 1 - t z needs no help, and the u form would cancel
+    badly there for large |z|.
+    """
+    return np.where(t >= 0.5, (1.0 - z) + z * u, 1.0 - t * z)
+
+
 @dataclass(frozen=True)
 class CauchyTransform:
     """Transform ``F(z)`` of a probability measure (``mu.is_normalized``); ``F(0) = 1``."""
@@ -325,7 +337,7 @@ class CauchyTransform:
         """Value at a single point of the slit plane (adaptive quadrature)."""
         z = complex(z)
         _check_slit(z)
-        val = self.mu.integrate(lambda t: 1.0 / (1.0 - t * z), tol=tol)
+        val = self.mu.integrate(lambda t, u: 1.0 / _kernel_base(z, t, u), tol=tol)
         return complex(val)
 
     __call__ = eval
@@ -394,12 +406,12 @@ class ShiftedCauchyTransform:
         """h'(z) by quadrature of the squared kernel (never finite differences)."""
         z = complex(z)
         _check_slit(z)
-        return complex(self.mu.integrate(lambda t: (1.0 - t * z) ** -2.0, tol=tol))
+        return complex(self.mu.integrate(lambda t, u: _kernel_base(z, t, u) ** -2.0, tol=tol))
 
     def deriv2(self, z, tol=1e-10):
         z = complex(z)
         _check_slit(z)
-        return complex(self.mu.integrate(lambda t: 2.0 * t * (1.0 - t * z) ** -3.0, tol=tol))
+        return complex(self.mu.integrate(lambda t, u: 2.0 * t * _kernel_base(z, t, u) ** -3.0, tol=tol))
 
     def derivs(self, zs):
         t, w = self.mu._rule

@@ -70,7 +70,7 @@ def test_criterion_02_moment_difference_oracle():
         table = seq.table
         for k in range(13):
             for n in range(13 - k):
-                oracle = mu.integrate(lambda t: t**n * (1.0 - t) ** k, tol=1e-12)
+                oracle = mu.integrate(lambda t, u: t**n * (1.0 - t) ** k, tol=1e-12)
                 assert abs(table.value(k, n) - oracle) <= 1e-9
     _report(2, "iterated differences equal beta-kernel integrals to 1e-9 (10 measures)")
 

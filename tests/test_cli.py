@@ -189,6 +189,28 @@ def test_eval_and_dilatation(tmp_path):
     assert json.loads(res.stdout)["abs"] == pytest.approx(0.722, abs=1e-9)
 
 
+# A log-power h against an atom plus beta(1, 1.9005...) g, whose density is
+# unbounded at t = 1; the dilatation references were computed offline with
+# mpmath at 40 digits, at the float z.
+ATOM_BETA_MAP = {
+    "h": {"densities": [{"family": "loggamma", "alpha": 1.2535804438245963}]},
+    "g": {
+        "atoms": [{"t": 0.5512856438457278, "w": 0.7736347952231699}],
+        "densities": [{"family": "beta", "a": 1.0, "c": 1.9005300846446114, "w": 0.22636520477683003}],
+    },
+    "c": 0.1285442230188769,
+}
+
+
+@pytest.mark.parametrize("z, ref", [("0.9999", 0.56013328956747104), ("0.999999", 2.8430624008449399)])
+def test_dilatation_near_one(tmp_path, z, ref):
+    res = run_cli("dilatation", write(tmp_path, "map.json", ATOM_BETA_MAP), f"--z={z}")
+    assert res.returncode == 0, res.stderr
+    out = json.loads(res.stdout)
+    assert math.isclose(out["re"], ref, rel_tol=1e-12)
+    assert out["im"] == 0.0
+
+
 def test_moments_formats(tmp_path):
     mu = write(
         tmp_path,
@@ -307,6 +329,13 @@ def test_moments_count_must_be_nonnegative(tmp_path):
     assert "count must be nonnegative" in res.stderr
     res = run_cli("moments", mu, "--count", "0")
     assert (res.returncode, res.stdout) == (0, "[]\n")
+
+
+def test_beta_whose_normalizer_overflows_exits_2(tmp_path):
+    mu = write(tmp_path, "mu.json", {"densities": [{"family": "beta", "a": 3000, "c": 6000}]})
+    res = run_cli("moments", mu, "--count", "3")
+    assert (res.returncode, res.stdout) == (2, "")
+    assert "a=3000.0, c=6000.0" in res.stderr and "overflows" in res.stderr
 
 
 _POLY = {"alpha": 4, "beta": 3, "c": 0.5}

@@ -24,10 +24,12 @@ from cmharmonic.transforms import (
     ShiftedCauchyTransform,
     SlitDomainError,
     _block_rows,
+    _kernel_base,
     _rect_kernel_sums,
     check_membership,
     slit_distance,
 )
+from cmharmonic.quadrature import adaptive_quad
 from cmharmonic.special import polylog_ratio
 from conftest import random_disk_points, random_measure
 
@@ -455,3 +457,83 @@ def test_kernel_sums_restore_the_ufunc_buffer_size():
             assert np.getbufsize() == bufsize
     finally:
         np.setbufsize(default)
+
+
+# -- near the slit: the kernel built from the complement u = 1 - t -------------
+
+# An atom plus beta(1, 1.9005...), whose density (c - 1)(1 - t)**(c - 2) is
+# unbounded at t = 1.
+_ATOM_BETA = Measure(
+    (Atom(0.5512856438457278, 0.7736347952231699),),
+    (Beta(1.0, 1.9005300846446114, 0.22636520477683003),),
+)
+_TABLE = table_measure([0.0, 0.5, 1.0], [0.5, 1.0, 1.5])  # density 1/2 + t
+
+# (measure, method of the shifted transform, point, reference).  The
+# references were computed offline with mpmath at 40 digits, at the float
+# point (mpmath.mpf(1 - 1e-6), not the decimal 0.999999).  The log-power ones
+# are the Lerch transcendents Phi(x, alpha, 1) and Phi(x, alpha - 1, 1).
+_NEAR_SLIT = [
+    (_ATOM_BETA, "value", 1 - 1e-4, 4.881343176362713),
+    (_ATOM_BETA, "value", 1 - 1e-6, 7.9071719953989121),
+    (_ATOM_BETA, "value", 1 - 1e-8, 12.690446557208258),
+    (_ATOM_BETA, "deriv", 1 - 1e-4, 5183.5174239493858),
+    (_ATOM_BETA, "deriv", 1 - 1e-6, 818881.75164891435),
+    (_ATOM_BETA, "deriv", 1 - 1e-8, 129466887.4546206),
+    (_ATOM_BETA, "deriv2", 1 - 1e-4, 56946362.8210318),
+    (_ATOM_BETA, "deriv2", 1 - 1e-6, 900331092049.4929),
+    (_ATOM_BETA, "deriv2", 1 - 1e-8, 1.42344941889229e16),
+    (beta_measure(0.6042, 2.1667), "deriv", 1 - 1e-6, 623.80842950673985736),
+    (beta_measure(0.6042, 2.1667), "deriv", 1 - 1e-6 + 1e-7j,
+     621.85796512714067817 + 27.167792207764708138j),
+    (loggamma_measure(2.1312), "F", 1 - 1e-6, 1.5370469430688413739),
+    (loggamma_measure(2.1312), "deriv", 1 - 1e-6, 6.8461456566835376518),
+    (_TABLE, "deriv", 1 - 1e-4, 14991.787917295255267),
+    (_TABLE, "deriv", 1 - 1e-6, 1499987.1844196775061),
+]
+
+
+@pytest.mark.parametrize("mu, method, z, ref", _NEAR_SLIT)
+def test_pointwise_route_near_the_slit_matches_mpmath(mu, method, z, ref):
+    # a pole 1e-8 to 1e-4 from t = 1 amplifies the rounding of a node t
+    # near 1; the kernel's complement form keeps it out, so no call raises
+    # QuadratureError and each lands on the reference
+    h = ShiftedCauchyTransform.from_measure(mu)
+    fn = h.base.eval if method == "F" else getattr(h, method)
+    got = complex(fn(z))
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def test_pointwise_derivative_near_the_slit_evaluates_few_points(monkeypatch):
+    # the rounded form 1 - t z split panels into 16,384-panel frontiers,
+    # about 1e6 integrand points per call; the count is deterministic
+    from cmharmonic import measures
+
+    points = []
+
+    def counting(f, a, b, **kwargs):
+        def counted(s):
+            points.append(np.size(s))
+            return f(s)
+
+        return adaptive_quad(counted, a, b, **kwargs)
+
+    monkeypatch.setattr(measures, "adaptive_quad", counting)
+    for mu, x in [
+        (loggamma_measure(2.1312), 1 - 1e-6),
+        (beta_measure(1.8542, 4.1667), 1 - 1e-6),
+        (beta_measure(0.6042, 2.1667), 1 - 1e-4),
+    ]:
+        points.clear()
+        ShiftedCauchyTransform.from_measure(mu).deriv(x)
+        assert 0 < sum(points) < 20_000, (mu, x, sum(points))
+
+
+def test_kernel_base_uses_the_complement_only_above_one_half():
+    # far from the slit both forms agree; at a large |z| below t = 1/2 the
+    # u form would cancel, so it is not used there
+    t = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    for z in (0.5 + 0.5j, -3.0, 1e6j):
+        got = _kernel_base(z, t, 1.0 - t)
+        assert np.allclose(got, 1.0 - t * z, rtol=1e-15, atol=0.0)
+        assert np.array_equal(got[:2], 1.0 - t[:2] * z)
