@@ -233,9 +233,24 @@ class HarmonicMap:
 
     __call__ = eval
 
+    def _shares_measure(self):
+        """Whether h and g are shifted transforms over equal measures.
+
+        Equal measures build bitwise-equal rules, so g's kernel sums are
+        then h's, and the vectorized methods evaluate them once.  Only
+        measure-backed parts are compared.
+        """
+        return (
+            isinstance(self.h, ShiftedCauchyTransform)
+            and isinstance(self.g, ShiftedCauchyTransform)
+            and self.h.mu == self.g.mu
+        )
+
     def values(self, zs):
         zs = np.asarray(zs, dtype=complex)
-        return self.h.values(zs) + self.c * np.conj(self.g.values(zs))
+        hv = self.h.values(zs)
+        gv = hv if self._shares_measure() else self.g.values(zs)
+        return hv + self.c * np.conj(gv)
 
     def dilatation(self, z, tol=1e-10):
         """Second complex dilatation ``c g'(z)/h'(z)``."""
@@ -249,7 +264,7 @@ class HarmonicMap:
         """Vectorized dilatation; returns (omega, singular_mask)."""
         zs = np.asarray(zs, dtype=complex)
         hp = self.h.derivs(zs)
-        gp = self.g.derivs(zs)
+        gp = hp if self._shares_measure() else self.g.derivs(zs)
         singular = np.abs(hp) < SINGULAR_TOL
         omega = np.full(zs.shape, np.nan + 0j, dtype=complex)
         ok = ~singular

@@ -105,6 +105,10 @@ class GridSpec:
     :meth:`disk_points`.  No disk sweep says anything about the boundary
     point z = 1: a dilatation can stay small on |z| <= 0.98 and be
     unbounded as z -> 1.
+
+    The rectangle's bounds must be finite and ordered, xmin < xmax < 1 and
+    0 < ymin < ymax, so the whole rectangle lies in the open upper quadrant
+    of {Re z < 1} and its first column is its leftmost.
     """
 
     rmin: float = 0.1
@@ -130,6 +134,11 @@ class GridSpec:
         bounds = (self.rmin, self.rmax, self.xmin, self.xmax, self.ymin, self.ymax)
         if not all(math.isfinite(b) for b in bounds):
             raise ValueError(f"grid bounds must be finite, got {bounds!r}")
+        if not (self.xmin < self.xmax and self.ymin < self.ymax):
+            raise ValueError(
+                f"half-plane rectangle bounds must be ordered (xmin < xmax, ymin < ymax), "
+                f"got x in [{self.xmin!r}, {self.xmax!r}], y in [{self.ymin!r}, {self.ymax!r}]"
+            )
 
     def _circle(self):
         """``e^{i theta_j}``, theta_j = 2 pi j / ntheta, exactly closed under conjugation."""
@@ -439,10 +448,12 @@ class MembershipReport:
     function cannot be probed and is assumed.
 
     For a :class:`CauchyTransform`, ``min_im_upper`` comes from the real
-    kernel ``Im F(x + i y) = y sum t w / ((1 - x t)^2 + (y t)^2)`` over the
-    rectangle's axes, not from complex values; rectangle nodes within
-    ``SLIT_MARGIN`` of the slit are left out and counted in ``skipped``.
-    Any other callable is evaluated on the nodes themselves.  ``consistent``
+    kernel ``Im F(x + i y) = y sum t w / ((1 - x t)^2 + (y t)^2)``, not
+    from complex values.  Every term rises with x below Re z = 1, so the
+    minimum over the rectangle lies on its left column x = xmin, and only
+    that column is evaluated; rectangle nodes within ``SLIT_MARGIN`` of the
+    slit are left out and all of them are counted in ``skipped``.  Any
+    other callable is evaluated on the nodes themselves.  ``consistent``
     needs at least one finite value on the rectangle and on the ray.
     """
 
@@ -478,17 +489,25 @@ def _eval_grid(fn, pts):
 
 
 def _upper_imag(F, grid):
-    """Im F on ``grid.rect_points()``: the power-1 rectangle kernel sums.
+    """Im F on the rectangle's left column x = xmin, and the rectangle's skip count.
 
-    ``Im F(x + i y) = y * sum_j t_j w_j / ((1 - x t_j)^2 + (y t_j)^2)``.
-    Nodes within ``SLIT_MARGIN`` of the slit read NaN and are counted, as
-    the per-node fallback of :func:`_eval_grid` counts them.
+    ``Im F(x + i y) = y * sum_j t_j w_j / ((1 - x t_j)^2 + (y t_j)^2)``,
+    and for x < 1 and t in [0, 1] each term rises with x: with
+    ``a = 1 - x t > 0``, d/dx of ``t / (a^2 + (y t)^2)`` is
+    ``2 a t^2 / (a^2 + (y t)^2)^2 >= 0``.  The weights are nonnegative, so
+    each row's minimum over the rectangle is its left node, and only the
+    x = xmin column is evaluated.  Each rounded step of the kernel, the dot
+    product with the weights included, keeps that order, so the minimum is
+    the full sweep's bit for bit.  Nodes within ``SLIT_MARGIN`` of the slit
+    read NaN and every skipped rectangle node is counted, as the per-node
+    fallback of :func:`_eval_grid` counts them; since |z - 1| falls as x
+    rises, a row whose left node is skipped is skipped entirely.
     """
     x, y = grid._rect_axes()
     t, w = F.mu._rule
-    im = _rect_kernel_sums(x, y, t, w, 1).ravel()
+    im = _rect_kernel_sums(x[:1], y, t, w, 1)[0]
     bad = _outside_domain(grid.rect_points())
-    im[bad] = np.nan
+    im[bad[: len(y)]] = np.nan
     return im, int(bad.sum())
 
 
@@ -499,8 +518,11 @@ def check_membership(fn, grid=None):
     points (vectorized callables are used as such).  Failing nodes are
     skipped and counted.  For a :class:`CauchyTransform` the upper-rectangle
     probe takes Im F from the real kernel ``y t / ((1 - x t)^2 + (y t)^2)``
-    over the rectangle's axes (see ``_upper_imag``) instead of complex
-    values; the real ray and F(0) use :meth:`CauchyTransform.values`, and
+    instead of complex values, on the left column x = xmin only: for
+    x < 1 and t in [0, 1] the kernel rises with x, so each row's minimum
+    is its left node, and a row whose left node lies within
+    ``SLIT_MARGIN`` of z = 1 lies there entirely (see ``_upper_imag``).
+    The real ray and F(0) use :meth:`CauchyTransform.values`, and
     any other callable goes through vector-then-per-node evaluation.  A
     probe with no finite value on the rectangle or on the ray is never
     consistent.  Each probe may miss by ``CHECK_SLACK``.

@@ -427,6 +427,17 @@ def test_rect_below_real_axis_is_rejected(tmp_path):
     assert "open upper half" in res.stderr
 
 
+@pytest.mark.parametrize("rect", ["3,0.5,0.01,0.5,10,10", "-3,0.99,3,0.01,10,10"])
+def test_rect_with_out_of_order_bounds_is_rejected(tmp_path, rect):
+    # the first rectangle once passed, with 8 of its 10 columns at Re z >= 1
+    beta = {"densities": [{"family": "beta", "a": 1, "c": 3, "w": 1}]}
+    fmap = write(tmp_path, "f.json", {"h": beta, "g": beta, "c": 0.5})
+    res = run_cli("verify-thm", "1.3", fmap, f"--rect={rect}")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "must be ordered" in res.stderr
+
+
 @pytest.mark.parametrize(
     "rect", ["nan,0.99,0.01,3,5,5", "-inf,0.99,0.01,3,5,5", "-3,0.99,0.01,inf,5,5"]
 )

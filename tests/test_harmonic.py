@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from cmharmonic import transforms
 from cmharmonic.harmonic import (
     CROSS_SLACK,
     SINGULAR_TOL,
@@ -100,6 +101,42 @@ def test_values_vectorized_matches_scalar():
     vec = f.values(zs)
     for z, v in zip(zs, vec):
         assert v == pytest.approx(f.eval(z), abs=1e-10)
+
+
+def _two_call_values(f, zs):
+    """``values`` and ``dilatation_values`` as first written, each part evaluated on its own."""
+    hp, gp = f.h.derivs(zs), f.g.derivs(zs)
+    singular = np.abs(hp) < SINGULAR_TOL
+    omega = np.full(zs.shape, np.nan + 0j)
+    omega[~singular] = f.c * gp[~singular] / hp[~singular]
+    return f.h.values(zs) + f.c * np.conj(f.g.values(zs)), omega, singular
+
+
+_SHARED = ("one measure object", "equal measures parsed apart", "point mass at 0")
+
+
+@pytest.mark.parametrize("case", [*_SHARED, "distinct measures", "probe fails", "series part"])
+def test_vectorized_map_evaluates_a_shared_measure_once(monkeypatch, case):
+    maps = _equivalence_maps()
+    maps["series part"] = HarmonicMap(F1, SeriesPart((1.0, 0.5, 0.25), radius=0.99), 0.3)
+    f = maps[case]
+    zs = GridSpec().disk_points()
+    ref_values, ref_omega, ref_singular = _two_call_values(f, zs)
+    calls = []
+    kernel_sums = transforms._kernel_sums
+
+    def counting(*args):
+        calls.append(args[-1])
+        return kernel_sums(*args)
+
+    monkeypatch.setattr(transforms, "_kernel_sums", counting)
+    values = f.values(zs)
+    omega, singular = f.dilatation_values(zs)
+    assert values.tobytes() == ref_values.tobytes()
+    assert omega.tobytes() == ref_omega.tobytes()
+    assert singular.tolist() == ref_singular.tolist()
+    measure_parts = 1 if case in _SHARED or case == "series part" else 2
+    assert calls == [1] * measure_parts + [2] * measure_parts
 
 
 def test_c_bound_enforced():

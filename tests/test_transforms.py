@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cmharmonic import transforms
 from cmharmonic.measures import (
     Atom,
     Beta,
@@ -25,6 +26,7 @@ from cmharmonic.transforms import (
     SlitDomainError,
     _block_rows,
     _kernel_base,
+    _outside_domain,
     _rect_kernel_sums,
     check_membership,
     slit_distance,
@@ -368,6 +370,71 @@ def test_rect_kernel_matches_plain_imaginary_part_at_block_edges():
         assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), ny
 
 
+def _upper_imag_reference(F, grid):
+    """``_upper_imag`` as first written: the power-1 kernel on every rectangle node."""
+    x, y = grid._rect_axes()
+    t, w = F.mu._rule
+    im = _rect_kernel_sums(x, y, t, w, 1).ravel()
+    bad = _outside_domain(grid.rect_points())
+    im[bad] = np.nan
+    return im, int(bad.sum())
+
+
+@st.composite
+def _measure_and_rectangle(draw):
+    """A random measure, with atoms at 0, 1 or 5e-324 mixed in, and a rectangle in Re z < 1.
+
+    The gaps 1 - xmax and ymin run down to 1e-11, or are 5e-13, which
+    puts the corner (xmax, ymin) within ``SLIT_MARGIN`` of z = 1 when both
+    are; a rectangle may be as narrow as 1e-13, so whole rows, or all of
+    it, can lie there.
+    """
+    mu = random_measure(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    ends = draw(st.lists(st.sampled_from((0.0, 1.0, 5e-324)), unique=True, max_size=3))
+    if ends:
+        edge = Measure(tuple(Atom(t, 1.0 / len(ends)) for t in ends))
+        mu = mix(edge, mu, draw(st.floats(0.05, 0.95)))
+    gap = st.one_of(st.just(5e-13), st.floats(0.0, 11.0).map(lambda e: 10.0**-e))
+    xmax = 1.0 - draw(gap)
+    xmin = xmax - 10.0 ** draw(st.floats(-13.0, 0.7))
+    ymin = draw(gap)
+    ymax = ymin + 10.0 ** draw(st.floats(-13.0, 0.7))
+    nx, ny = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    grid = GridSpec(xmin=xmin, xmax=xmax, ymin=ymin, ymax=ymax, nx=nx, ny=ny)
+    return CauchyTransform(mu), grid
+
+
+@settings(max_examples=150, deadline=None)
+@given(_measure_and_rectangle())
+@example((F1, GridSpec(xmin=1.0 - 6e-13, xmax=1.0 - 5e-13, ymin=5e-13, ymax=6e-13, nx=3, ny=3)))
+def test_membership_reads_the_left_column_bit_for_bit(case):
+    # for x < 1 and t in [0, 1] each kernel term t / ((1 - x t)^2 + (y t)^2)
+    # rises with x, and every rounded step keeps that order, so each row's
+    # minimum is its left node and the one-column report equals the full one
+    F, grid = case
+    x, y = grid._rect_axes()
+    t, w = F.mu._rule
+    assert np.all(np.diff(_rect_kernel_sums(x, y, t, w, 1), axis=0) >= 0.0)
+    got = check_membership(F, grid=grid).to_dict()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transforms, "_upper_imag", _upper_imag_reference)
+        ref = check_membership(F, grid=grid).to_dict()
+    assert repr(got) == repr(ref)
+
+
+def test_membership_of_a_transform_evaluates_one_column(monkeypatch):
+    widths = []
+    sums = transforms._rect_kernel_sums
+
+    def counting(x, *args):
+        widths.append(len(x))
+        return sums(x, *args)
+
+    monkeypatch.setattr(transforms, "_rect_kernel_sums", counting)
+    rep = check_membership(CauchyTransform(random_measure(np.random.default_rng(4))))
+    assert rep.consistent and widths == [1]
+
+
 def test_rect_kernel_restores_the_ufunc_buffer_size():
     F = CauchyTransform(Measure((Atom(0.3, 0.2),), (Beta(1.5, 3.2, 0.8),)))
     t, w = F.mu._rule
@@ -394,6 +461,15 @@ def test_gridspec_validation():
     for ymin, ymax in [(0.0, 3.0), (-1.0, 3.0), (0.5, -1.0), (math.nan, 3.0)]:
         with pytest.raises(ValueError, match="open upper half"):
             GridSpec(ymin=ymin, ymax=ymax)
+    # and its bounds must be ordered, so its first column is its leftmost
+    for bounds in [
+        {"xmin": 3.0, "xmax": 0.5},
+        {"xmin": 0.5, "xmax": 0.5},
+        {"ymin": 3.0, "ymax": 0.01},
+        {"ymin": 1.0, "ymax": 1.0},
+    ]:
+        with pytest.raises(ValueError, match="must be ordered"):
+            GridSpec(**bounds)
     for name in ("rmin", "rmax", "xmin", "xmax", "ymin", "ymax"):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
