@@ -26,6 +26,7 @@ from .harmonic import (
 )
 from .measures import measure_from_dict
 from .moments import MomentSequence, is_completely_monotone
+from .quadrature import _check_tol
 from .special import certify_hypergeom_map, certify_polylog_map
 from .transforms import CauchyTransform, GridSpec
 
@@ -125,10 +126,8 @@ def cmd_check_cm(args):
 
 
 def cmd_moments(args):
-    if args.count < 0:
-        raise ValueError(f"count must be nonnegative, got {args.count}")
-    mu = measure_from_dict(_load_json(args.path))
-    vals = [mu.moment(n, tol=args.tol) for n in range(args.count)]
+    _check_tol(args.tol)
+    vals = measure_from_dict(_load_json(args.path)).moments(args.count)
     if args.format == "csv":
         rows = ["n,value"] + [f"{n},{_fmt_num(v)}" for n, v in enumerate(vals)]
         _emit("\n".join(rows) + "\n", args.out)

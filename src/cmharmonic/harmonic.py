@@ -229,16 +229,18 @@ class HarmonicMap:
 
     def eval(self, z, tol=1e-10):
         z = complex(z)
-        return self.h.value(z, tol=tol) + self.c * complex(self.g.value(z, tol=tol)).conjugate()
+        hv = self.h.value(z, tol=tol)
+        gv = hv if self._shares_measure() else self.g.value(z, tol=tol)
+        return hv + self.c * complex(gv).conjugate()
 
     __call__ = eval
 
     def _shares_measure(self):
         """Whether h and g are shifted transforms over equal measures.
 
-        Equal measures build bitwise-equal rules, so g's kernel sums are
-        then h's, and the vectorized methods evaluate them once.  Only
-        measure-backed parts are compared.
+        Equal measures build bitwise-equal rules and charts, so g's kernel
+        sums and adaptive integrals are then h's, and every method of the
+        map evaluates them once.  Only measure-backed parts are compared.
         """
         return (
             isinstance(self.h, ShiftedCauchyTransform)
@@ -258,7 +260,8 @@ class HarmonicMap:
         hp = self.h.deriv(z, tol=tol)
         if abs(hp) < SINGULAR_TOL:
             raise SingularDerivativeError(f"|h'({z!r})| = {abs(hp):g} below guard")
-        return self.c * self.g.deriv(z, tol=tol) / hp
+        gp = hp if self._shares_measure() else self.g.deriv(z, tol=tol)
+        return self.c * gp / hp
 
     def dilatation_values(self, zs):
         """Vectorized dilatation; returns (omega, singular_mask)."""
@@ -275,7 +278,7 @@ class HarmonicMap:
         """|h'|^2 - |c|^2 |g'|^2; positive exactly where |dilatation| < 1."""
         z = complex(z)
         hp = self.h.deriv(z, tol=tol)
-        gp = self.g.deriv(z, tol=tol)
+        gp = hp if self._shares_measure() else self.g.deriv(z, tol=tol)
         return abs(hp) ** 2 - abs(self.c) ** 2 * abs(gp) ** 2
 
 
@@ -371,7 +374,8 @@ def certify_qc_grid(f, k, grid=None):
     zs, hp, spoiled = _ring_derivs(f.h, grid)
     if spoiled:
         return QCCertificate("grid", k, "inconclusive", grid=grid, details=spoiled)
-    mags = np.abs(f.c * f.g.derivs(zs) / hp)
+    gp = hp if f._shares_measure() else f.g.derivs(zs)
+    mags = np.abs(f.c * gp / hp)
     idx = int(np.argmax(mags))
     sup = float(mags[idx])
     at = zs[idx]
@@ -587,7 +591,9 @@ def check_partial_signs(f, grid=None, slack=CHECK_SLACK):
 def convolve(f1, f2, order=64):
     """Partwise Hadamard product; the result carries truncated coefficients.
 
-    Coefficient prefixes are exact for atomic measures.  The returned map
+    Measure-backed parts give their moments as coefficient prefixes
+    (:meth:`~cmharmonic.measures.Measure.moments`: closed forms, power sums
+    over the rule for tables).  The returned map
     evaluates as a series on |z| <= 0.95 only; the co-analytic constant
     multiplies.
     """

@@ -3,7 +3,7 @@
 Each density has one fixed rule (:func:`_density_rule`): every sweep, the
 unit-mass check and the table moments sum over it.  :meth:`Measure.integrate`
 is the adaptive route, for pointwise values to a tolerance near the slit;
-power moments of the other families are closed forms (:meth:`Measure.moment`).
+power moments have one route (:meth:`Measure.moments`), closed but for tables.
 Families with integrable endpoint singularities (beta with small exponents,
 log-power with small order) are charted by a regularizing change of variable
 chosen from the exponents, since plain panels stall near the endpoints.
@@ -176,9 +176,9 @@ class Lebesgue:
         """One chart, the identity on [0, 1]."""
         return (Chart(0.0, 1.0, lambda s: s, _complement, lambda s: np.ones_like(s)),)
 
-    def moment(self, n):
-        """1/(n + 1), exact to rounding."""
-        return 1.0 / (n + 1)
+    def moments(self, count):
+        """1/(n + 1) for n < count, exact to rounding."""
+        return 1.0 / np.arange(1, count + 1)
 
     def endpoint_moment(self, p):
         return math.inf
@@ -235,16 +235,13 @@ class Beta:
                   lambda s: norm * q * s ** (q * ca - 1.0) * (1.0 - s**q) ** (a - 1.0)),
         )
 
-    def moment(self, n):
-        """(a)_n / (c)_n, the product of (a + i)/(c + i) over i < n.
+    def moments(self, count):
+        """(a)_n / (c)_n for n < count, the running product of (a + i)/(c + i) over i < n.
 
-        Each factor lies in (0, 1), so the running product neither
-        overflows nor underflows early, and n factors cost n roundings.
+        Each factor lies in (0, 1), so the product neither overflows nor underflows early.
         """
-        out = 1.0
-        for i in range(n):
-            out *= (self.a + i) / (self.c + i)
-        return out
+        i = np.arange(count - 1)
+        return np.cumprod(np.concatenate([[1.0], (self.a + i) / (self.c + i)]))[:count]
 
     def endpoint_moment(self, p):
         """Gamma(c) Gamma(c-a-p) / (Gamma(c-a) Gamma(c-p)), finite iff c - a > p.
@@ -314,9 +311,9 @@ class LogGamma:
             Chart(0.0, 0.5 ** (1.0 / q), lambda s: 1.0 - s**q, lambda s: s**q, right_weight),
         )
 
-    def moment(self, n):
-        """(n + 1)**-alpha, exact to rounding."""
-        return (n + 1.0) ** -self.alpha
+    def moments(self, count):
+        """(n + 1)**-alpha for n < count, by Python's power (numpy's rounds differently)."""
+        return np.array([(n + 1.0) ** -self.alpha for n in range(count)])
 
     def endpoint_moment(self, p):
         """zeta(alpha) for p = 1, zeta(alpha - 1) for p = 2, and +inf where that series diverges.
@@ -386,15 +383,15 @@ class Table:
             Chart(lo, hi, lambda s: s, _complement, weight) for lo, hi in zip(self.grid, self.grid[1:])
         )
 
-    def moment(self, n):
-        """The integral of t**n against the density: a power sum over its rule.
+    def moments(self, count):
+        """The integrals of t**n against the density for n < count: power sums over its rule.
 
         The exact form, a sum of differences of powers of the grid points
         over the segments, cancels badly on short segments; the rule's panels
         grade toward both ends of each segment and resolve the peak at t = 1.
         """
         t, w = _density_rule(self)
-        return float((t**n) @ w)
+        return np.array([(t**n) @ w for n in range(count)])
 
     def endpoint_moment(self, p):
         """Exact integral of (1 - t)**-p against the piecewise-linear density.
@@ -537,18 +534,11 @@ class Measure:
         return self.integrate(lambda t, u: np.asarray(integrand(t)) * (t <= cut), tol)
 
     def moment(self, n, tol=1e-12):
-        """n-th power moment: exact atom sums plus each density family's ``moment(n)``.
-
-        Lebesgue, beta and log-power densities have closed forms; a table
-        sums t**n over its rule.  No family reads ``tol``, which must still
-        be finite and nonnegative.
-        """
+        """Entry n of :meth:`moments`; no family reads ``tol``, which must still be finite and nonnegative."""
         if n < 0 or n != int(n):
             raise ValueError(f"moment order must be a nonnegative integer, got {n!r}")
         _check_tol(tol)
-        n = int(n)
-        total = sum(a.w * a.t**n for a in self.atoms)
-        return float(total + sum(d.weight * d.moment(n) for d in self.densities))
+        return float(self.moments(int(n) + 1)[-1])
 
     @cached_property
     def _rule(self):
@@ -565,13 +555,16 @@ class Measure:
         return np.concatenate(ts), np.concatenate(ws)
 
     def moments(self, count):
-        """First ``count`` moments as an array: power sums over :attr:`_rule`, exact for atoms.
+        """First ``count`` power moments, the one route: atom power sums plus each density's ``moments``.
 
-        This is the fast path behind series coefficients; :meth:`moment` gives the closed forms.
+        Lebesgue, beta and log-power densities have closed forms; a table
+        sums t**n over its rule.
         """
-        ns = np.arange(count)
-        t, w = self._rule
-        return (t[None, :] ** ns[:, None]) @ w
+        if count < 0 or count != int(count):
+            raise ValueError(f"moment count must be nonnegative and an integer, got {count!r}")
+        count = int(count)
+        atoms = sum(a.w * np.array([a.t**n for n in range(count)], dtype=float) for a in self.atoms)
+        return atoms + sum(d.weight * d.moments(count) for d in self.densities)
 
     # -- endpoint calculus at t = 1 -------------------------------------------
 

@@ -357,15 +357,12 @@ class CauchyTransform:
         return _kernel_sums(zs, t, w, 1)
 
     def series_eval(self, z, terms=300):
-        """Truncated moment series; cross-check path for |z| well inside 1, refused at |z| >= 1."""
+        """Truncated moment series (|z| < 1 only), closed forms but for tables: a check of :meth:`values`."""
         z = complex(z)
         if not abs(z) < 1.0:
             raise ValueError(f"moment series needs |z| < 1, got {z!r}")
         coef = self.mu.moments(terms)
         return complex(np.polynomial.polynomial.polyval(z, coef))
-
-    def moments(self, count):
-        return self.mu.moments(count)
 
     # -- boundary behavior ----------------------------------------------------
 
@@ -431,7 +428,10 @@ class ShiftedCauchyTransform:
         return _kernel_sums(zs, t, 2.0 * t * w, 3)
 
     def coeffs(self, count):
-        """Power-series coefficients: entry n multiplies z**(n+1)."""
+        """Power-series coefficients: entry n multiplies z**(n+1).
+
+        They are :meth:`Measure.moments`, closed forms but for tables, so they do not reuse the fixed rule.
+        """
         return self.mu.moments(count)
 
 

@@ -353,6 +353,8 @@ def _malformed_number_calls(value):
         ("map.json", DENSITY_MAP, ["eval", "{}", "--z", "0", f"--tol={text}"]),
         ("table.json", table, ["moments", "{}", f"--tol={text}"]),
         ("beta.json", beta, ["moments", "{}", f"--tol={text}"]),
+        # no moment is computed at count 0, and the tolerance is still checked
+        ("beta.json", beta, ["moments", "{}", "--count", "0", f"--tol={text}"]),
     ]
     for name in _POLY:
         calls.append(("poly.json", dict(_POLY, **{name: value}), ["certify", "{}", "--method", "thm1.7", "--k", "0.7"]))
@@ -378,6 +380,7 @@ def test_negative_tolerance_exits_2(tmp_path):
     spec = write(tmp_path, "map.json", DENSITY_MAP)
     for args in (
         ("moments", mu, "--tol", "-1"),
+        ("moments", mu, "--count", "0", "--tol", "-1"),
         ("eval", spec, "--z", "0.5", "--tol", "-1"),
         ("eval", spec, "--z", "0", "--tol", "-1"),
     ):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cmharmonic import transforms
+from cmharmonic import measures, transforms
 from cmharmonic.harmonic import (
     CROSS_SLACK,
     SINGULAR_TOL,
@@ -137,6 +137,37 @@ def test_vectorized_map_evaluates_a_shared_measure_once(monkeypatch, case):
     assert singular.tolist() == ref_singular.tolist()
     measure_parts = 1 if case in _SHARED or case == "series part" else 2
     assert calls == [1] * measure_parts + [2] * measure_parts
+
+
+@pytest.mark.parametrize("case", [*_SHARED, "distinct measures", "probe fails", "series part", "convolution part"])
+def test_scalar_map_methods_evaluate_a_shared_measure_once(monkeypatch, case):
+    maps = _equivalence_maps()
+    maps["series part"] = HarmonicMap(F1, SeriesPart((1.0, 0.5, 0.25), radius=0.99), 0.3)
+    maps["convolution part"] = make_convolution_map(shifted(beta_measure(1.5, 3.2)), lebesgue(), 0.4)
+    f = maps[case]
+    z = 0.5 + 0.3j
+    calls = []
+    adaptive_quad = measures.adaptive_quad
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return adaptive_quad(*args, **kwargs)
+
+    def results():
+        return f.eval(z), f.dilatation(z), f.jacobian(z), certify_qc_grid(f, 0.9, grid=SMALL).to_dict()
+
+    monkeypatch.setattr(measures, "adaptive_quad", counting)
+    got = results()
+    counts = []
+    for method in (f.dilatation, f.h.deriv, f.g.deriv):
+        calls.clear()
+        method(z)
+        counts.append(len(calls))
+    shared = case in _SHARED
+    assert counts[0] == (counts[1] if shared else counts[1] + counts[2])
+    # the reference evaluates g on its own; repr round-trips every float bit for bit
+    monkeypatch.setattr(HarmonicMap, "_shares_measure", lambda self: False)
+    assert repr(got) == repr(results())
 
 
 def test_c_bound_enforced():

@@ -186,24 +186,46 @@ def test_table_moments_resolve_the_peak_at_one_for_large_orders():
         ([0.2, 0.5, 0.9, 1.0], [1.0, 0.0, 2.0, 0.5]),
     ]:
         mu = table_measure(grid, values)
+        ms = mu.moments(5001)
         for n in (3999, 4000, 5000):
             exact = _exact_table_moment(mu.densities[0], n)
-            assert math.isclose(mu.moment(n), exact, rel_tol=1e-12), (grid, n)
+            assert math.isclose(ms[n], exact, rel_tol=1e-12), (grid, n)
 
 
 def test_uniform_table_moments_equal_lebesgue_moments():
-    tab, leb = table_measure([0.0, 1.0], [1.0, 1.0]), lebesgue()
+    # one call forms all 5,001 moments; moment(n) forms n + 1 of them per call
+    tab, leb = table_measure([0.0, 1.0], [1.0, 1.0]).moments(5001), lebesgue().moments(5001)
     for n in range(5001):
-        assert math.isclose(tab.moment(n), leb.moment(n), rel_tol=1e-13), n
+        assert math.isclose(tab[n], leb[n], rel_tol=1e-13), n
 
 
-def test_batch_moments_agree_with_adaptive():
+def test_batch_moments_equal_the_scalar_moments():
+    # one route: moment(n) is entry n of moments, bit for bit, for every
+    # family, atoms at both ends and a mixture holding a table
     rng = np.random.default_rng(3)
-    for _ in range(4):
-        mu = random_measure(rng)
-        batch = mu.moments(10)
-        for n in range(10):
-            assert batch[n] == pytest.approx(mu.moment(n, tol=1e-13), abs=1e-11)
+    table = table_measure((0.0, 0.3, 0.31, 1.0), [1.0, 2.0, 0.5, 1.5])
+    measures = [random_measure(rng) for _ in range(4)] + [
+        lebesgue(), beta_measure(0.6, 1.3), loggamma_measure(1.2), table,
+        mix(mix(table, dirac(0.0), 0.5), mix(dirac(1.0), loggamma_measure(3.0), 0.25), 0.75),
+    ]
+    for mu in measures:
+        batch = mu.moments(40)
+        assert batch.dtype == np.float64 and batch.shape == (40,)
+        assert [float(x).hex() for x in batch] == [mu.moment(n, tol=1e-13).hex() for n in range(40)]
+        assert mu.moments(0).shape == (0,)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=0, max_value=80))
+def test_moments_prefix_is_the_scalar_moments_bit_for_bit(seed, count):
+    mu = random_measure(np.random.default_rng(seed))
+    batch = mu.moments(count)
+    assert [float(x).hex() for x in batch] == [mu.moment(n).hex() for n in range(count)]
+
+
+def test_lebesgue_moments_are_exact_reciprocals():
+    # a power sum over the fixed rule misses 1/(n + 1) by some ulps
+    assert lebesgue().moments(50).tolist() == [1.0 / (n + 1) for n in range(50)]
 
 
 @settings(max_examples=20, deadline=None)
@@ -275,10 +297,12 @@ def test_weights_must_be_finite(w):
 
 
 def test_moment_rejects_bad_order():
-    with pytest.raises(ValueError):
-        lebesgue().moment(-1)
-    with pytest.raises(ValueError):
-        lebesgue().moment(1.5)
+    # moments refuses its count as moment refuses its order
+    for bad in (-1, 1.5):
+        with pytest.raises(ValueError, match="moment order"):
+            lebesgue().moment(bad)
+        with pytest.raises(ValueError, match="moment count"):
+            lebesgue().moments(bad)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
