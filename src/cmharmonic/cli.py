@@ -26,7 +26,6 @@ from .harmonic import (
 )
 from .measures import measure_from_dict
 from .moments import MomentSequence, is_completely_monotone
-from .quadrature import _check_tol
 from .special import certify_hypergeom_map, certify_polylog_map
 from .transforms import CauchyTransform, GridSpec
 
@@ -126,7 +125,6 @@ def cmd_check_cm(args):
 
 
 def cmd_moments(args):
-    _check_tol(args.tol)
     vals = measure_from_dict(_load_json(args.path)).moments(args.count)
     if args.format == "csv":
         rows = ["n,value"] + [f"{n},{_fmt_num(v)}" for n, v in enumerate(vals)]
@@ -249,7 +247,6 @@ def _build_parser():
     p = sub.add_parser("moments", help="moments of a measure spec")
     p.add_argument("path")
     p.add_argument("--count", "-n", type=int, default=8)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_moments)

@@ -1,10 +1,20 @@
 """Harmonic mappings ``f = h + c * conj(g)`` with transform-class parts.
 
-The analytic and co-analytic parts are shifted Cauchy-Stieltjes transforms
-(or series/convolution stand-ins carrying the same evaluation surface), the
+Each part is a shifted Cauchy-Stieltjes transform or the Hadamard product
+of one with a measure's generator (:class:`ConvolutionPart`), the
 co-analytic one scaled by a constant of modulus below one.  This module
 evaluates such maps, their dilatation ``c g'/h'`` and Jacobian, and issues
 numerical quasiconformality certificates.
+
+Every such part has h' free of zeros on the open unit disk.  Take |z| < 1
+and alpha = arg(1 - z), so |alpha| < pi/2.  For t in [0, 1],
+1 - t z = (1 - t) + t (1 - z) is a convex combination of 1 and 1 - z, so
+its argument lies between 0 and alpha, and
+Re(e^{i alpha} (1 - t z)**-2) >= cos(alpha) |1 - t z|**-2.  Integrating
+against a probability measure (for a convolution, the law of s t, again on
+[0, 1]) gives Re(e^{i alpha} h'(z)) >= cos(alpha) / (1 + |z|)**2, at least
+0.0508 on |z| <= 0.98.  A fixed rule has nonnegative weights and nodes in
+[0, 1], so the bound holds for the rule sums too, up to their mass.
 
 A grid certificate records a sup estimate over finitely many nodes of the
 circle |z| = rmax, where the maximum modulus principle puts the sup over the
@@ -28,7 +38,6 @@ from .transforms import CHECK_SLACK, GridSpec, ShiftedCauchyTransform, _check_sl
 
 __all__ = [
     "SingularDerivativeError",
-    "SeriesPart",
     "ConvolutionPart",
     "HarmonicMap",
     "QCCertificate",
@@ -71,11 +80,16 @@ def shifted(mu):
     return ShiftedCauchyTransform.from_measure(mu)
 
 
+def _check_parts(parts, kinds, what):
+    """``TypeError`` naming the first of ``parts`` that is not one of ``kinds``."""
+    for part in parts:
+        if not isinstance(part, kinds):
+            raise TypeError(f"this operation needs {what} parts, got {type(part).__name__}")
+
+
 def _measures(*parts):
     """The representing measures of ``parts``; ``TypeError`` unless each is a shifted transform."""
-    for part in parts:
-        if not isinstance(part, ShiftedCauchyTransform):
-            raise TypeError(f"this operation needs measure-backed parts, got {type(part).__name__}")
+    _check_parts(parts, ShiftedCauchyTransform, "measure-backed")
     return tuple(part.mu for part in parts)
 
 
@@ -87,82 +101,23 @@ def _real_c(c):
     return z.real
 
 
-# -- alternative part representations ----------------------------------------
-
-
-class _VectorPart:
-    """Scalar evaluation derived from a part's vectorized methods.
-
-    A part defines ``values``, ``derivs`` and ``deriv2s`` on arrays of
-    points and ``coeffs(count)``; ``value``, ``deriv``, ``deriv2`` and
-    calling the part evaluate the vectorized method on a one-point array.
-    ``tol`` is accepted for the signature the adaptive parts share and is
-    unused: these parts have no adaptive route.
-    """
-
-    def value(self, z, tol=None):
-        return complex(self.values(np.array([complex(z)]))[0])
-
-    __call__ = value
-
-    def deriv(self, z, tol=None):
-        return complex(self.derivs(np.array([complex(z)]))[0])
-
-    def deriv2(self, z, tol=None):
-        return complex(self.deriv2s(np.array([complex(z)]))[0])
-
-
-@dataclass(frozen=True, init=False)
-class SeriesPart(_VectorPart):
-    """Truncated power series ``sum coefs[n] z**(n+1)``, usable for |z| <= radius.
-
-    Convolution results carry coefficients instead of measures; nothing
-    beyond the stored order is known, so requesting more coefficients than
-    stored is an error rather than a silent zero-fill.
-    """
-
-    coefs: tuple
-    radius: float
-
-    def __init__(self, coefs, radius=0.95):
-        coefs = tuple(float(c) for c in coefs)
-        if not coefs:
-            raise ValueError("series part needs at least one coefficient")
-        object.__setattr__(self, "coefs", coefs)
-        object.__setattr__(self, "radius", float(radius))
-
-    def _polyval(self, zs, coefs):
-        """``sum coefs[n] z**n`` at each point of ``zs``, inside the radius only."""
-        zs = np.asarray(zs, dtype=complex)
-        if not np.all(np.abs(zs) <= self.radius + 1e-15):
-            raise ValueError(f"series part only evaluable on |z| <= {self.radius}")
-        return np.polynomial.polynomial.polyval(zs, np.asarray(coefs))
-
-    def values(self, zs):
-        zs = np.asarray(zs, dtype=complex)
-        return zs * self._polyval(zs, self.coefs)
-
-    def derivs(self, zs):
-        return self._polyval(zs, [(n + 1) * c for n, c in enumerate(self.coefs)])
-
-    def deriv2s(self, zs):
-        return self._polyval(zs, [(n + 1) * n * c for n, c in enumerate(self.coefs)][1:] or [0.0])
-
-    def coeffs(self, count):
-        if count > len(self.coefs):
-            raise ValueError(
-                f"only {len(self.coefs)} coefficients stored, {count} requested"
-            )
-        return np.asarray(self.coefs[:count])
+# -- the convolution part -------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ConvolutionPart(_VectorPart):
+class ConvolutionPart:
     """Hadamard product of a shifted transform with a measure's generator.
 
     Evaluated through the identity that sends the product to an average of
     scaled copies: value(z) = integral of h(t z)/t d nu(t) with the t = 0
-    integrand read as z, derivative = integral of h'(t z) d nu(t).
+    integrand read as z, derivative = integral of h'(t z) d nu(t).  Its
+    power-series coefficients m_n p_n are the moments of the law of s t
+    (s ~ h's measure, t ~ nu), so it is exact on the slit plane.
+
+    ``value``, ``deriv``, ``deriv2`` and calling the part evaluate the
+    vectorized method on a one-point array.  ``tol`` is accepted for the
+    signature :class:`ShiftedCauchyTransform` shares and is unused: this
+    part has no adaptive route.
     """
 
     h: ShiftedCauchyTransform
@@ -200,8 +155,20 @@ class ConvolutionPart(_VectorPart):
         t, w = self.nu._rule
         return self._scaled_sums(self.h.deriv2s, zs, t * w)
 
-    def coeffs(self, count):
-        return self.h.coeffs(count) * self.nu.moments(count)
+    def value(self, z, tol=None):
+        return complex(self.values(np.array([complex(z)]))[0])
+
+    __call__ = value
+
+    def deriv(self, z, tol=None):
+        return complex(self.derivs(np.array([complex(z)]))[0])
+
+    def deriv2(self, z, tol=None):
+        return complex(self.deriv2s(np.array([complex(z)]))[0])
+
+
+# The two part classes of a map.
+_PARTS = (ShiftedCauchyTransform, ConvolutionPart)
 
 
 # -- the mapping --------------------------------------------------------------
@@ -212,7 +179,9 @@ class HarmonicMap:
     """Map ``f(z) = h(z) + c * conj(g(z))`` with |c| < 1.
 
     Complex ``c`` is accepted for the convolution algebra; the geometric
-    checks and certificates require real ``c`` in [0, 1).
+    checks and certificates require real ``c`` in [0, 1).  Both parts must
+    be transform-class (:class:`ShiftedCauchyTransform` or
+    :class:`ConvolutionPart`); any other raises ``TypeError``.
     """
 
     h: object
@@ -220,6 +189,7 @@ class HarmonicMap:
     c: complex
 
     def __post_init__(self):
+        _check_parts((self.h, self.g), _PARTS, "transform-class")
         if not abs(self.c) < 1.0:
             raise ValueError(f"|c| must be below 1, got {self.c!r}")
 
@@ -363,17 +333,16 @@ def certify_qc_grid(f, k, grid=None):
     ``grid.disk_points()`` bit for bit.  The certificate records the
     arg-sup, the first maximizing node of that half-ring in grid order.
 
-    The principle needs h' free of zeros on the closed disk.  The status
-    is inconclusive when |h'| < SINGULAR_TOL at a ring node
-    (``singular_nodes`` counts the ring nodes, with conjugates) or when
-    h' winds around 0 along the ring (``zeros_inside``, see
-    ``_zeros_inside``).  A pass is grid evidence only, and says nothing
-    about the boundary point z = 1.
+    The principle needs h' free of zeros on the closed disk, and every
+    transform-class part has that: with alpha = arg(1 - z),
+    Re(e^{i alpha} h'(z)) >= cos(alpha) / (1 + |z|)**2 > 0 for |z| < 1,
+    since each arg(1 - t z), t in [0, 1], lies between 0 and alpha (see the
+    module docstring).  The status is certified or violated.  A pass is
+    grid evidence only, and says nothing about the boundary point z = 1.
     """
     grid = grid or GridSpec()
-    zs, hp, spoiled = _ring_derivs(f.h, grid)
-    if spoiled:
-        return QCCertificate("grid", k, "inconclusive", grid=grid, details=spoiled)
+    zs, _ = grid._upper_ring()
+    hp = f.h.derivs(zs)
     gp = hp if f._shares_measure() else f.g.derivs(zs)
     mags = np.abs(f.c * gp / hp)
     idx = int(np.argmax(mags))
@@ -386,11 +355,7 @@ def certify_qc_grid(f, k, grid=None):
         status,
         sup_estimate=sup,
         grid=grid,
-        details={
-            "argsup_re": float(at.real),
-            "argsup_im": float(at.imag),
-            "singular_nodes": 0,
-        },
+        details={"argsup_re": float(at.real), "argsup_im": float(at.imag)},
     )
 
 
@@ -588,18 +553,15 @@ def check_partial_signs(f, grid=None, slack=CHECK_SLACK):
 # -- algebra --------------------------------------------------------------------
 
 
-def convolve(f1, f2, order=64):
-    """Partwise Hadamard product; the result carries truncated coefficients.
+def convolve(f1, f2):
+    """Partwise Hadamard product of two maps with measure-backed parts.
 
-    Measure-backed parts give their moments as coefficient prefixes
-    (:meth:`~cmharmonic.measures.Measure.moments`: closed forms, power sums
-    over the rule for tables).  The returned map
-    evaluates as a series on |z| <= 0.95 only; the co-analytic constant
-    multiplies.
+    Each part of the result is a :class:`ConvolutionPart` of ``f1``'s part
+    with the measure of ``f2``'s, exact on the slit plane; the co-analytic
+    constants multiply.
     """
-    a = np.asarray(f1.h.coeffs(order)) * np.asarray(f2.h.coeffs(order))
-    b = np.asarray(f1.g.coeffs(order)) * np.asarray(f2.g.coeffs(order))
-    return HarmonicMap(SeriesPart(tuple(a)), SeriesPart(tuple(b)), complex(f1.c) * complex(f2.c))
+    _, _, mu2, nu2 = _measures(f1.h, f1.g, f2.h, f2.g)
+    return HarmonicMap(ConvolutionPart(f1.h, mu2), ConvolutionPart(f1.g, nu2), complex(f1.c) * complex(f2.c))
 
 
 def convex_combination(f1, f2, s):
@@ -619,76 +581,6 @@ def make_convolution_map(h, nu, c):
 # -- derivative-ratio machinery ---------------------------------------------------
 
 
-# Bisection levels for a phase step of h' along the ring: the default ring's
-# steps of 2 pi / 64 shrink to about 1e-10 radians.
-WINDING_DEPTH = 30
-
-
-def _zeros_inside(h, grid, hp):
-    """Zeros of h' in |z| < rmax by the argument principle, from h' on the upper ring.
-
-    ``hp`` is h' at the nodes of ``grid._upper_ring()``.  h has real
-    coefficients, so the phase change of h' along the lower half of the
-    ring repeats the one along the upper half, and the winding number is
-    the upper half's phase change from theta = 0 to pi, over pi.  That is
-    the sum of the phase steps between neighbouring nodes (z = -rmax closes
-    the arc when ntheta is odd).  A step wider than pi/2 is bisected at its
-    midpoint on the ring, for at most ``WINDING_DEPTH`` levels; a step still
-    wider there, or a midpoint where |h'| < SINGULAR_TOL, is a zero on the
-    ring as far as the check can tell, and the count is then at least 1.
-    Like any sampled argument principle it reads a step that turns by
-    3 pi / 2 or more as its wrapped value; one zero turns a step by less
-    than pi + 2 pi / ntheta, so that takes several zeros near one step.
-    """
-    theta = 2.0 * np.pi * np.arange(len(hp)) / grid.ntheta
-    if grid.ntheta % 2:
-        theta = np.append(theta, np.pi)
-        hp = np.append(hp, h.derivs(np.array([-grid.rmax + 0j])))
-    ta, tb, va, vb = theta[:-1], theta[1:], hp[:-1], hp[1:]
-    phase = 0.0
-    for _ in range(WINDING_DEPTH):
-        step = np.angle(vb * np.conj(va))
-        wide = np.abs(step) > np.pi / 2
-        phase += float(np.sum(step[~wide]))
-        if not wide.any():
-            return abs(round(phase / np.pi))
-        ta, tb, va, vb = ta[wide], tb[wide], va[wide], vb[wide]
-        tm = 0.5 * (ta + tb)
-        vm = h.derivs(grid.rmax * np.exp(1j * tm))
-        if np.any(np.abs(vm) < SINGULAR_TOL):
-            break
-        ta, tb = np.concatenate([ta, tm]), np.concatenate([tm, tb])
-        va, vb = np.concatenate([va, vm]), np.concatenate([vm, vb])
-    # both ends of the arc are real, so the wrapped steps still sum to a multiple of pi
-    phase += float(np.sum(np.angle(vb * np.conj(va))))
-    return max(1, abs(round(phase / np.pi)))
-
-
-def _ring_derivs(h, grid):
-    """Nodes of ``grid._upper_ring()``, h' there, and what keeps h' from being zero-free.
-
-    The last is empty when h' has no zero on |z| <= rmax.  Otherwise it is
-    ``{"singular_nodes": n}`` when |h'| < SINGULAR_TOL at ring nodes that
-    stand for n nodes, or ``{"singular_nodes": 0, "zeros_inside": n}`` when
-    h' has n zeros inside (:func:`_zeros_inside`).
-    """
-    zs, mult = grid._upper_ring()
-    hp = h.derivs(zs)
-    singular = np.abs(hp) < SINGULAR_TOL
-    if singular.any():
-        return zs, hp, {"singular_nodes": int(mult[singular].sum())}
-    zeros = _zeros_inside(h, grid, hp)
-    return zs, hp, ({"singular_nodes": 0, "zeros_inside": zeros} if zeros else {})
-
-
-def _zero_free_ring_derivs(h, grid):
-    """``_ring_derivs`` without the last entry; raises if h' vanishes on |z| <= rmax."""
-    zs, hp, spoiled = _ring_derivs(h, grid)
-    if spoiled:
-        raise SingularDerivativeError(f"h' vanishes on |z| <= {grid.rmax}: {spoiled}")
-    return zs, hp
-
-
 def _ratio_sup(h, zs, hp, ts):
     """Sup of |h'(t z)| / |h'(z)| over the nodes zs and samples ts.
 
@@ -705,19 +597,21 @@ def _ratio_sup(h, zs, hp, ts):
 def derivative_ratio_sup(h, grid=None, nt=11):
     """Numerical sup of |h'(t z)/h'(z)| over the disk |z| <= rmax times t in [0, 1].
 
-    ``nt >= 2`` samples of t include both ends.  For each t the ratio is
-    analytic in z where h' does not vanish, so its sup over the disk lies
-    on the circle |z| = rmax (maximum modulus principle) and only the outer
-    ring is evaluated; h has real coefficients, so the ratio is even under
-    conjugation and only the ring nodes with theta in [0, pi] are.  Raises
-    :class:`SingularDerivativeError` when h' vanishes at a ring node or has
-    a zero inside (see ``_zeros_inside``).
+    ``nt >= 2`` samples of t include both ends.  ``h`` must be a
+    transform-class part (``TypeError`` otherwise), so h' has no zero on
+    the disk: Re(e^{i alpha} h'(z)) >= cos(alpha) / (1 + |z|)**2 with
+    alpha = arg(1 - z) (see the module docstring).  For each t the ratio is
+    then analytic in z, so its sup over the disk lies on the circle
+    |z| = rmax (maximum modulus principle) and only the outer ring is
+    evaluated; h has real coefficients, so the ratio is even under
+    conjugation and only the ring nodes with theta in [0, pi] are.
     """
+    _check_parts((h,), _PARTS, "transform-class")
     if nt < 2:
         raise ValueError(f"nt must be at least 2 so that t = 0 and t = 1 are sampled, got {nt!r}")
     grid = grid or GridSpec()
-    zs, hp = _zero_free_ring_derivs(h, grid)
-    return _ratio_sup(h, zs, hp, grid.t_samples(nt))
+    zs, _ = grid._upper_ring()
+    return _ratio_sup(h, zs, h.derivs(zs), grid.t_samples(nt))
 
 
 def certify_qc_ratio_sup(f, k, grid=None):
@@ -761,17 +655,20 @@ class HarnackReport:
 def harnack_ratio_bound(h, m, grid=None):
     """Check the floor Re[z h''/h'] > -m on |z| <= rmax and verify the implied ratio bound.
 
-    Re[z h''/h'] is harmonic where h' does not vanish, so its floor over
-    the disk lies on the circle |z| = rmax (minimum principle).  Both
-    sweeps take the outer-ring nodes with theta in [0, pi] only (see
-    :func:`derivative_ratio_sup`), share one evaluation of h' there, and
-    raise :class:`SingularDerivativeError` as it does.  Both comparisons
-    allow ``CHECK_SLACK``.
+    ``h`` must be a transform-class part (``TypeError`` otherwise), so h'
+    has no zero on the disk: Re(e^{i alpha} h'(z)) >= cos(alpha) / (1 + |z|)**2
+    with alpha = arg(1 - z) (see the module docstring).  Re[z h''/h'] is
+    then harmonic there, so its floor over the disk lies on the circle
+    |z| = rmax (minimum principle).  Both sweeps take the outer-ring nodes
+    with theta in [0, pi] only (see :func:`derivative_ratio_sup`) and share
+    one evaluation of h' there.  Both comparisons allow ``CHECK_SLACK``.
     """
+    _check_parts((h,), _PARTS, "transform-class")
     if not m > 0.0:
         raise ValueError("m must be positive")
     grid = grid or GridSpec()
-    zs, hp = _zero_free_ring_derivs(h, grid)
+    zs, _ = grid._upper_ring()
+    hp = h.derivs(zs)
     quant = (zs * h.deriv2s(zs) / hp).real
     min_re = float(np.min(quant))
     holds = min_re > -m - CHECK_SLACK

@@ -389,9 +389,15 @@ class Table:
         The exact form, a sum of differences of powers of the grid points
         over the segments, cancels badly on short segments; the rule's panels
         grade toward both ends of each segment and resolve the peak at t = 1.
+        The rule is built once, and t**n is a running product over n.
         """
         t, w = _density_rule(self)
-        return np.array([(t**n) @ w for n in range(count)])
+        out = np.empty(count)
+        power = np.ones_like(t)
+        for n in range(count):
+            out[n] = power @ w
+            power *= t
+        return out
 
     def endpoint_moment(self, p):
         """Exact integral of (1 - t)**-p against the piecewise-linear density.

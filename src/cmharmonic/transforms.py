@@ -427,13 +427,6 @@ class ShiftedCauchyTransform:
         t, w = self.mu._rule
         return _kernel_sums(zs, t, 2.0 * t * w, 3)
 
-    def coeffs(self, count):
-        """Power-series coefficients: entry n multiplies z**(n+1).
-
-        They are :meth:`Measure.moments`, closed forms but for tables, so they do not reuse the fixed rule.
-        """
-        return self.mu.moments(count)
-
 
 # -- membership diagnostics ---------------------------------------------------
 

@@ -16,9 +16,7 @@ from cmharmonic.harmonic import (
     ConvolutionPart,
     _derivative_quotient_limit,
     _signed_nonneg_probe,
-    _zeros_inside,
     HarmonicMap,
-    SeriesPart,
     SingularDerivativeError,
     certify_qc_boundary_limit,
     certify_qc_grid,
@@ -115,10 +113,17 @@ def _two_call_values(f, zs):
 _SHARED = ("one measure object", "equal measures parsed apart", "point mass at 0")
 
 
-@pytest.mark.parametrize("case", [*_SHARED, "distinct measures", "probe fails", "series part"])
+class _FakePart:
+    """A part of neither transform class."""
+
+
+@pytest.mark.parametrize("case", [*_SHARED, "distinct measures", "probe fails", "convolution part"])
 def test_vectorized_map_evaluates_a_shared_measure_once(monkeypatch, case):
     maps = _equivalence_maps()
-    maps["series part"] = HarmonicMap(F1, SeriesPart((1.0, 0.5, 0.25), radius=0.99), 0.3)
+    # an atomic factor keeps the 768-node sweep cheap: three blocks of 256
+    # scaled copies, one kernel sum each
+    nu = Measure(((0.2, 0.5), (0.9, 0.5)))
+    maps["convolution part"] = make_convolution_map(shifted(beta_measure(1.5, 3.2)), nu, 0.4)
     f = maps[case]
     zs = GridSpec().disk_points()
     ref_values, ref_omega, ref_singular = _two_call_values(f, zs)
@@ -135,14 +140,13 @@ def test_vectorized_map_evaluates_a_shared_measure_once(monkeypatch, case):
     assert values.tobytes() == ref_values.tobytes()
     assert omega.tobytes() == ref_omega.tobytes()
     assert singular.tolist() == ref_singular.tolist()
-    measure_parts = 1 if case in _SHARED or case == "series part" else 2
-    assert calls == [1] * measure_parts + [2] * measure_parts
+    sums = {"convolution part": 4}.get(case, 1 if case in _SHARED else 2)
+    assert calls == [1] * sums + [2] * sums
 
 
-@pytest.mark.parametrize("case", [*_SHARED, "distinct measures", "probe fails", "series part", "convolution part"])
+@pytest.mark.parametrize("case", [*_SHARED, "distinct measures", "probe fails", "convolution part"])
 def test_scalar_map_methods_evaluate_a_shared_measure_once(monkeypatch, case):
     maps = _equivalence_maps()
-    maps["series part"] = HarmonicMap(F1, SeriesPart((1.0, 0.5, 0.25), radius=0.99), 0.3)
     maps["convolution part"] = make_convolution_map(shifted(beta_measure(1.5, 3.2)), lebesgue(), 0.4)
     f = maps[case]
     z = 0.5 + 0.3j
@@ -199,12 +203,13 @@ def test_dilatation_closed_form():
 
 
 def test_dilatation_singular_guard():
-    # series part with h'(z) = 1 + 2z vanishing at -1/2
-    h = SeriesPart((1.0, 1.0, 0.0))
+    # h' = 1/2 + 1/(2 (1 - z)^2) vanishes at z = 1 + i, off the disk
+    h = shifted(mix(dirac(0.0), dirac(1.0), 0.5))
+    assert h.derivs(np.array([1.0 + 1.0j]))[0] == 0.0
     f = HarmonicMap(h, IDENT, 0.3)
     with pytest.raises(SingularDerivativeError):
-        f.dilatation(-0.5)
-    _, singular = f.dilatation_values(np.array([-0.5 + 0j, 0.1 + 0j]))
+        f.dilatation(1.0 + 1.0j)
+    _, singular = f.dilatation_values(np.array([1.0 + 1.0j, 0.1 + 0j]))
     assert singular.tolist() == [True, False]
 
 
@@ -480,78 +485,89 @@ def test_sign_kernel_sums_match_plain_formula_at_block_edges():
 
 
 def test_convolve_with_all_ones_is_identity():
+    # dirac(1) has all moments 1, so its parts are units of the Hadamard product
     rng = np.random.default_rng(6)
     f = HarmonicMap(shifted(random_measure(rng)), shifted(random_measure(rng)), 0.4)
     unit = HarmonicMap(F1, F1, 0.5)
-    prod = convolve(f, unit, order=16)
-    assert np.allclose(prod.h.coeffs(16), f.h.coeffs(16), atol=1e-12)
+    prod = convolve(f, unit)
+    zs = random_disk_points(rng, 16)
+    for got, part in ((prod.h, f.h), (prod.g, f.g)):
+        for fn in ("values", "derivs", "deriv2s"):
+            assert np.allclose(getattr(got, fn)(zs), getattr(part, fn)(zs), rtol=1e-14, atol=0.0)
     assert complex(prod.c) == complex(0.2)
 
 
+def test_convolve_is_exact_near_the_slit():
+    # z/(1-z) is its own Hadamard square, and z times it gives z
+    prod = convolve(HarmonicMap(F1, F1, 0.5), HarmonicMap(F1, IDENT, 0.5))
+    assert prod.h.value(0.95) == pytest.approx(19.0, rel=1e-14)
+    assert prod.h.value(-0.95) == pytest.approx(-0.95 / 1.95, rel=1e-14)
+    # the default sweep reaches rmax = 0.98: dilatation 0.25 (1 - z)^2, largest at z = -0.98
+    cert = certify_qc_grid(prod, 0.5)
+    assert cert.status == "violated" and cert.sup_estimate == pytest.approx(0.25 * 1.98**2, rel=1e-12)
+
+
 def test_convolve_annihilator_co_part():
+    # dirac(0) has moments 1, 0, 0, ...: its Hadamard product keeps z alone
     f = HarmonicMap(shifted(lebesgue()), shifted(lebesgue()), 0.4)
     killer = HarmonicMap(F1, IDENT, 0.5)
-    prod = convolve(f, killer, order=8)
-    co = prod.g.coeffs(8)
-    assert co[0] == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(co[1:], 0.0, atol=1e-12)
-    assert prod.g.value(0.4 + 0.1j) == pytest.approx((0.4 + 0.1j) * co[0], abs=1e-12)
+    prod = convolve(f, killer)
+    for z in (0.4 + 0.1j, -0.9, 0.97j):
+        assert prod.g.value(z) == pytest.approx(z, abs=1e-15)
+        assert prod.g.deriv(z) == pytest.approx(1.0, abs=1e-15)
+        assert prod.h.value(z) == pytest.approx(f.h.value(z), rel=1e-13)
 
 
 def test_convolve_log_measures_add_orders():
+    # moments (n + 1)^-2 times (n + 1)^-1.5 are loggamma(3.5)'s
     f1 = HarmonicMap(shifted(loggamma_measure(2.0)), IDENT, 0.3)
     f2 = HarmonicMap(shifted(loggamma_measure(1.5)), IDENT, 0.3)
-    prod = convolve(f1, f2, order=24)
-    for n in range(24):
-        assert prod.h.coeffs(24)[n] == pytest.approx((n + 1.0) ** -3.5, abs=1e-9)
+    prod = convolve(f1, f2)
+    ref = shifted(loggamma_measure(3.5))
+    zs = np.array([0.5, 0.95, -0.95, 0.999, -3.0 + 0.5j])
+    for fn in ("values", "derivs", "deriv2s"):
+        got, want = getattr(prod.h, fn)(zs), getattr(ref, fn)(zs)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), fn
 
 
 def test_convolve_result_is_cm_prefix():
+    # atomic factors: the product law of s t has the atoms s_i t_j, and its
+    # moments, the Hadamard product of the factors' moments, form a CM prefix
     from cmharmonic.moments import MomentSequence, is_completely_monotone
 
     rng = np.random.default_rng(13)
-    f = HarmonicMap(shifted(random_measure(rng)), shifted(random_measure(rng)), 0.2)
-    g = HarmonicMap(shifted(random_measure(rng)), shifted(random_measure(rng)), 0.2)
-    prod = convolve(f, g, order=12)
-    assert is_completely_monotone(MomentSequence(prod.h.coeffs(12)), tol=1e-12).holds
+    f = HarmonicMap(shifted(random_measure(rng, with_densities=False)), IDENT, 0.2)
+    g = HarmonicMap(shifted(random_measure(rng, with_densities=False)), IDENT, 0.2)
+    prod = convolve(f, g)
+    law = Measure(tuple((a.t * b.t, a.w * b.w) for a in f.h.mu.atoms for b in g.h.mu.atoms))
+    zs = random_disk_points(rng, 16)
+    assert np.allclose(prod.h.values(zs), shifted(law).values(zs), rtol=1e-14, atol=0.0)
+    assert np.allclose(law.moments(12), f.h.mu.moments(12) * g.h.mu.moments(12), rtol=1e-14, atol=0.0)
+    assert is_completely_monotone(MomentSequence(law.moments(12)), tol=1e-12).holds
 
 
-def test_series_part_radius_guard_and_coeff_limit():
-    part = SeriesPart((1.0, 0.5), radius=0.95)
-    with pytest.raises(ValueError):
-        part.value(0.96)
-    with pytest.raises(ValueError):
-        part.coeffs(3)
-    # the guard holds on every scalar and vector path
-    for fn in ("value", "deriv", "deriv2", "__call__"):
-        with pytest.raises(ValueError):
-            getattr(part, fn)(0.96j)
-    for fn in ("values", "derivs", "deriv2s"):
-        with pytest.raises(ValueError):
-            getattr(part, fn)(np.array([0.1, -0.96, 0.2j]))
+def test_convolve_needs_measure_backed_parts():
+    conv = make_convolution_map(F1, lebesgue(), 0.3)
+    with pytest.raises(TypeError, match="measure-backed parts, got ConvolutionPart"):
+        convolve(conv, HarmonicMap(F1, F1, 0.3))
+    with pytest.raises(TypeError, match="measure-backed parts, got ConvolutionPart"):
+        convolve(HarmonicMap(F1, F1, 0.3), conv)
 
 
 @pytest.mark.parametrize(
     "z", [complex(math.nan, 0.0), complex(-math.inf, 0.0), complex(math.nan, 0.3)], ids=repr
 )
 def test_non_finite_points_are_rejected_by_every_part(z):
-    # np.abs(nan) > radius is False, so the radius guard is written to fail on NaN
-    part = SeriesPart((1.0, 0.5), radius=0.95)
-    for fn in ("value", "deriv", "deriv2"):
-        with pytest.raises(ValueError, match="only evaluable"):
-            getattr(part, fn)(z)
-    for fn in ("values", "derivs", "deriv2s"):
-        with pytest.raises(ValueError, match="only evaluable"):
-            getattr(part, fn)(np.array([0.1, z]))
     # a convolution part scales z by its rule points, t = 0 included, so
     # -inf would turn into a NaN copy (with a warning) before any check
     conv = make_convolution_map(shifted(lebesgue()), beta_measure(1.0, 3.0), 0.3).g
-    for fn in ("value", "deriv", "deriv2"):
-        with pytest.raises(ValueError, match=re.escape(f"point {z!r} is not finite")):
-            getattr(conv, fn)(z)
-    for fn in ("values", "derivs", "deriv2s"):
-        with pytest.raises(ValueError, match="not finite"):
-            getattr(conv, fn)(np.array([0.1, z]))
+    for part in (shifted(lebesgue()), conv):
+        for fn in ("value", "deriv", "deriv2"):
+            with pytest.raises(ValueError, match=re.escape(f"point {z!r} is not finite")):
+                getattr(part, fn)(z)
+        for fn in ("values", "derivs", "deriv2s"):
+            with pytest.raises(ValueError, match=re.escape(f"point {z!r} is not finite")):
+                getattr(part, fn)(np.array([0.1, z]))
 
 
 def test_convex_combination():
@@ -584,8 +600,9 @@ def test_convolution_map_is_4c_quasiconformal():
 
 def test_convolution_dilatation_matches_series_quotient():
     f = make_convolution_map(F1, lebesgue(), 0.2)
-    hco = f.h.coeffs(300)
-    gco = f.g.coeffs(300)
+    # the coefficients are dirac(1)'s moments, all 1, times Lebesgue's for g
+    hco = np.ones(300)
+    gco = lebesgue().moments(300)
     dh = [(n + 1) * c for n, c in enumerate(hco)]
     dg = [(n + 1) * c for n, c in enumerate(gco)]
     for z in [0.3 + 0.4j, -0.85 + 0.0j, 0.5 - 0.7j, 0.88 + 0.0j]:
@@ -595,31 +612,22 @@ def test_convolution_dilatation_matches_series_quotient():
 
 def test_convolution_part_second_derivative_matches_series():
     f = make_convolution_map(F1, lebesgue(), 0.2)
-    co = f.g.coeffs(300)
+    co = lebesgue().moments(300)
     d2 = [(n + 1) * n * c for n, c in enumerate(co)][1:]
     for z in [0.3 + 0.4j, -0.8 + 0.0j]:
         assert f.g.deriv2(z) == pytest.approx(npoly.polyval(z, d2), abs=1e-8)
 
 
 def test_convolution_part_validates():
-    with pytest.raises(TypeError):
-        ConvolutionPart(SeriesPart((1.0,)), lebesgue())
+    with pytest.raises(TypeError, match="got _FakePart"):
+        ConvolutionPart(_FakePart(), lebesgue())
+    with pytest.raises(TypeError, match="got ConvolutionPart"):
+        ConvolutionPart(ConvolutionPart(F1, lebesgue()), lebesgue())
     with pytest.raises(ValueError):
         make_convolution_map(F1, lebesgue(), 1.2)
 
 
 # -- the part protocol: vectorized methods, scalars derived on one point ----------
-
-
-def _series_reference(part, zs, order):
-    """The vector formulas of ``SeriesPart`` before the scalars were derived from them."""
-    zs = np.asarray(zs, dtype=complex)
-    if order == 0:
-        return zs * npoly.polyval(zs, np.asarray(part.coefs))
-    if order == 1:
-        return npoly.polyval(zs, np.asarray([(n + 1) * c for n, c in enumerate(part.coefs)]))
-    d2 = np.asarray([(n + 1) * n * c for n, c in enumerate(part.coefs)][1:] or [0.0])
-    return npoly.polyval(zs, d2)
 
 
 def _convolution_reference(part, zs, order):
@@ -651,11 +659,8 @@ def _shifted_reference(part, zs, order):
 
 
 def _protocol_parts():
-    rng = np.random.default_rng(31)
     mu = measure_from_dict(_SPEC)
     return {
-        "series": (SeriesPart(tuple(rng.uniform(-1.0, 1.0, 24)), radius=0.95), _series_reference),
-        "series, one coefficient": (SeriesPart((0.7,)), _series_reference),
         # each scaled copy costs a full kernel sum, so one of the two rules is atomic
         "convolution over atoms": (
             ConvolutionPart(shifted(mu), Measure(((0.0, 0.2), (0.5, 0.5), (1.0, 0.3)))),
@@ -670,7 +675,7 @@ def _protocol_parts():
 
 
 _VECTOR_METHODS = ("values", "derivs", "deriv2s")
-_DERIVED_SCALAR_PARTS = ["convolution over a density", "convolution over atoms", "series", "series, one coefficient"]
+_DERIVED_SCALAR_PARTS = ["convolution over a density", "convolution over atoms"]
 
 
 @pytest.mark.parametrize("case", _DERIVED_SCALAR_PARTS + ["shifted"])
@@ -756,35 +761,29 @@ def test_ratio_sup_needs_both_ends_of_t():
 
 
 def test_harnack_hypothesis_failure_no_bound():
-    # h' = 1 - 0.99 z has Re[z h''/h'] unbounded below near z = 1/0.99
-    h = SeriesPart((1.0, -0.495, 0.0), radius=0.99)
-    rep = harnack_ratio_bound(h, 0.1, grid=GridSpec(rmax=0.97, nr=8, ntheta=32))
+    # z h''/h' = 2z/(1 - z) for h = z/(1 - z): its floor on |z| = 0.97 is
+    # -1.94/1.97 = -0.985, at z = -0.97
+    rep = harnack_ratio_bound(F1, 0.1, grid=GridSpec(rmax=0.97, nr=8, ntheta=32))
     assert not rep.hypothesis_holds
+    assert rep.min_re_observed == pytest.approx(-1.94 / 1.97, rel=1e-14)
     assert rep.bound is None and rep.ratio_sup is None
 
 
 # -- half-disk sweeps ------------------------------------------------------------------
 
 
-def _singular_series(rho):
-    """Series part with h' = (1 - z/rho)(1 + z^2/rho^2): zero at rho and at +-i rho."""
-    return SeriesPart((1.0, -1.0 / (2 * rho), 1.0 / (3 * rho**2), -1.0 / (4 * rho**3)), radius=0.99)
-
-
 def _disk_maps():
-    """Maps with each part class; the series map only evaluates on |z| <= 0.95."""
+    """Maps with each part class and from each constructor that builds one."""
     nu = measure_from_dict(_SPEC)
     measure_map = HarmonicMap(shifted(mix(nu, beta_measure(2.0, 3.0), 0.4)), shifted(nu), 0.4)
-    other = HarmonicMap(shifted(beta_measure(1.0, 3.0)), shifted(lebesgue()), 0.5)
-    rho = float(np.linspace(SMALL.rmin, SMALL.rmax, SMALL.nr)[2])
+    # atomic factors keep the convolution sweeps cheap
+    atomic = HarmonicMap(shifted(mix(dirac(0.3), dirac(0.9), 0.5)), shifted(dirac(0.6)), 0.5)
     return {
-        "measure parts": (measure_map, SMALL.rmax),
-        "series parts (convolve)": (convolve(measure_map, other), 0.95),
-        "convolution part": (
-            make_convolution_map(shifted(mix(dirac(0.3), dirac(0.8), 0.5)), beta_measure(2.0, 3.0), 0.3),
-            SMALL.rmax,
+        "measure parts": measure_map,
+        "convolve": convolve(measure_map, atomic),
+        "convolution part": make_convolution_map(
+            shifted(mix(dirac(0.3), dirac(0.8), 0.5)), beta_measure(2.0, 3.0), 0.3
         ),
-        "singular h'": (HarmonicMap(_singular_series(rho), SeriesPart((1.0,), radius=0.99), 0.5), SMALL.rmax),
     }
 
 
@@ -795,11 +794,9 @@ def _certify_reference(f, grid):
 
 
 def _ratio_reference(h, grid, nt=11):
-    """``derivative_ratio_sup`` and the Harnack floor as first written, or None if h' vanishes."""
+    """``derivative_ratio_sup`` and the Harnack floor as first written, over the full grid."""
     zs = grid.disk_points()
     hp = h.derivs(zs)
-    if np.any(np.abs(hp) < SINGULAR_TOL):
-        return None
     ts = grid.t_samples(nt)
     sup = 0.0
     for i in range(0, len(zs), 512):
@@ -811,33 +808,18 @@ def _ratio_reference(h, grid, nt=11):
 @pytest.mark.parametrize("ntheta", [31, 32])
 @pytest.mark.parametrize("case", sorted(_disk_maps()))
 def test_disk_sweeps_match_full_grid_reference(case, ntheta):
-    f, rmax = _disk_maps()[case]
-    grid = replace(SMALL, ntheta=ntheta, rmax=rmax)
+    f = _disk_maps()[case]
+    grid = replace(SMALL, ntheta=ntheta)
     singular_nodes, mags = _certify_reference(f, grid)
     cert = certify_qc_grid(f, 0.5, grid=grid)
-    if case == "singular h'":
-        # rho lies on the real axis; +-i rho are nodes only when 4 divides ntheta
-        assert singular_nodes == (3 if ntheta % 4 == 0 else 1)
-        # all three zeros lie inside the outer ring, which misses them all:
-        # the winding of h' along it counts them
-        assert cert.status == "inconclusive" and cert.sup_estimate is None
-        assert cert.details == {"singular_nodes": 0, "zeros_inside": 3}
-    else:
-        assert cert.details["singular_nodes"] == singular_nodes == 0
-        assert math.isclose(cert.sup_estimate, float(np.max(mags)), rel_tol=1e-15)
-        at = complex(cert.details["argsup_re"], cert.details["argsup_im"])
-        (idx,) = np.flatnonzero(grid.disk_points() == at)
-        assert at.imag >= 0.0 and mags[idx] == cert.sup_estimate
+    assert singular_nodes == 0 and set(cert.details) == {"argsup_re", "argsup_im"}
+    assert math.isclose(cert.sup_estimate, float(np.max(mags)), rel_tol=1e-15)
+    at = complex(cert.details["argsup_re"], cert.details["argsup_im"])
+    (idx,) = np.flatnonzero(grid.disk_points() == at)
+    assert at.imag >= 0.0 and mags[idx] == cert.sup_estimate
 
     for part in (f.h, f.g):
-        ref = _ratio_reference(part, grid)
-        if ref is None:
-            with pytest.raises(SingularDerivativeError):
-                derivative_ratio_sup(part, grid=grid)
-            with pytest.raises(SingularDerivativeError):
-                harnack_ratio_bound(part, 10.0, grid=grid)
-            continue
-        ratio_sup, min_re = ref
+        ratio_sup, min_re = _ratio_reference(part, grid)
         assert math.isclose(derivative_ratio_sup(part, grid=grid), ratio_sup, rel_tol=1e-15)
         rep = harnack_ratio_bound(part, 10.0, grid=grid)
         assert rep.hypothesis_holds
@@ -845,106 +827,38 @@ def test_disk_sweeps_match_full_grid_reference(case, ntheta):
         assert math.isclose(rep.ratio_sup, ratio_sup, rel_tol=1e-15)
 
 
-def _series_with_derivative(hp):
-    """Series part whose h' has the power-series coefficients ``hp`` (``hp[0]`` = 1)."""
-    return SeriesPart(tuple(hp[n] / (n + 1) for n in range(len(hp))), radius=0.99)
+def _zero_free_margin(part, zs):
+    """Re(e^{i alpha} h'(z)) over its lower bound cos(alpha) / (1 + |z|)^2, alpha = arg(1 - z)."""
+    alpha = np.angle(1.0 - zs)
+    return (np.exp(1j * alpha) * part.derivs(zs)).real / (np.cos(alpha) / (1.0 + np.abs(zs)) ** 2)
 
 
-def _series_with_zeros(roots):
-    """Series part with h' = prod (1 - z / root) over the given roots (closed under conjugation)."""
-    return _series_with_derivative(np.real(npoly.polyfromroots(roots)) / np.prod(-np.asarray(roots)).real)
+def test_derivative_of_every_part_class_is_zero_free_on_the_disk():
+    # the bound behind the ring sweeps: each arg(1 - t z), t in [0, 1], lies
+    # between 0 and alpha, so Re(e^{i alpha} (1 - t z)^-2) >= cos(alpha) |1 - t z|^-2
+    zs = GridSpec().disk_points()
+    rng = np.random.default_rng(41)
+    parts = [shifted(random_measure(rng)) for _ in range(40)]
+    # one factor atomic, so each sweep costs a few kernel sums
+    for i in range(20):
+        atomic = random_measure(rng, with_densities=False)
+        h, nu = (random_measure(rng), atomic) if i % 2 else (atomic, random_measure(rng))
+        parts.append(ConvolutionPart(shifted(h), nu))
+    for part in parts:
+        assert np.min(_zero_free_margin(part, zs)) >= 1.0 - 1e-12, part
+    # dirac(1) attains the bound on the negative axis, where alpha = 0
+    assert np.min(_zero_free_margin(F1, zs)) == pytest.approx(1.0, rel=1e-14)
 
 
-def test_zero_pair_inside_the_ring_is_caught():
-    # h' = (1 - z/a)(1 - z/conj a) with a = 0.5 e^{0.3 i}: no node of the
-    # grids below sits on a zero
-    a = 0.5 * complex(math.cos(0.3), math.sin(0.3))
-    h = _series_with_zeros([a, a.conjugate()])
-    assert np.allclose(np.abs(h.derivs(np.array([a, a.conjugate()]))), 0.0, atol=1e-15)
-    f = HarmonicMap(h, SeriesPart((1.0,), radius=0.99), 0.3)
-    for ntheta in (31, 32, 64):
-        grid = replace(SMALL, ntheta=ntheta, rmax=0.98)
-        assert not np.any(np.abs(h.derivs(grid.disk_points())) < SINGULAR_TOL)
-        cert = certify_qc_grid(f, 0.5, grid=grid)
-        assert cert.status == "inconclusive" and cert.sup_estimate is None
-        assert cert.details == {"singular_nodes": 0, "zeros_inside": 2}
-        with pytest.raises(SingularDerivativeError, match="zeros_inside"):
-            derivative_ratio_sup(h, grid=grid)
-        with pytest.raises(SingularDerivativeError, match="zeros_inside"):
-            harnack_ratio_bound(h, 10.0, grid=grid)
-
-    # inside the zeros the plain ring sweep runs and matches the full grid
-    grid = replace(SMALL, rmin=0.05, rmax=0.4)
-    singular_nodes, mags = _certify_reference(f, grid)
-    cert = certify_qc_grid(f, 0.5, grid=grid)
-    assert singular_nodes == 0 and "zeros_inside" not in cert.details
-    # |h'| dips to about 0.1 near the zeros, so the sup is well above 1
-    assert cert.sup_estimate == float(np.max(mags)) and cert.status == "violated"
-    assert complex(cert.details["argsup_re"], cert.details["argsup_im"]) == grid.disk_points()[np.argmax(mags)]
-    ratio_sup, min_re = _ratio_reference(h, grid)
-    assert math.isclose(derivative_ratio_sup(h, grid=grid), ratio_sup, rel_tol=1e-15)
-    rep = harnack_ratio_bound(h, 10.0, grid=grid)
-    assert math.isclose(rep.min_re_observed, min_re, rel_tol=1e-15)
-
-
-class _CountingPart:
-    """A part's ``derivs``, recording every array of points it is asked for."""
-
-    def __init__(self, part):
-        self.part = part
-        self.calls = []
-
-    def derivs(self, zs):
-        self.calls.append(np.array(zs))
-        return self.part.derivs(zs)
-
-
-@pytest.mark.parametrize(
-    "ntheta, roots, zeros",
-    [
-        # the one step from h'(rmax) < 0 to h'(-rmax) > 0 turns by pi
-        (2, [0.5], 1),
-        (2, [-0.6], 1),
-        (2, [0.5, 1.5], 1),
-        (2, [1.5], 0),  # outside the ring: no step is wide
-        (3, [0.5], 1),
-        (3, [-0.6], 1),
-        (3, [0.5, 1.5], 1),
-        (3, [1.5], 0),
-        (3, [0.5j, -0.5j], 2),  # at ntheta 2 the one step turns by 2 pi and reads as 0
-    ],
-)
-def test_winding_check_bisects_coarse_rings(ntheta, roots, zeros):
-    grid = GridSpec(rmax=0.9, nr=3, ntheta=ntheta)
-    h = _CountingPart(_series_with_zeros(roots))
-    zs, _ = grid._upper_ring()
-    assert _zeros_inside(h, grid, h.part.derivs(zs)) == zeros
-    # an odd ring evaluates z = -rmax to close the arc; any further call is a
-    # bisection level, and every point evaluated lies on the upper half-ring
-    assert (len(h.calls) > ntheta % 2) == (zeros > 0)
-    for points in h.calls:
-        assert np.allclose(np.abs(points), grid.rmax, rtol=1e-15) and np.all(points.imag >= 0.0)
-    f = HarmonicMap(h.part, SeriesPart((1.0,), radius=0.99), 0.2)
-    cert = certify_qc_grid(f, 0.5, grid=grid)
-    assert cert.details.get("zeros_inside", 0) == zeros
-    assert (cert.status == "inconclusive") == (zeros > 0)
-
-
-def test_winding_check_counts_polynomial_zeros():
-    # h' a random real polynomial of degree 1 to 4; roots within 0.05 of the
-    # ring are redrawn, since the sampled ring cannot place those
-    rng = np.random.default_rng(17)
-    grid = GridSpec(rmax=0.9, nr=3, ntheta=32)
-    zs, _ = grid._upper_ring()
-    checked = 0
-    while checked < 200:
-        hp = np.append(1.0, rng.normal(size=int(rng.integers(1, 5))))
-        roots = npoly.polyroots(hp)
-        if np.any(np.abs(np.abs(roots) - grid.rmax) < 0.05):
-            continue
-        h = _series_with_derivative(hp)
-        assert _zeros_inside(h, grid, h.derivs(zs)) == int(np.sum(np.abs(roots) < grid.rmax)), hp
-        checked += 1
+def test_disk_sweeps_refuse_a_part_of_neither_class():
+    for call in (
+        lambda: HarmonicMap(_FakePart(), IDENT, 0.3),
+        lambda: HarmonicMap(IDENT, _FakePart(), 0.3),
+        lambda: derivative_ratio_sup(_FakePart(), grid=SMALL),
+        lambda: harnack_ratio_bound(_FakePart(), 1.0, grid=SMALL),
+    ):
+        with pytest.raises(TypeError, match="transform-class parts, got _FakePart"):
+            call()
 
 
 def test_ring_sweeps_match_full_grid_on_random_maps():
@@ -957,7 +871,7 @@ def test_ring_sweeps_match_full_grid_on_random_maps():
         f = HarmonicMap(shifted(random_measure(rng)), shifted(random_measure(rng)), float(rng.uniform(0.05, 0.9)))
         singular_nodes, mags = _certify_reference(f, grid)
         cert = certify_qc_grid(f, 0.5, grid=grid)
-        assert singular_nodes == 0 and cert.details["singular_nodes"] == 0
+        assert singular_nodes == 0
         assert cert.sup_estimate == float(np.max(mags))
         assert complex(cert.details["argsup_re"], cert.details["argsup_im"]) == grid.disk_points()[np.argmax(mags)]
         ratio_sup, min_re = _ratio_reference(f.h, grid)
@@ -1008,7 +922,7 @@ def test_part_kernels_are_conjugate_equivariant():
     grid = replace(SMALL, rmax=0.95)
     zs = grid.disk_points()
     off_axis = zs.imag != 0.0
-    parts = [(f.h, f.g) for f, _ in _disk_maps().values()]
+    parts = [(f.h, f.g) for f in _disk_maps().values()]
     for part in [p for pair in parts for p in pair] + [parts[0][0].base]:
         for fn in ("values", "derivs", "deriv2s"):
             if not hasattr(part, fn):
@@ -1417,26 +1331,28 @@ def test_map_json_round_trip():
 # -- the shared preconditions, one definition each ----------------------------------
 
 
-def _series_part_calls():
-    series = SeriesPart((1.0, 0.5))
+def _non_measure_part_calls():
+    """Each measure operation on a convolution part, and on a part of neither class where it takes parts."""
+    conv = ConvolutionPart(IDENT, lebesgue())
     good = HarmonicMap(shifted(lebesgue()), shifted(lebesgue()), 0.3)
-    with_h = HarmonicMap(series, IDENT, 0.3)
-    with_g = HarmonicMap(IDENT, series, 0.3)
+    with_h = HarmonicMap(conv, IDENT, 0.3)
+    with_g = HarmonicMap(IDENT, conv, 0.3)
     return {
-        "radial_limit": lambda: radial_limit(with_h),
-        "check_modulus_bound": lambda: check_modulus_bound(with_g),
-        "check_partial_signs": lambda: check_partial_signs(with_h, grid=SMALL),
-        "convex_combination h": lambda: convex_combination(good, with_h, 0.5),
-        "convex_combination g": lambda: convex_combination(with_g, good, 0.5),
-        "certify_qc_boundary_limit": lambda: certify_qc_boundary_limit(IDENT, series, 0.3, 0.5),
-        "ConvolutionPart": lambda: ConvolutionPart(series, lebesgue()),
+        "radial_limit": (lambda: radial_limit(with_h), "ConvolutionPart"),
+        "check_modulus_bound": (lambda: check_modulus_bound(with_g), "ConvolutionPart"),
+        "check_partial_signs": (lambda: check_partial_signs(with_h, grid=SMALL), "ConvolutionPart"),
+        "convex_combination h": (lambda: convex_combination(good, with_h, 0.5), "ConvolutionPart"),
+        "convex_combination g": (lambda: convex_combination(with_g, good, 0.5), "ConvolutionPart"),
+        "certify_qc_boundary_limit": (lambda: certify_qc_boundary_limit(IDENT, _FakePart(), 0.3, 0.5), "_FakePart"),
+        "ConvolutionPart": (lambda: ConvolutionPart(_FakePart(), lebesgue()), "_FakePart"),
     }
 
 
-@pytest.mark.parametrize("name", list(_series_part_calls()))
-def test_every_measure_operation_refuses_a_series_part_by_name(name):
-    with pytest.raises(TypeError, match="measure-backed parts, got SeriesPart"):
-        _series_part_calls()[name]()
+@pytest.mark.parametrize("name", list(_non_measure_part_calls()))
+def test_measure_ops_refuse_a_non_measure_part_by_name(name):
+    call, part = _non_measure_part_calls()[name]
+    with pytest.raises(TypeError, match=f"measure-backed parts, got {part}"):
+        call()
 
 
 @pytest.mark.parametrize("c", [0.2j, -0.1, 1.0, math.nan])
