@@ -341,7 +341,7 @@ def certify_qc_grid(f, k, grid=None):
     grid evidence only, and says nothing about the boundary point z = 1.
     """
     grid = grid or GridSpec()
-    zs, _ = grid._upper_ring()
+    zs = grid._upper_ring()
     hp = f.h.derivs(zs)
     gp = hp if f._shares_measure() else f.g.derivs(zs)
     mags = np.abs(f.c * gp / hp)
@@ -489,7 +489,7 @@ def _signed_nonneg_probe(mu, nu, c):
     return True, None
 
 
-def check_partial_signs(f, grid=None, slack=CHECK_SLACK):
+def check_partial_signs(f, grid=None):
     """Evaluate both partial-sign integrals on the half-plane grid and its mirror.
 
     Only ``grid.rect_points()`` are evaluated.  Each kernel term is odd in
@@ -500,7 +500,8 @@ def check_partial_signs(f, grid=None, slack=CHECK_SLACK):
     weights (1 + c) w and (1 - c) w.  The kernel is twice the power-2 one
     of ``transforms._rect_kernel_sums``, factored over the rectangle's axes,
     which also avoids the cancellation in 1 - 2 x t + t^2 |z|^2.  Nodes
-    whose kernel scale is at most ``DEGENERATE_TOL`` are degenerate.
+    whose kernel scale is at most ``DEGENERATE_TOL`` are degenerate, and
+    each sign may miss by ``CHECK_SLACK``.
     """
     c = f.real_c
     mu, nu = _measures(f.h, f.g)
@@ -536,17 +537,17 @@ def check_partial_signs(f, grid=None, slack=CHECK_SLACK):
     viol_im = 0
     if probe_ok:
         worst_im = -float(np.min(q_im)) if q_im.size else -math.inf
-        viol_im = 2 * int(np.sum(q_im < -slack))
+        viol_im = 2 * int(np.sum(q_im < -CHECK_SLACK))
     return PartialSignReport(
         checked_nodes=2 * len(x) * len(y),
-        violations_re=2 * int(np.sum(q_re > slack)),
+        violations_re=2 * int(np.sum(q_re > CHECK_SLACK)),
         violations_im=viol_im,
         degenerate_nodes=2 * int(deg.sum()),
         im_checked=probe_ok,
         im_skip_reason=None if probe_ok else reason,
         worst_re=worst_re,
         worst_im=worst_im,
-        slack=slack,
+        slack=CHECK_SLACK,
     )
 
 
@@ -610,7 +611,7 @@ def derivative_ratio_sup(h, grid=None, nt=11):
     if nt < 2:
         raise ValueError(f"nt must be at least 2 so that t = 0 and t = 1 are sampled, got {nt!r}")
     grid = grid or GridSpec()
-    zs, _ = grid._upper_ring()
+    zs = grid._upper_ring()
     return _ratio_sup(h, zs, h.derivs(zs), grid.t_samples(nt))
 
 
@@ -667,7 +668,7 @@ def harnack_ratio_bound(h, m, grid=None):
     if not m > 0.0:
         raise ValueError("m must be positive")
     grid = grid or GridSpec()
-    zs, _ = grid._upper_ring()
+    zs = grid._upper_ring()
     hp = h.derivs(zs)
     quant = (zs * h.deriv2s(zs) / hp).real
     min_re = float(np.min(quant))

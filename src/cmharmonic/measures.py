@@ -4,12 +4,12 @@ Each density has one fixed rule (:func:`_density_rule`): every sweep, the
 unit-mass check and the table moments sum over it.  :meth:`Measure.integrate`
 is the adaptive route, for pointwise values to a tolerance near the slit;
 power moments have one route (:meth:`Measure.moments`), closed but for tables.
-Families with integrable endpoint singularities (beta with small exponents,
-log-power with small order) are charted by a regularizing change of variable
-chosen from the exponents, since plain panels stall near the endpoints.
-Each chart also gives the complement u = 1 - t of its points (see
-:class:`Chart`), and the adaptive route hands integrands the pair (t, u), so
-a kernel with a pole near t = 1 can be formed without the rounding of t.
+Every chart has one of two power forms (see :class:`Chart`): t = s**p
+toward t = 0, which regularizes an integrable singularity there (beta with
+a small first exponent, log-power), or t = 1 - s**q toward t = 1, where the
+complement u = 1 - t of each point is s**q, formed without the rounding of
+t.  The adaptive route hands integrands the pair (t, u), so a kernel with a
+pole near t = 1 can be formed from u.
 
 Boundary values at z = 1- of the transforms built from a measure are its
 endpoint moments, integrals of (1 - t)**-p; every family has them in closed
@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -123,18 +123,19 @@ def zeta(s, tol=1e-12):
 
 @dataclass(frozen=True)
 class Chart:
-    """Parametrization s -> t of part of (0, 1] with a smooth pulled-back weight.
+    """Parametrization s -> t of part of (0, 1) with a smooth pulled-back weight.
 
     ``weight(s)`` is ``pdf(t(s)) * |dt/ds|``, so integrating a function g
     against the density over the covered t-range equals integrating
-    ``g(to_t(s)) * weight(s)`` over ``[lo, hi]``.
+    ``g(to_t(s)) * weight(s)`` over ``[lo, hi]``.  ``to_u(s)`` is the
+    complement u = 1 - t of the same point.
 
-    ``to_u(s)`` is the complement u = 1 - t of the same point.  Near t = 1 a
-    rounded t has lost the digits of 1 - t that a pole at z ~ 1 amplifies:
-    ``1 - t z`` at z = 1 - 1e-6 carries relative noise of about 1e-10, which
-    adaptive refinement bisects forever.  The right charts of the beta and
-    log-power families map t = 1 - s**q, so there u = s**q is exact; on the
-    other charts u = 1 - t, which is exact for t >= 1/2 (Sterbenz).
+    Every chart has one of two forms.  :func:`_chart_at_zero` maps t = s**p
+    up to t = 1/2, where u = 1 - s**p >= 1/2 is one rounding off.
+    :func:`_chart_at_one` maps t = 1 - s**q, with u = s**q from s alone.
+    Near t = 1 a rounded t has lost the digits of 1 - t that a pole at z ~ 1
+    amplifies: ``1 - t z`` at z = 1 - 1e-6 carries relative noise of about
+    1e-10, which adaptive refinement bisects forever.
     """
 
     lo: float
@@ -142,12 +143,16 @@ class Chart:
     to_t: object
     to_u: object
     weight: object
-    max_panel: float | None = None
 
 
-def _complement(s):
-    """u = 1 - s, the complement of an identity chart, exact for s >= 1/2."""
-    return 1.0 - s
+def _chart_at_zero(p, weight):
+    """The chart t = s**p over t in (0, 1/2], graded toward t = 0; ``weight`` is pulled back already."""
+    return Chart(0.0, 0.5 ** (1.0 / p), lambda s: s**p, lambda s: 1.0 - s**p, weight)
+
+
+def _chart_at_one(q, lo, hi, weight):
+    """The chart t = 1 - s**q on s in [lo, hi], graded toward t = 1, with u = s**q."""
+    return Chart(lo, hi, lambda s: 1.0 - s**q, lambda s: s**q, weight)
 
 
 @dataclass(frozen=True)
@@ -173,8 +178,8 @@ class Lebesgue:
         return np.ones_like(np.asarray(t, dtype=float))
 
     def charts(self):
-        """One chart, the identity on [0, 1]."""
-        return (Chart(0.0, 1.0, lambda s: s, _complement, lambda s: np.ones_like(s)),)
+        """One chart, t = 1 - s on [0, 1]."""
+        return (_chart_at_one(1.0, 0.0, 1.0, lambda s: np.ones_like(s)),)
 
     def moments(self, count):
         """1/(n + 1) for n < count, exact to rounding."""
@@ -229,10 +234,9 @@ class Beta:
         p = max(1.0, math.ceil(3.0 / a))
         q = max(1.0, math.ceil(3.0 / ca))
         return (
-            Chart(0.0, 0.5 ** (1.0 / p), lambda s: s**p, lambda s: 1.0 - s**p,
-                  lambda s: norm * p * s ** (p * a - 1.0) * (1.0 - s**p) ** (ca - 1.0)),
-            Chart(0.0, 0.5 ** (1.0 / q), lambda s: 1.0 - s**q, lambda s: s**q,
-                  lambda s: norm * q * s ** (q * ca - 1.0) * (1.0 - s**q) ** (a - 1.0)),
+            _chart_at_zero(p, lambda s: norm * p * s ** (p * a - 1.0) * (1.0 - s**p) ** (ca - 1.0)),
+            _chart_at_one(q, 0.0, 0.5 ** (1.0 / q),
+                          lambda s: norm * q * s ** (q * ca - 1.0) * (1.0 - s**q) ** (a - 1.0)),
         )
 
     def moments(self, count):
@@ -265,11 +269,7 @@ class Beta:
 
 @dataclass(frozen=True)
 class LogGamma:
-    """Density ``(-log t)**(alpha-1) / Gamma(alpha)`` on (0, 1), alpha > 0.
-
-    The left endpoint is mapped out with t = exp(-v); the tail beyond
-    v = 60 + 12*alpha carries less than 1e-16 of the mass and is dropped.
-    """
+    """Density ``(-log t)**(alpha-1) / Gamma(alpha)`` on (0, 1), alpha > 0."""
 
     alpha: float
     weight: float = 1.0
@@ -286,15 +286,21 @@ class LogGamma:
             return inv_gamma * (-np.log(t)) ** (self.alpha - 1.0)
 
     def charts(self):
-        """Charts t = exp(-v) below t = 1/2 and t = 1 - s**q above, q = ceil(3/alpha).
+        """Charts t = s**p below t = 1/2 and t = 1 - s**q above, p = max(3, ceil(2 sqrt(alpha))), q = ceil(3/alpha).
 
-        v runs up to 60 + 12 alpha in panels of at most 2; q (at least 1)
-        smooths the right endpoint.  Where x = s**q is below the smallest
-        normal float, -log1p(-x) ~ x and the right weight is its limit
-        inv_gamma q s**(q alpha - 1); the plain form would read 0 * inf there.
+        The left weight inv_gamma p s**(p-1) (-p log s)**(alpha-1) vanishes
+        like s**2 at s = 0 (p >= 3).  In log s it is a bump about
+        sqrt(alpha)/p wide around -(alpha-1)/(p-1); the graded panels are ln 2
+        wide in log s, so p ~ 2 sqrt(alpha) keeps it about 1/2 wide (p = alpha
+        would narrow it to 1/sqrt(alpha)) and inside the 14 graded levels, with
+        840 points for every alpha.  q (at least 1) smooths the right endpoint.
+        Where x = s**q is below the smallest normal float, -log1p(-x) ~ x and
+        the right weight is its limit inv_gamma q s**(q alpha - 1); the plain
+        form would read 0 * inf there.
         """
         alpha = self.alpha
         inv_gamma = math.exp(-math.lgamma(alpha))
+        p = max(3.0, math.ceil(2.0 * math.sqrt(alpha)))
         q = max(1.0, math.ceil(3.0 / alpha))
 
         def right_weight(s):
@@ -305,10 +311,8 @@ class LogGamma:
             return np.where(tiny, inv_gamma * q * s ** (q * alpha - 1.0), plain)
 
         return (
-            Chart(-math.log(0.5), 60.0 + 12.0 * alpha, lambda v: np.exp(-v),
-                  lambda v: 1.0 - np.exp(-v),
-                  lambda v: inv_gamma * np.exp(-v) * v ** (alpha - 1.0), max_panel=2.0),
-            Chart(0.0, 0.5 ** (1.0 / q), lambda s: 1.0 - s**q, lambda s: s**q, right_weight),
+            _chart_at_zero(p, lambda s: inv_gamma * p * s ** (p - 1.0) * (-p * np.log(s)) ** (alpha - 1.0)),
+            _chart_at_one(q, 0.0, 0.5 ** (1.0 / q), right_weight),
         )
 
     def moments(self, count):
@@ -377,11 +381,12 @@ class Table:
         return np.where((t < self.grid[0]) | (t > self.grid[-1]), 0.0, out)
 
     def charts(self):
-        """One identity chart per segment of the grid, weighted by the interpolant."""
-        weight = partial(np.interp, xp=self.grid, fp=self.values)
-        return tuple(
-            Chart(lo, hi, lambda s: s, _complement, weight) for lo, hi in zip(self.grid, self.grid[1:])
-        )
+        """One chart t = 1 - s per segment of the grid, weighted by the interpolant at t."""
+
+        def weight(s):
+            return np.interp(1.0 - s, self.grid, self.values)
+
+        return tuple(_chart_at_one(1.0, 1.0 - hi, 1.0 - lo, weight) for lo, hi in zip(self.grid, self.grid[1:]))
 
     def moments(self, count):
         """The integrals of t**n against the density for n < count: power sums over its rule.
@@ -389,12 +394,19 @@ class Table:
         The exact form, a sum of differences of powers of the grid points
         over the segments, cancels badly on short segments; the rule's panels
         grade toward both ends of each segment and resolve the peak at t = 1.
-        The rule is built once, and t**n is a running product over n.
+        The rule is built once, and t**n is a running product over n,
+        restarted every 32 orders so that its rounding does not build up.  A
+        restart takes t**n where t <= 1/2, which the chart forms exactly, and
+        exp(n log1p(-u)) from the chart's exact complement u above.
         """
-        t, w = _density_rule(self)
+        t, u, w = _density_rule(self)
+        near_one = u < 0.5
+        log_t = np.log1p(-u[near_one])
         out = np.empty(count)
-        power = np.ones_like(t)
         for n in range(count):
+            if n % 32 == 0:
+                power = t**n
+                power[near_one] = np.exp(n * log_t)
             out[n] = power @ w
             power *= t
         return out
@@ -477,7 +489,7 @@ class Measure:
         for d in densities:
             if not 0.0 < d.weight < math.inf:
                 raise ValueError(f"density weight must be finite and positive, got {d.weight!r}")
-            unit = float(np.sum(_density_rule(d)[1]))
+            unit = float(np.sum(_density_rule(d)[2]))
             if not abs(unit - 1.0) <= MASS_TOL:
                 raise ValueError(
                     f"{d.family} density integrates to {unit!r}, expected 1 within {MASS_TOL:g}"
@@ -555,7 +567,7 @@ class Measure:
         integrands smooth away from the endpoints; single-point evaluations
         with guaranteed tolerances go through :meth:`integrate` instead.
         """
-        parts = [_density_rule(d, d.weight) for d in self.densities]
+        parts = [_density_rule(d, d.weight)[::2] for d in self.densities]  # (t, w)
         parts += [(np.array([a.t]), np.array([a.w])) for a in self.atoms]
         ts, ws = zip(*parts)
         return np.concatenate(ts), np.concatenate(ws)
@@ -626,14 +638,14 @@ class Measure:
 
 
 def _density_rule(density, weight=1.0):
-    """Graded composite rule (t-nodes, weights) over a density's charts, weights times ``weight``."""
-    ts = []
-    ws = []
+    """Graded composite rule over a density's charts: t-nodes, complements u, weights times ``weight``."""
+    ts, us, ws = [], [], []
     for ch in density.charts():
-        s, w = composite_rule(graded_edges(ch.lo, ch.hi, levels=14, max_panel=ch.max_panel))
+        s, w = composite_rule(graded_edges(ch.lo, ch.hi, levels=14))
         ts.append(ch.to_t(s))
+        us.append(ch.to_u(s))
         ws.append(weight * w * ch.weight(s))
-    return np.concatenate(ts), np.concatenate(ws)
+    return np.concatenate(ts), np.concatenate(us), np.concatenate(ws)
 
 
 # -- constructors -----------------------------------------------------------

@@ -122,29 +122,17 @@ def adaptive_quad(f, a, b, tol=1e-10, max_depth=48):
     return value, err_total
 
 
-def graded_edges(lo, hi, levels=12, max_panel=None):
+def graded_edges(lo, hi, levels=12):
     """Panel edges on ``[lo, hi]``, dyadically graded toward both endpoints.
 
-    ``max_panel`` caps the width of interior panels, which matters for long
-    intervals (exponential-tail charts).
+    The outermost panels span 2**-levels of the interval and each next one
+    doubles up to the midpoint, 2 * levels panels in all.
     """
     fracs = [0.0]
     fracs += [2.0 ** (-levels + j) for j in range(levels)]  # up to 1/2
     fracs += [1.0 - 2.0 ** (-levels + j) for j in range(levels - 2, -1, -1)]
     fracs.append(1.0)
-    edges = [lo + (hi - lo) * u for u in fracs]
-    if max_panel is not None and max_panel > 0:
-        refined = [edges[0]]
-        for e in edges[1:]:
-            prev = refined[-1]
-            gap = e - prev
-            if gap > max_panel:
-                k = int(np.ceil(gap / max_panel))
-                for i in range(1, k):
-                    refined.append(prev + gap * i / k)
-            refined.append(e)
-        edges = refined
-    return np.asarray(edges)
+    return np.asarray([lo + (hi - lo) * u for u in fracs])
 
 
 def composite_rule(edges):

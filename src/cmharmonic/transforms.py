@@ -163,20 +163,14 @@ class GridSpec:
         return (r[:, None] * self._circle()[None, :]).ravel()
 
     def _upper_ring(self):
-        """The outer-ring nodes with theta in [0, pi] and how many ring nodes each stands for.
+        """The outer-ring nodes with theta in [0, pi].
 
-        The nodes are bit for bit the first ``ntheta // 2 + 1`` entries of
-        the last row of :meth:`disk_points` (``linspace`` ends exactly at
-        rmax).  A node on the real axis stands for itself, any other for
-        itself and its conjugate, so the multiplicities sum to ``ntheta``.
+        They are bit for bit the first ``ntheta // 2 + 1`` entries of the
+        last row of :meth:`disk_points` (``linspace`` ends exactly at rmax).
+        A node on the real axis stands for itself, any other for itself and
+        its conjugate.
         """
-        upper = self.ntheta // 2 + 1
-        zs = self.rmax * self._circle()[:upper]
-        mult = np.full(upper, 2)
-        mult[0] = 1
-        if self.ntheta % 2 == 0:
-            mult[-1] = 1
-        return zs, mult
+        return self.rmax * self._circle()[: self.ntheta // 2 + 1]
 
     def _rect_axes(self):
         """The rectangle's x and y samples; ``rect_points`` is their tensor grid."""

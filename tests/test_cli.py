@@ -211,6 +211,23 @@ def test_dilatation_near_one(tmp_path, z, ref):
     assert out["im"] == 0.0
 
 
+# h = lebesgue and g = a table: h' and g' at the float 0.99999999 are 1/(1 - x)
+# and 130151821.74127067257 (mpmath at 50 digits), so the dilatation is
+# 0.5 g'/h' = 0.65075911197626123034; the identity charts used to raise
+# QuadratureError there, which the command reported with exit 2
+def test_dilatation_of_identity_charts_near_one(tmp_path):
+    spec = {
+        "h": {"densities": [{"family": "lebesgue"}]},
+        "g": {"densities": [{"family": "table", "grid": [0, 0.3, 0.31, 1], "values": [1, 2, 0.5, 1.5]}]},
+        "c": 0.5,
+    }
+    res = run_cli("dilatation", write(tmp_path, "map.json", spec), "--z=0.99999999")
+    assert res.returncode == 0, res.stderr
+    out = json.loads(res.stdout)
+    assert math.isclose(out["re"], 0.65075911197626123034, rel_tol=1e-12)
+    assert out["im"] == 0.0
+
+
 def test_moments_formats(tmp_path):
     mu = write(
         tmp_path,

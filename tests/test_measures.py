@@ -208,6 +208,15 @@ def test_table_moments_resolve_the_peak_at_one_for_large_orders():
             assert math.isclose(ms[n], exact, rel_tol=1e-12), (grid, n)
 
 
+def test_table_moments_with_rule_nodes_at_t_zero():
+    # a segment 1e-17 wide at t = 0 puts rule nodes at t = 1 - s = 0 exactly;
+    # restarting the running power t**n must not take the log of 0 there
+    mu = table_measure([0.0, 1e-17, 1.0], [1.0, 1.0, 1.0])
+    assert np.any(mu._rule[0] == 0.0)
+    ms = mu.moments(65)
+    assert np.allclose(ms, 1.0 / np.arange(1, 66), rtol=1e-13, atol=0.0)
+
+
 def test_uniform_table_moments_equal_lebesgue_moments():
     # one call forms all 5,001 moments; moment(n) forms n + 1 of them per call
     tab, leb = table_measure([0.0, 1.0], [1.0, 1.0]).moments(5001), lebesgue().moments(5001)

@@ -253,7 +253,7 @@ def test_fixed_rule_sums_match_the_closed_form_moment_series():
     rng = np.random.default_rng(11)
     measures = [random_measure(rng) for _ in range(40)]
     measures += [beta_measure(0.3, 0.65), loggamma_measure(1.2), beta_measure(1.0, 2.2), dirac(1.0)]
-    zs = GridSpec(rmax=0.9)._upper_ring()[0]
+    zs = GridSpec(rmax=0.9)._upper_ring()
     n = np.arange(600)
     polyval = np.polynomial.polynomial.polyval
     for mu in measures:
@@ -566,6 +566,7 @@ _ATOM_BETA = Measure(
     (Beta(1.0, 1.9005300846446114, 0.22636520477683003),),
 )
 _TABLE = table_measure([0.0, 0.5, 1.0], [0.5, 1.0, 1.5])  # density 1/2 + t
+_SHORT_SEGMENT_TABLE = table_measure([0.0, 0.3, 0.31, 1.0], [1.0, 2.0, 0.5, 1.5])
 
 # (measure, method of the shifted transform, point, reference).  The
 # references were computed offline with mpmath at 40 digits, at the float
@@ -588,6 +589,13 @@ _NEAR_SLIT = [
     (loggamma_measure(2.1312), "deriv", 1 - 1e-6, 6.8461456566835376518),
     (_TABLE, "deriv", 1 - 1e-4, 14991.787917295255267),
     (_TABLE, "deriv", 1 - 1e-6, 1499987.1844196775061),
+    # h' of Lebesgue is 1/(1 - x), and 1 - x is exact at these x; the short
+    # segment table by mpmath at 50 digits, checked against the closed-form
+    # antiderivative of (a + b t)/(1 - x t)**2 on each segment
+    (lebesgue(), "deriv", 1 - 1e-6, 1 / (1 - (1 - 1e-6))),
+    (lebesgue(), "deriv", 1 - 1e-8, 1 / (1 - (1 - 1e-8))),
+    (_SHORT_SEGMENT_TABLE, "deriv", 1 - 1e-6, 1301502.806600024071755614),
+    (_SHORT_SEGMENT_TABLE, "deriv", 1 - 1e-8, 130151821.7412706725728474),
 ]
 
 
@@ -603,8 +611,9 @@ def test_pointwise_route_near_the_slit_matches_mpmath(mu, method, z, ref):
 
 
 def test_pointwise_derivative_near_the_slit_evaluates_few_points(monkeypatch):
-    # the rounded form 1 - t z split panels into 16,384-panel frontiers,
-    # about 1e6 integrand points per call; the count is deterministic
+    # a rounded 1 - t z, or a rounded node near t = 1 on a chart t = s,
+    # splits panels into 16,384-panel frontiers, about 1e6 integrand points
+    # per call (QuadratureError at 1 - 1e-8); the count is deterministic
     from cmharmonic import measures
 
     points = []
@@ -621,10 +630,130 @@ def test_pointwise_derivative_near_the_slit_evaluates_few_points(monkeypatch):
         (loggamma_measure(2.1312), 1 - 1e-6),
         (beta_measure(1.8542, 4.1667), 1 - 1e-6),
         (beta_measure(0.6042, 2.1667), 1 - 1e-4),
+        (lebesgue(), 1 - 1e-6),
+        (lebesgue(), 1 - 1e-8),
+        (_SHORT_SEGMENT_TABLE, 1 - 1e-6),
+        (_SHORT_SEGMENT_TABLE, 1 - 1e-8),
     ]:
         points.clear()
         ShiftedCauchyTransform.from_measure(mu).deriv(x)
-        assert 0 < sum(points) < 20_000, (mu, x, sum(points))
+        assert 0 < sum(points) < 10_000, (mu, x, sum(points))
+
+
+# Li_alpha(z) is the shifted transform of loggamma(alpha).  Per alpha, one row
+# per point of _POLYLOG_POINTS: Li_alpha(z), Li_{alpha-1}(z)/z and
+# (Li_{alpha-2}(z) - Li_{alpha-1}(z))/z**2, the value and first two
+# derivatives, computed offline with mpmath.polylog at 90 digits at the float
+# points (Li_88 - Li_89 in the second derivative at alpha = 90 cancels 27).
+_POLYLOG_POINTS = np.array([0.98, 0.98j, -0.98, 0.99 + 0.01j, -3 + 0.01j])
+_POLYLOG = {
+    0.2: [
+        (25.675052896706067, 1066.8779929673049, 95918.14976363155),
+        (
+            -0.4628829775199287+0.5713063931113558j,
+            0.1258722546325261+0.5345683309467452j,
+            -0.3657332040751265+0.5736277982469504j,
+        ),
+        (-0.537801631022144, 0.30802674712410044, 0.26513339815737663),
+        (
+            27.48808535626257+20.67679825174938j,
+            313.0396889998629+1964.198159541057j,
+            -148630.09755798554+204761.85587463412j,
+        ),
+        (
+            -0.8777683583101136+0.0009459780573324545j,
+            0.09459692612823604+0.0003903540105217923j,
+            0.039034581230181054+0.00026387955892610425j,
+        ),
+    ],
+    1.0: [
+        (3.912023005428145, 49.99999999999996, 2499.9999999999955),
+        (
+            -0.3365742670266277+0.7752974968121263j,
+            0.5100999795960008+0.4998979800040808j,
+            0.010303998771680091+0.5099958988003273j,
+        ),
+        (-0.6830968447064438, 0.5050505050505051, 0.2550760126517702),
+        (4.258596595708118+0.7853981633974478j, 50+49.99999999999996j, 4.336808689942012e-12+4999.999999999995j),
+        (
+            -1.386297486110125+0.0024999947916861977j,
+            0.24999843750976555+0.000624996093774414j,
+            0.062498828137206926+0.0003124960937866208j,
+        ),
+    ],
+    3.0: [
+        (1.1699278671805688, 1.5773466449300668, 2.4637893517249894),
+        (
+            -0.10860886270798079+0.9506007542056508j,
+            0.9185718967651209+0.20277182018148895j,
+            0.14354215248726418+0.130053063325377j,
+        ),
+        (-0.8850673850038563, 0.8250666097803775, 0.13064185014402963),
+        (
+            1.1856824783871067+0.01603284658578388j,
+            1.600720358470757+0.02949922508841503j,
+            2.742893833306116+0.6998749276283146j,
+        ),
+        (
+            -2.348793627253032+0.006464581835475954j,
+            0.6464576034660167+0.0006145330713932595j,
+            0.06145301927522581+0.00017402405890280538j,
+        ),
+    ],
+    13.7: [
+        (0.9800724464960539, 1.000148140633419, 0.00015206628109454254),
+        (
+            -7.21622360731423e-05+0.9799997266371934j,
+            0.999999163655945+0.0001472593175771314j,
+            0.00015022169343499912+1.704388760007521e-06j,
+        ),
+        (-0.9799281011899094, 0.9998535369556006, 0.00014863748910597753),
+        (
+            0.990073927901756+0.010001496613594115j,
+            1.0001496612961707+1.5208524148023e-06j,
+            0.00015208523554622515+1.8972234031554043e-08j,
+        ),
+        (
+            -2.999331163469753+0.009995564650150173j,
+            0.999556464967137+1.4555626783779387e-06j,
+            0.00014555626519424902+1.4364066394228437e-08j,
+        ),
+    ],
+    45.0: [
+        (0.9800000000000273, 1.0000000000000557, 5.684342085112796e-14),
+        (-2.7296209736959262e-14+0.98j, 1+5.570655048358881e-14j, 5.6843418860798706e-14+1.990310634688451e-21j),
+        (-0.9799999999999727, 0.9999999999999443, 5.684341687050669e-14),
+        (
+            0.9900000000000279+0.010000000000000562j,
+            1.0000000000000562+5.684342087143744e-16j,
+            5.684342087143744e-14+2.0309484149909234e-23j,
+        ),
+        (
+            -2.999999999999744+0.009999999999998295j,
+            0.9999999999998295+5.684341276810758e-16j,
+            5.6843412768107576e-14+2.0308710775773268e-23j,
+        ),
+    ],
+    90.0: [
+        (0.98, 1.0, 1.615587133892633e-27),
+        (-7.758049416952419e-28+0.98j, 1+1.5832753912147795e-27j, 1.6155871338926322e-27+6.736966709507361e-43j),
+        (-0.98, 1.0, 1.6155871338926315e-27),
+        (0.99+0.01j, 1+1.6155871338926328e-29j, 1.615587133892633e-27+6.874455826182961e-45j),
+        (-3+0.01j, 1+1.6155871338926302e-29j, 1.6155871338926302e-27+6.874455825558098e-45j),
+    ],
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(_POLYLOG))
+def test_log_power_rule_matches_the_polylogarithm(alpha):
+    # the left chart t = s**p gives one rule size for every alpha
+    mu = loggamma_measure(alpha)
+    assert mu._rule[0].size == 840
+    h = ShiftedCauchyTransform.from_measure(mu)
+    refs = np.array(_POLYLOG[alpha])
+    for k, method in enumerate(("values", "derivs", "deriv2s")):
+        got = getattr(h, method)(_POLYLOG_POINTS)
+        assert np.all(np.abs(got - refs[:, k]) <= 1e-11 * np.abs(refs[:, k])), method
 
 
 def test_kernel_base_uses_the_complement_only_above_one_half():
