@@ -13,8 +13,9 @@ its argument lies between 0 and alpha, and
 Re(e^{i alpha} (1 - t z)**-2) >= cos(alpha) |1 - t z|**-2.  Integrating
 against a probability measure (for a convolution, the law of s t, again on
 [0, 1]) gives Re(e^{i alpha} h'(z)) >= cos(alpha) / (1 + |z|)**2, at least
-0.0508 on |z| <= 0.98.  A fixed rule has nonnegative weights and nodes in
-[0, 1], so the bound holds for the rule sums too, up to their mass.
+0.0508 on |z| <= 0.98.  Each rule the sums take, fixed or Gauss, has
+nonnegative weights and nodes in [0, 1], so the bound holds for the rule
+sums too, up to their mass.
 
 A grid certificate records a sup estimate over finitely many nodes of the
 circle |z| = rmax, where the maximum modulus principle puts the sup over the
@@ -128,17 +129,20 @@ class ConvolutionPart:
         if not self.nu.is_normalized:
             raise ValueError("convolution factor must be a probability measure")
 
-    def _scaled_sums(self, sums, zs, weights):
-        """``sums(z t) @ weights`` at each point of ``zs``, t the nodes of nu's rule.
+    def _scaled_sums(self, sums, zs, t_power):
+        """``sums(z t) @ (t**t_power w)`` at each point of ``zs``, (t, w) the rule ``nu._rule_for(zs)``.
 
-        Works through blocks of 256 points, one row of scaled copies each.
-        The points themselves are checked first, so an error names the
-        point given rather than a scaled copy of it.
+        The s-integrand sums(s z) has its singularities at s = 1/(t z) for
+        t in (0, 1], on the ray beyond the pole 1/z, so nu's rule is routed
+        on the points themselves.  Works through blocks of 256 points, one
+        row of scaled copies each.  The points are checked first, so an
+        error names the point given rather than a scaled copy of it.
         """
         zs = np.asarray(zs, dtype=complex)
-        t = self.nu._rule[0]
         flat = zs.ravel()
         _check_slit(flat)
+        t, w = self.nu._rule_for(flat)
+        weights = t**t_power * w
         out = np.empty(flat.shape, dtype=complex)
         for i in range(0, len(flat), 256):
             out[i : i + 256] = sums(np.outer(flat[i : i + 256], t)) @ weights
@@ -146,14 +150,13 @@ class ConvolutionPart:
 
     def values(self, zs):
         zs = np.asarray(zs, dtype=complex)
-        return zs * self._scaled_sums(self.h.base.values, zs, self.nu._rule[1])
+        return zs * self._scaled_sums(self.h.base.values, zs, 0)
 
     def derivs(self, zs):
-        return self._scaled_sums(self.h.derivs, zs, self.nu._rule[1])
+        return self._scaled_sums(self.h.derivs, zs, 0)
 
     def deriv2s(self, zs):
-        t, w = self.nu._rule
-        return self._scaled_sums(self.h.deriv2s, zs, t * w)
+        return self._scaled_sums(self.h.deriv2s, zs, 1)
 
     def value(self, z, tol=None):
         return complex(self.values(np.array([complex(z)]))[0])
@@ -499,7 +502,9 @@ def check_partial_signs(f, grid=None):
     equal measures parsed apart count too) the rules merge into one with
     weights (1 + c) w and (1 - c) w.  The kernel is twice the power-2 one
     of ``transforms._rect_kernel_sums``, factored over the rectangle's axes,
-    which also avoids the cancellation in 1 - 2 x t + t^2 |z|^2.  Nodes
+    which also avoids the cancellation in 1 - 2 x t + t^2 |z|^2.  Each
+    measure contributes the rule the rectangle routes to
+    (``Measure._rule_for``).  Nodes
     whose kernel scale is at most ``DEGENERATE_TOL`` are degenerate, and
     each sign may miss by ``CHECK_SLACK``.
     """
@@ -508,12 +513,13 @@ def check_partial_signs(f, grid=None):
     grid = grid or GridSpec()
     x, y = grid._rect_axes()
 
-    t, w_mu = mu._rule
+    zs = grid.rect_points()
+    t, w_mu = mu._rule_for(zs)
     if mu == nu:
         w_plus = (1.0 + c) * w_mu
         w_minus = (1.0 - c) * w_mu
     else:
-        t_nu, w_nu = nu._rule
+        t_nu, w_nu = nu._rule_for(zs)
         t = np.concatenate([t, t_nu])
         w_plus = np.concatenate([w_mu, c * w_nu])
         w_minus = np.concatenate([w_mu, -c * w_nu])

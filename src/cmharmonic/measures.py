@@ -1,7 +1,12 @@
 """Borel probability measures on [0, 1]: atoms plus weighted named densities.
 
-Each density has one fixed rule (:func:`_density_rule`): every sweep, the
-unit-mass check and the table moments sum over it.  :meth:`Measure.integrate`
+Each density has one fixed rule (:func:`_density_rule`): the unit-mass
+check and the table moments sum over it, and a measure's fixed rule
+(:attr:`Measure._rule`) is the reference its Gauss rule is built from.
+The kernel sums of the sweeps take the Gauss rule of the measure
+(:attr:`Measure._gauss_rule`, 128 nodes plus the atoms) wherever the
+kernel's pole lies far enough from [0, 1], and the fixed rule elsewhere
+(:meth:`Measure._rule_for`).  :meth:`Measure.integrate`
 is the adaptive route, for pointwise values to a tolerance near the slit;
 power moments have one route (:meth:`Measure.moments`), closed but for tables.
 Every chart has one of two power forms (see :class:`Chart`): t = s**p
@@ -59,6 +64,20 @@ MASS_TOL = 1e-10
 # Beta's exponent c - a is a computed difference, and decimal parameters miss
 # the exact value: 1.9 - 0.9 is 0.9999999999999999, not 1.
 EXPONENT_TOL = 1e-12
+
+# Nodes of a measure's Gauss rule (Measure._gauss_rule).
+_GAUSS_NODES = 128
+# The route's Bernstein parameter rho0: the Gauss rule serves the points z
+# whose kernel pole 1/z lies outside the ellipse E_rho0 of [0, 1].  There an
+# n-node Gauss rule of a positive measure errs by O(rho0**-2n), and the
+# kernel's p-th power costs about n**(p - 1) more, so rho0**2n = n**2 / eps
+# puts the power-3 sums at rounding level: rho0 = 1.196 for n = 128.
+_GAUSS_RHO = (_GAUSS_NODES**2 / np.finfo(float).eps) ** (0.5 / _GAUSS_NODES)
+# |p| + |p - 1| on the boundary of E_rho0, whose foci are 0 and 1.
+_GAUSS_FOCAL = 0.5 * (_GAUSS_RHO + 1.0 / _GAUSS_RHO)
+# The Gauss rule must reproduce the closed-form moments and the fixed rule's
+# kernel sums on the route boundary to this, relative, or the fixed rule stays.
+_GAUSS_TOL = 1e-13
 
 
 def same_exponent(x, y):
@@ -560,7 +579,7 @@ class Measure:
 
     @cached_property
     def _rule(self):
-        """The fixed rule (t-nodes, weights) every sweep integrates with.
+        """The fixed rule (t-nodes, weights): the sweeps' rule near the slit, and the Gauss rule's reference.
 
         Each density contributes :func:`_density_rule` at its weight, and
         atoms are appended as exact nodes.  Good to roughly 1e-12 for
@@ -571,6 +590,48 @@ class Measure:
         parts += [(np.array([a.t]), np.array([a.w])) for a in self.atoms]
         ts, ws = zip(*parts)
         return np.concatenate(ts), np.concatenate(ws)
+
+    @cached_property
+    def _gauss_rule(self):
+        """The Gauss rule (t-nodes, weights) of the measure, built from :attr:`_rule` on first use.
+
+        The density part of the fixed rule is compressed to its
+        ``_GAUSS_NODES``-node Gauss rule (:func:`_gauss_compress`), and the
+        atoms are appended as exact nodes, those at one location as one
+        node of their total weight: the Gauss rule of the atomic part, so
+        that a measure's rule does not depend on how its atoms are split.
+        The result must reproduce the closed-form ``moments(4)`` and the
+        fixed rule's kernel sums on the route boundary
+        (:func:`_gauss_agrees`); when it does not, this is ``_rule`` itself.
+        """
+        t, w = self._rule
+        dense = len(t) - len(self.atoms)
+        merged = {}
+        for a in self.atoms:
+            merged[a.t] = merged.get(a.t, 0.0) + a.w
+        atoms = np.array(list(merged), dtype=float), np.array(list(merged.values()), dtype=float)
+        if not dense:
+            return atoms
+        gauss = _gauss_compress(t[:dense], w[:dense])
+        rule = np.concatenate([gauss[0], atoms[0]]), np.concatenate([gauss[1], atoms[1]])
+        return rule if _gauss_agrees(rule, self._rule, self.moments(4)) else self._rule
+
+    def _rule_for(self, zs):
+        """The rule for kernel sums at the points ``zs``: :attr:`_gauss_rule` or :attr:`_rule`.
+
+        The Gauss rule serves only when the pole 1/z of every point lies
+        outside the Bernstein ellipse E_rho0 of [0, 1] (foci 0 and 1), that
+        is |1/z| + |1/z - 1| >= ``_GAUSS_FOCAL``, or, times |z|,
+        1 + |1 - z| >= ``_GAUSS_FOCAL`` |z|; z = 0 passes and NaN fails.
+        The default grids have rho >= 1.246 (the rectangle corner
+        0.99 + 0.01i) against rho0 = 1.196.  Every point z on the way to a
+        point that passes, s z with s in [0, 1], passes too: the ellipse is
+        convex and holds 0, so the ray beyond 1/z stays outside it.
+        """
+        zs = np.asarray(zs)
+        if np.all(1.0 + np.abs(1.0 - zs) >= _GAUSS_FOCAL * np.abs(zs)):
+            return self._gauss_rule
+        return self._rule
 
     def moments(self, count):
         """First ``count`` power moments, the one route: atom power sums plus each density's ``moments``.
@@ -646,6 +707,73 @@ def _density_rule(density, weight=1.0):
         us.append(ch.to_u(s))
         ws.append(weight * w * ch.weight(s))
     return np.concatenate(ts), np.concatenate(us), np.concatenate(ws)
+
+
+def _gauss_compress(t, w):
+    """The ``_GAUSS_NODES``-node Gauss rule (nodes, weights) of the discrete measure sum_j w_j delta(t_j).
+
+    Lanczos on diag(t - 1/2) from the start vector sqrt(w / mass), with one
+    reorthogonalisation pass against all earlier vectors, gives the n x n
+    Jacobi matrix of the measure; its eigenvalues plus 1/2 are the nodes
+    and the squared first components of its eigenvectors, times the mass,
+    the weights (Golub and Welsch, Math. Comp. 23, 1969).  The nodes are
+    clipped to [0, 1], which rounding may leave by an ulp.  The recurrence
+    does not break down: every density's fixed rule has hundreds of points
+    of positive weight, against n = 128.
+    """
+    n = _GAUSS_NODES
+    mass = float(np.sum(w))
+    x = t - 0.5
+    q = np.empty((n, len(t)))
+    q[0] = np.sqrt(w / mass)
+    alpha = np.empty(n)
+    beta = np.empty(n - 1)
+    for k in range(n):
+        v = x * q[k]
+        if k:
+            v -= beta[k - 1] * q[k - 1]
+        alpha[k] = q[k] @ v
+        if k == n - 1:
+            break
+        v -= alpha[k] * q[k]
+        basis = q[: k + 1]
+        v -= (basis @ v) @ basis
+        beta[k] = math.sqrt(v @ v)
+        np.divide(v, beta[k], out=q[k + 1])
+    nodes, vectors = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+    return np.clip(nodes + 0.5, 0.0, 1.0), mass * vectors[0] ** 2
+
+
+def _gauss_agrees(rule, fine, moments):
+    """Whether ``rule`` reproduces ``moments`` and the kernel sums of ``fine`` to ``_GAUSS_TOL``.
+
+    Each moment is compared relative to itself.  The sums of (1 - t z)**-p,
+    p = 1, 2, 3, are compared at 16 points z whose poles 1/z run over the
+    upper half of the route boundary, the ellipse E_rho0, from z ~ 0.992
+    (pole just right of t = 1) to z ~ -125 (just left of t = 0), where the
+    errors peak; real rules give conjugate sums at conjugate points.  They
+    are compared relative to the sum of the moduli of the fine rule's
+    terms, since the sums themselves may cancel.  Off the ellipse the error
+    of a sum is an analytic function of 1/z, bounded at infinity, so by the
+    maximum modulus principle its modulus peaks on the boundary; the probes
+    sample it there, which is evidence, not a bound.
+    """
+    t, w = rule
+    powers = np.array([w @ t**n for n in range(len(moments))])
+    if not np.all(np.abs(powers - moments) <= _GAUSS_TOL * np.abs(moments)):
+        return False
+    theta = np.linspace(0.0, np.pi, 16)[:, None]
+    zs = 2.0 / (1.0 + 0.5 * (_GAUSS_RHO * np.exp(1j * theta) + np.exp(-1j * theta) / _GAUSS_RHO))
+    fine_inv = 1.0 / (1.0 - zs * fine[0])
+    inv = 1.0 / (1.0 - zs * t)
+    fine_kern, kern = 1.0, 1.0
+    for _ in range(3):  # powers 1, 2, 3
+        fine_kern = fine_kern * fine_inv
+        kern = kern * inv
+        err = np.abs(kern @ w - fine_kern @ fine[1])
+        if not np.all(err <= _GAUSS_TOL * (np.abs(fine_kern) @ fine[1])):
+            return False
+    return True
 
 
 # -- constructors -----------------------------------------------------------

@@ -190,8 +190,12 @@ class GridSpec:
 # Grid sweeps work through blocks of nodes holding about this many
 # (node x rule point) terms: 1 MB of complex buffer here, two 512 kB real
 # ones in the rectangle kernel, which stay in a core's L2 cache across the
-# passes over them.  Blocks of 2048 nodes against a 2200-point rule ran 1.5x
-# slower (Xeon, 2 MB L2 per core).
+# passes over them.  Blocks of 2048 nodes against a 2200-point fixed rule
+# ran 1.5x slower (Xeon, 2 MB L2 per core).  Against the Gauss rules of
+# 128 to 262 points, blocks of 2**14 terms took 0.50 instead of 0.62 ms
+# for `values` on the 768 disk nodes, but 5.6 instead of 5.0 ms for the
+# 100 x 100 partial-sign rectangle on a 260-point rule, and a whole
+# grid-sweeps pass was the same within noise (median of 30 runs each).
 _BLOCK_TERMS = 2**16
 
 
@@ -199,9 +203,11 @@ _BLOCK_TERMS = 2**16
 # broadcasts a row of the rule against a block copy the rows through the
 # buffer whenever three of them fit in it: the product z t then costs 2.6 ns
 # per element against 0.9 unbuffered (numpy 2.4, rules of 1,700 to 2,300
-# points).  At 1,024 elements every rule of more than 341 points, which is
-# every density rule, runs unbuffered.
-_KERNEL_BUFSIZE = 1024
+# points).  At 256 elements every rule of more than 85 points, which is
+# every Gauss and fixed density rule, runs unbuffered: on a 130-point Gauss
+# rule the partial-sign rectangle took 3.4 ms against 4.3 at 1,024 elements,
+# where three of its rows fit (median of 30 runs).
+_KERNEL_BUFSIZE = 256
 
 
 @contextlib.contextmanager
@@ -346,8 +352,8 @@ class CauchyTransform:
     __call__ = eval
 
     def values(self, zs):
-        """Vectorized values on an array of slit-plane points (fixed rule)."""
-        t, w = self.mu._rule
+        """Vectorized values on an array of slit-plane points, over the rule ``mu._rule_for(zs)`` picks."""
+        t, w = self.mu._rule_for(zs)
         return _kernel_sums(zs, t, w, 1)
 
     def series_eval(self, z, terms=300):
@@ -414,11 +420,11 @@ class ShiftedCauchyTransform:
         return complex(self.mu.integrate(lambda t, u: 2.0 * t * _kernel_base(z, t, u) ** -3.0, tol=tol))
 
     def derivs(self, zs):
-        t, w = self.mu._rule
+        t, w = self.mu._rule_for(zs)
         return _kernel_sums(zs, t, w, 2)
 
     def deriv2s(self, zs):
-        t, w = self.mu._rule
+        t, w = self.mu._rule_for(zs)
         return _kernel_sums(zs, t, 2.0 * t * w, 3)
 
 
@@ -483,17 +489,20 @@ def _upper_imag(F, grid):
     ``a = 1 - x t > 0``, d/dx of ``t / (a^2 + (y t)^2)`` is
     ``2 a t^2 / (a^2 + (y t)^2)^2 >= 0``.  The weights are nonnegative, so
     each row's minimum over the rectangle is its left node, and only the
-    x = xmin column is evaluated.  Each rounded step of the kernel, the dot
-    product with the weights included, keeps that order, so the minimum is
-    the full sweep's bit for bit.  Nodes within ``SLIT_MARGIN`` of the slit
+    x = xmin column is evaluated.  The rule is the one the whole rectangle
+    routes to (``mu._rule_for``), and each rounded step of the kernel, the
+    dot product with the weights included, keeps that order for any rule
+    with nodes in [0, 1] and nonnegative weights, so the minimum is the
+    full sweep's bit for bit.  Nodes within ``SLIT_MARGIN`` of the slit
     read NaN and every skipped rectangle node is counted, as the per-node
     fallback of :func:`_eval_grid` counts them; since |z - 1| falls as x
     rises, a row whose left node is skipped is skipped entirely.
     """
     x, y = grid._rect_axes()
-    t, w = F.mu._rule
+    zs = grid.rect_points()
+    t, w = F.mu._rule_for(zs)
     im = _rect_kernel_sums(x[:1], y, t, w, 1)[0]
-    bad = _outside_domain(grid.rect_points())
+    bad = _outside_domain(zs)
     im[bad[: len(y)]] = np.nan
     return im, int(bad.sum())
 

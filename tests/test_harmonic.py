@@ -633,9 +633,9 @@ def test_convolution_part_validates():
 
 
 def _convolution_reference(part, zs, order):
-    """The three 256-point block loops of ``ConvolutionPart`` before they shared a helper."""
+    """The three 256-point block loops of ``ConvolutionPart`` before they shared a helper, over nu's routed rule."""
     zs = np.asarray(zs, dtype=complex)
-    t, w = part.nu._rule
+    t, w = part.nu._rule_for(zs)
     flat = zs.ravel()
     out = np.empty(flat.shape, dtype=complex)
     for i in range(0, len(flat), 256):
@@ -650,9 +650,9 @@ def _convolution_reference(part, zs, order):
 
 
 def _shifted_reference(part, zs, order):
-    """The vector formulas of ``ShiftedCauchyTransform`` through the blocked kernel."""
+    """The vector formulas of ``ShiftedCauchyTransform`` through the blocked kernel, over the routed rule."""
     zs = np.asarray(zs, dtype=complex)
-    t, w = part.mu._rule
+    t, w = part.mu._rule_for(zs)
     if order == 0:
         return zs * _kernel_sums(zs, t, w, 1)
     if order == 1:
@@ -694,6 +694,23 @@ def test_part_vector_methods_match_pre_protocol_formulas(case):
     grid = zs[:12].reshape(3, 4)
     for order, fn in enumerate(_VECTOR_METHODS):
         assert getattr(part, fn)(grid).tobytes() == reference(part, grid, order).tobytes()
+
+
+def test_convolution_of_two_densities_matches_its_fixed_rules():
+    # nu's rule is routed on the points as h's is: both Gauss rules here,
+    # against the product of the two 840-point fixed rules, summed on the
+    # nodes with theta in [0, pi] and conjugated onto their mirror images
+    mu, nu = beta_measure(0.6, 1.3), loggamma_measure(1.2)
+    part = ConvolutionPart(shifted(mu), nu)
+    grid = GridSpec()
+    zs = grid.disk_points()
+    assert nu._rule_for(zs) is nu._gauss_rule and mu._rule_for(zs) is mu._gauss_rule
+    (t_mu, w_mu), (t_nu, w_nu) = mu._rule, nu._rule
+    half = grid.ntheta // 2
+    upper = zs.reshape(grid.nr, grid.ntheta)[:, : half + 1]
+    ref = _kernel_sums(upper, np.outer(t_nu, t_mu).ravel(), np.outer(w_nu, w_mu).ravel(), 2)
+    ref = np.concatenate([ref, np.conj(ref[:, half - 1 : 0 : -1])], axis=1).ravel()
+    assert np.all(np.abs(part.derivs(zs) - ref) <= 1e-13 * np.abs(ref))
 
 
 @pytest.mark.parametrize("case", _DERIVED_SCALAR_PARTS)

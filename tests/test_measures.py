@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmharmonic.measures import (
+    _GAUSS_NODES,
+    _gauss_agrees,
     Atom,
     Beta,
     Lebesgue,
@@ -464,6 +466,32 @@ def test_unit_mass_check_reads_the_rule_the_sweeps_use():
     assert beta_measure(0.001, 1.0).is_normalized
     with pytest.raises(ValueError, match="beta density integrates to 0.99999999"):
         beta_measure(95.76, 589.55)
+
+
+def test_gauss_rule_keeps_atoms_as_exact_nodes():
+    # atoms at one location become one node of their total weight, so the
+    # rule does not depend on how the atoms are split
+    atoms = (Atom(0.0, 0.1), Atom(1.0, 0.2), Atom(0.3, 0.05), Atom(0.3, 0.15))
+    mu = Measure(atoms, (Lebesgue(0.3), Beta(0.6, 1.9, 0.2)))
+    t, w = mu._gauss_rule
+    assert len(t) == _GAUSS_NODES + 3
+    assert t[-3:].tolist() == [0.0, 1.0, 0.3]
+    assert w[-3:].tolist() == [0.1, 0.2, 0.05 + 0.15]
+    assert np.all((t >= 0.0) & (t <= 1.0)) and np.all(w >= 0.0)
+    assert math.isclose(float(np.sum(w[:-3])), 0.5, rel_tol=1e-15)
+    t, w = Measure(atoms)._gauss_rule
+    assert t.tolist() == [0.0, 1.0, 0.3] and w.tolist() == [0.1, 0.2, 0.05 + 0.15]
+
+
+def test_gauss_check_reads_the_kernel_sums_beyond_the_moments():
+    # the 2-node Gauss rule of Lebesgue has its first four moments, but not
+    # its kernel sums on the route boundary; the 128-node rule has both
+    mu = lebesgue()
+    x, w = np.polynomial.legendre.leggauss(2)
+    two = ((x + 1.0) / 2.0, w / 2.0)
+    assert np.allclose([two[1] @ two[0] ** n for n in range(4)], mu.moments(4), rtol=1e-15, atol=0.0)
+    assert not _gauss_agrees(two, mu._rule, mu.moments(4))
+    assert _gauss_agrees(mu._gauss_rule, mu._rule, mu.moments(4))
 
 
 def test_atomic_moments_are_exact_power_sums():

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from cmharmonic import transforms
 from cmharmonic.measures import (
+    _GAUSS_RHO,
     Atom,
     Beta,
+    Lebesgue,
     LogGamma,
     Measure,
     beta_measure,
@@ -26,6 +28,7 @@ from cmharmonic.transforms import (
     SlitDomainError,
     _block_rows,
     _kernel_base,
+    _kernel_sums,
     _outside_domain,
     _rect_kernel_sums,
     check_membership,
@@ -393,9 +396,9 @@ def test_rect_kernel_matches_plain_imaginary_part_at_block_edges():
 
 
 def _upper_imag_reference(F, grid):
-    """``_upper_imag`` as first written: the power-1 kernel on every rectangle node."""
+    """``_upper_imag`` as first written: the power-1 kernel on every rectangle node, over the rectangle's rule."""
     x, y = grid._rect_axes()
-    t, w = F.mu._rule
+    t, w = F.mu._rule_for(grid.rect_points())
     im = _rect_kernel_sums(x, y, t, w, 1).ravel()
     bad = _outside_domain(grid.rect_points())
     im[bad] = np.nan
@@ -435,7 +438,7 @@ def test_membership_reads_the_left_column_bit_for_bit(case):
     # minimum is its left node and the one-column report equals the full one
     F, grid = case
     x, y = grid._rect_axes()
-    t, w = F.mu._rule
+    t, w = F.mu._rule_for(grid.rect_points())
     assert np.all(np.diff(_rect_kernel_sums(x, y, t, w, 1), axis=0) >= 0.0)
     got = check_membership(F, grid=grid).to_dict()
     with pytest.MonkeyPatch.context() as mp:
@@ -523,13 +526,15 @@ def _kernel_sums_reference(zs, t, w, power):
 
 def test_kernel_sums_at_block_edges():
     mu = Measure((Atom(0.3, 0.2),), (Beta(1.5, 3.2, 0.5), LogGamma(2.0, 0.3)))
-    t, w = mu._rule
+    # every point of the disk |z| <= 0.98 routes to the Gauss rule
+    assert mu._rule_for(np.array([0.98])) is mu._gauss_rule
     h = ShiftedCauchyTransform.from_measure(mu)
-    rows = _block_rows(len(t))
+    rows = _block_rows(len(mu._gauss_rule[0]))
     assert 1 < rows < 2047
     rng = np.random.default_rng(17)
     for count in sorted({0, 1, rows - 1, rows, rows + 1, 2047, 2048, 2049, 4097}):
         zs = random_disk_points(rng, count, rmax=0.98)
+        t, w = mu._rule_for(zs)
         values = h.base.values(zs)
         assert values.shape == (count,)
         assert np.array_equal(values, _kernel_sums_reference(zs, t, w, 1))
@@ -555,6 +560,95 @@ def test_kernel_sums_restore_the_ufunc_buffer_size():
             assert np.getbufsize() == bufsize
     finally:
         np.setbufsize(default)
+
+
+# -- the Gauss rule and its route ---------------------------------------------
+
+_GAUSS_EXTREMES = [
+    loggamma_measure(90.0),
+    loggamma_measure(30.0),
+    beta_measure(0.05, 3.0),
+    beta_measure(3.0, 3.05),
+    table_measure(np.linspace(0.0, 1.0, 11), [1.0, 1.4, 2.0, 2.6, 3.0, 2.2, 1.5, 1.1, 0.8, 0.6, 0.5]),
+    Measure((Atom(0.0, 0.3), Atom(1.0, 0.3)), (Lebesgue(0.4),)),
+]
+
+
+def _route_boundary_points(theta):
+    """The points z whose poles 1/z lie on the ellipse E_rho0 of [0, 1] at the angles theta."""
+    chebyshev = 0.5 * (_GAUSS_RHO * np.exp(1j * theta) + np.exp(-1j * theta) / _GAUSS_RHO)
+    return 2.0 / (1.0 + chebyshev)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.integers(0, 2**32 - 1).map(lambda seed: random_measure(np.random.default_rng(seed))),
+        st.sampled_from(_GAUSS_EXTREMES),
+    ),
+    st.lists(st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=8),
+)
+def test_gauss_and_fixed_rules_agree_on_the_route_boundary(mu, thetas):
+    # relative to the sum of the moduli of the fixed rule's terms, since the
+    # sums may cancel; a measure whose Gauss rule fails its construction
+    # check keeps the fixed rule, and loggamma(90) and loggamma(30) do
+    zs = _route_boundary_points(np.array(thetas))
+    t, w = mu._rule
+    gauss_t, gauss_w = mu._gauss_rule
+    for p in (1, 2, 3):
+        scale = np.abs(1.0 - zs[:, None] * t) ** float(-p) @ w
+        err = np.abs(_kernel_sums(zs, gauss_t, gauss_w, p) - _kernel_sums(zs, t, w, p))
+        assert np.all(err <= 1e-13 * scale), p
+
+
+def test_extreme_measures_keep_or_leave_the_fixed_rule():
+    # loggamma(alpha) has m_1 = 2**-alpha, which 128 nodes known to an
+    # absolute ulp of [0, 1] cannot reproduce to 1e-13, relative, at
+    # alpha = 30 or 90; beta(3, 3.05), with nearly all its mass at t = 1,
+    # misses the fixed rule by 9e-14 on the route boundary, too near the
+    # bound to pin either way, and the other extremes pass
+    for mu in _GAUSS_EXTREMES[:2]:
+        assert mu._gauss_rule is mu._rule
+    for mu in _GAUSS_EXTREMES[2:3] + _GAUSS_EXTREMES[4:]:
+        assert len(mu._gauss_rule[0]) == 128 + len({a.t for a in mu.atoms})
+
+
+def test_the_default_grids_route_to_the_gauss_rule():
+    def rho(z):
+        focal = (1.0 + abs(1.0 - z)) / abs(z)
+        return focal + math.sqrt(focal**2 - 1.0)
+
+    assert 1.195 < _GAUSS_RHO < 1.197
+    assert 1.246 < rho(0.99 + 0.01j) < rho(0.98) < 1.33
+    mu = Measure((Atom(0.3, 0.2),), (Beta(1.5, 3.2, 0.5), LogGamma(2.0, 0.3)))
+    g = GridSpec()
+    for zs in (g.disk_points(), g.rect_points(), g.real_ray(), np.zeros(1)):
+        assert mu._rule_for(zs) is mu._gauss_rule
+
+
+def test_a_point_inside_the_route_ellipse_sends_the_call_to_the_fixed_rule():
+    # one point near the slit takes the whole call to the fixed rule, bit for bit
+    mu = Measure((Atom(0.3, 0.2),), (Beta(1.5, 3.2, 0.5), LogGamma(2.0, 0.3)))
+    h = ShiftedCauchyTransform.from_measure(mu)
+    t, w = mu._rule
+    for zs in (np.array([0.5, -0.7 + 0.2j, 1.0 - 1e-6]), np.array([1.0 - 1e-8]), np.array([2.0 + 0.3j])):
+        assert mu._rule_for(zs) is mu._rule
+        assert h.base.values(zs).tobytes() == _kernel_sums(zs, t, w, 1).tobytes()
+        assert h.derivs(zs).tobytes() == _kernel_sums(zs, t, w, 2).tobytes()
+        assert h.deriv2s(zs).tobytes() == _kernel_sums(zs, t, 2.0 * t * w, 3).tobytes()
+    assert mu._rule_for(np.array([np.nan])) is mu._rule
+    # so does a rectangle with a corner near z = 1, in the sweeps that route on it
+    assert mu._rule_for(GridSpec(xmax=1.0 - 1e-6, ymin=1e-6).rect_points()) is mu._rule
+
+
+def test_the_gauss_rule_is_built_on_first_use_only():
+    mu = beta_measure(0.6, 1.3)
+    h = ShiftedCauchyTransform.from_measure(mu)
+    assert "_rule" not in vars(mu) and "_gauss_rule" not in vars(mu)
+    h.derivs(np.array([1.0 - 1e-6]))
+    assert "_rule" in vars(mu) and "_gauss_rule" not in vars(mu)
+    h.derivs(np.array([0.5]))
+    assert "_gauss_rule" in vars(mu)
 
 
 # -- near the slit: the kernel built from the complement u = 1 - t -------------
