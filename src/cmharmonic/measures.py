@@ -75,6 +75,11 @@ _GAUSS_NODES = 128
 _GAUSS_RHO = (_GAUSS_NODES**2 / np.finfo(float).eps) ** (0.5 / _GAUSS_NODES)
 # |p| + |p - 1| on the boundary of E_rho0, whose foci are 0 and 1.
 _GAUSS_FOCAL = 0.5 * (_GAUSS_RHO + 1.0 / _GAUSS_RHO)
+# Simon's semi-orthogonality level sqrt(eps / n) for the n Lanczos vectors
+# of a Gauss rule: a plain recurrence whose basis stays below it keeps its
+# Jacobi matrix (Simon, Math. Comp. 42, 1984), one that does not is rerun
+# with reorthogonalisation (_gauss_compress).
+_SEMI_ORTHOGONAL = math.sqrt(np.finfo(float).eps / _GAUSS_NODES)
 # The Gauss rule must reproduce the closed-form moments and the fixed rule's
 # kernel sums on the route boundary to this, relative, or the fixed rule stays.
 _GAUSS_TOL = 1e-13
@@ -596,7 +601,10 @@ class Measure:
         """The Gauss rule (t-nodes, weights) of the measure, built from :attr:`_rule` on first use.
 
         The density part of the fixed rule is compressed to its
-        ``_GAUSS_NODES``-node Gauss rule (:func:`_gauss_compress`), and the
+        ``_GAUSS_NODES``-node Gauss rule (:func:`_gauss_compress`: plain
+        Lanczos whose basis is checked once for Simon's semi-orthogonality,
+        sqrt(eps / n), and rerun with reorthogonalisation, to the rule that
+        pass has always given, only when it has lost it), and the
         atoms are appended as exact nodes, those at one location as one
         node of their total weight: the Gauss rule of the atomic part, so
         that a measure's rule does not depend on how its atoms are split.
@@ -623,13 +631,15 @@ class Measure:
         outside the Bernstein ellipse E_rho0 of [0, 1] (foci 0 and 1), that
         is |1/z| + |1/z - 1| >= ``_GAUSS_FOCAL``, or, times |z|,
         1 + |1 - z| >= ``_GAUSS_FOCAL`` |z|; z = 0 passes and NaN fails.
+        An empty set of points takes the fixed rule: its sums are empty
+        either way, and it builds no Gauss rule.
         The default grids have rho >= 1.246 (the rectangle corner
         0.99 + 0.01i) against rho0 = 1.196.  Every point z on the way to a
         point that passes, s z with s in [0, 1], passes too: the ellipse is
         convex and holds 0, so the ray beyond 1/z stays outside it.
         """
         zs = np.asarray(zs)
-        if np.all(1.0 + np.abs(1.0 - zs) >= _GAUSS_FOCAL * np.abs(zs)):
+        if zs.size and np.all(1.0 + np.abs(1.0 - zs) >= _GAUSS_FOCAL * np.abs(zs)):
             return self._gauss_rule
         return self._rule
 
@@ -712,22 +722,45 @@ def _density_rule(density, weight=1.0):
 def _gauss_compress(t, w):
     """The ``_GAUSS_NODES``-node Gauss rule (nodes, weights) of the discrete measure sum_j w_j delta(t_j).
 
-    Lanczos on diag(t - 1/2) from the start vector sqrt(w / mass), with one
-    reorthogonalisation pass against all earlier vectors, gives the n x n
-    Jacobi matrix of the measure; its eigenvalues plus 1/2 are the nodes
-    and the squared first components of its eigenvectors, times the mass,
-    the weights (Golub and Welsch, Math. Comp. 23, 1969).  The nodes are
+    Lanczos on diag(t - 1/2) from the start vector sqrt(w / mass) gives
+    the n x n Jacobi matrix of the measure; its eigenvalues plus 1/2 are
+    the nodes and the squared first components of its eigenvectors, times
+    the mass, the weights (Golub and Welsch, Math. Comp. 23, 1969).  The
+    recurrence runs plain first, and its basis is checked once: if every
+    off-diagonal entry of its Gram matrix is at most ``_SEMI_ORTHOGONAL``,
+    sqrt(eps / n), the vectors are semi-orthogonal, and the Jacobi matrix
+    is then accurate to working precision without reorthogonalisation
+    (Simon, Math. Comp. 42, 1984).  Otherwise, as for rules of Lebesgue
+    densities alone, the recurrence runs again in the same basis with one
+    reorthogonalisation pass against all earlier vectors, and the rule is
+    the one that pass has always given, bit for bit.  The nodes are
     clipped to [0, 1], which rounding may leave by an ulp.  The recurrence
     does not break down: every density's fixed rule has hundreds of points
     of positive weight, against n = 128.
     """
-    n = _GAUSS_NODES
     mass = float(np.sum(w))
     x = t - 0.5
-    q = np.empty((n, len(t)))
-    q[0] = np.sqrt(w / mass)
+    start = np.sqrt(w / mass)
+    q = np.empty((_GAUSS_NODES, len(t)))
+    alpha, beta = _lanczos(x, start, q, reorthogonalise=False)
+    gram = q @ q.T
+    np.fill_diagonal(gram, 0.0)
+    if not np.max(np.abs(gram)) <= _SEMI_ORTHOGONAL:  # NaN retries too
+        alpha, beta = _lanczos(x, start, q, reorthogonalise=True)
+    nodes, vectors = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+    return np.clip(nodes + 0.5, 0.0, 1.0), mass * vectors[0] ** 2
+
+
+def _lanczos(x, start, q, reorthogonalise):
+    """The recurrence coefficients (alpha, beta) of Lanczos on diag(x) from ``start``, filling the basis ``q``.
+
+    With ``reorthogonalise``, each new vector is orthogonalised once more
+    against all earlier ones.
+    """
+    n = len(q)
     alpha = np.empty(n)
     beta = np.empty(n - 1)
+    q[0] = start
     for k in range(n):
         v = x * q[k]
         if k:
@@ -736,12 +769,12 @@ def _gauss_compress(t, w):
         if k == n - 1:
             break
         v -= alpha[k] * q[k]
-        basis = q[: k + 1]
-        v -= (basis @ v) @ basis
+        if reorthogonalise:
+            basis = q[: k + 1]
+            v -= (basis @ v) @ basis
         beta[k] = math.sqrt(v @ v)
         np.divide(v, beta[k], out=q[k + 1])
-    nodes, vectors = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
-    return np.clip(nodes + 0.5, 0.0, 1.0), mass * vectors[0] ** 2
+    return alpha, beta
 
 
 def _gauss_agrees(rule, fine, moments):

@@ -651,6 +651,15 @@ def test_the_gauss_rule_is_built_on_first_use_only():
     assert "_gauss_rule" in vars(mu)
 
 
+def test_an_empty_point_set_builds_no_gauss_rule():
+    mu = beta_measure(1.5, 3.2)
+    h = ShiftedCauchyTransform.from_measure(mu)
+    for sums in (h.base.values, h.derivs, h.deriv2s):
+        assert sums(np.array([])).shape == (0,)
+    assert mu._rule_for(np.array([])) is mu._rule
+    assert "_gauss_rule" not in vars(mu)
+
+
 # -- near the slit: the kernel built from the complement u = 1 - t -------------
 
 # An atom plus beta(1, 1.9005...), whose density (c - 1)(1 - t)**(c - 2) is
