@@ -794,7 +794,8 @@ def _derivative_quotient_limit(h_mu, g_mu):
     transform, Widder, The Laplace Transform, 1941, ch. VIII), so the limit
     is kappa_g/kappa_h; for unequal beta the smaller one dominates.  Betas
     equal up to rounding (``same_exponent``) count as equal: beta(0.9, 1.9)
-    has the computed exponent 0.9999999999999999 and Lebesgue has 1.
+    has the computed exponent 0.9999999999999999 and the uniform beta(1, 2)
+    has 1.
     """
     g_lim = g_mu.endpoint_moment(2)
     h_lim = h_mu.endpoint_moment(2)

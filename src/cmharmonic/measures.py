@@ -1,5 +1,9 @@
 """Borel probability measures on [0, 1]: atoms plus weighted named densities.
 
+The density families are beta, log-power and tables.  The uniform density
+is beta(1, 2); ``"lebesgue"`` is its wire name and :func:`lebesgue` its
+measure, so it has the graded beta charts at both ends.
+
 Each density has one fixed rule (:func:`_density_rule`): the unit-mass
 check and the table moments sum over it, and a measure's fixed rule
 (:attr:`Measure._rule`) is the reference its Gauss rule is built from.
@@ -38,7 +42,6 @@ from .quadrature import _check_tol, adaptive_quad, composite_rule, graded_edges
 
 __all__ = [
     "Atom",
-    "Lebesgue",
     "Beta",
     "LogGamma",
     "Table",
@@ -97,7 +100,7 @@ def _pair_points(mu, nu, n):
     j = 1 .. J, with 2**-J the first below ``EXPONENT_TOL``, and every table
     breakpoint inside (0, 1).  Points where both densities vanish
     constrain nothing.  The sample decides the named same-family pairs:
-    - beta against beta, Lebesgue being beta(1, 2): psi/phi ~ t**p (1 - t)**q
+    - beta against beta, the uniform density among them: psi/phi ~ t**p (1 - t)**q
       with p = a_g - a_h and q = (c_g - a_g) - (c_h - a_h).  It fails to be
       nondecreasing iff p < 0 or q > 0, and then falls by a factor of about
       2**-|p| (or 2**-q) between the two outermost dyadic points at that
@@ -105,7 +108,7 @@ def _pair_points(mu, nu, n):
       ``same_exponent`` treats as rounding anyway.
     - log-power against log-power: psi/phi ~ (-log t)**(alpha_g - alpha_h)
       is monotone, nondecreasing iff alpha_g <= alpha_h.
-    - tables and Lebesgue: both densities are linear between breakpoints,
+    - tables and the uniform beta(1, 2): both densities are linear between breakpoints,
       so phi - c psi is linear and psi/phi monotone on each piece, and its
       ends decide; a piece ending at 0 or 1 is read at 2**-J or 1 - 2**-J.
     Other pairs (mixtures, mixed families) are only sampled.
@@ -192,31 +195,6 @@ class Atom:
 
 
 @dataclass(frozen=True)
-class Lebesgue:
-    """Uniform density on [0, 1]."""
-
-    weight: float = 1.0
-    family = "lebesgue"
-
-    def pdf(self, t):
-        return np.ones_like(np.asarray(t, dtype=float))
-
-    def charts(self):
-        """One chart, t = 1 - s on [0, 1]."""
-        return (_chart_at_one(1.0, 0.0, 1.0, lambda s: np.ones_like(s)),)
-
-    def moments(self, count):
-        """1/(n + 1) for n < count, exact to rounding."""
-        return 1.0 / np.arange(1, count + 1)
-
-    def endpoint_moment(self, p):
-        return math.inf
-
-    def endpoint_exponent(self):
-        return 1.0, 1.0
-
-
-@dataclass(frozen=True)
 class Beta:
     """Density proportional to ``t**(a-1) * (1-t)**(c-a-1)`` with c > a > 0."""
 
@@ -266,8 +244,13 @@ class Beta:
     def moments(self, count):
         """(a)_n / (c)_n for n < count, the running product of (a + i)/(c + i) over i < n.
 
-        Each factor lies in (0, 1), so the product neither overflows nor underflows early.
+        Each factor lies in (0, 1), so the product neither overflows nor
+        underflows early.  For c = a + 1 the product telescopes to a/(a + n),
+        which is taken as it stands: the uniform density beta(1, 2) then has
+        the exact reciprocals 1/(n + 1).
         """
+        if self.c - self.a == 1.0:
+            return self.a / (self.a + np.arange(count))
         i = np.arange(count - 1)
         return np.cumprod(np.concatenate([[1.0], (self.a + i) / (self.c + i)]))[:count]
 
@@ -471,7 +454,7 @@ class Table:
 
 # The density families by wire name.  A family's parameters are its dataclass
 # fields other than ``weight``; they drive the JSON format and ``make_named``.
-_FAMILIES = {"lebesgue": Lebesgue, "beta": Beta, "loggamma": LogGamma, "table": Table}
+_FAMILIES = {"beta": Beta, "loggamma": LogGamma, "table": Table}
 
 
 def _params(density_cls):
@@ -485,6 +468,8 @@ def _density(family, params, weight=1.0):
     annotations) are converted, so JSON integers give the same density as
     floats; ``Table`` converts its sequences itself.
     """
+    if family == "lebesgue":  # the wire name of the uniform density
+        return Beta(1.0, 2.0, float(weight))
     cls = _FAMILIES.get(family)
     if cls is None:
         raise ValueError(f"unknown density family {family!r}")
@@ -646,8 +631,8 @@ class Measure:
     def moments(self, count):
         """First ``count`` power moments, the one route: atom power sums plus each density's ``moments``.
 
-        Lebesgue, beta and log-power densities have closed forms; a table
-        sums t**n over its rule.
+        Beta (the uniform density among them) and log-power densities have
+        closed forms; a table sums t**n over its rule.
         """
         if count < 0 or count != int(count):
             raise ValueError(f"moment count must be nonnegative and an integer, got {count!r}")
@@ -730,10 +715,11 @@ def _gauss_compress(t, w):
     off-diagonal entry of its Gram matrix is at most ``_SEMI_ORTHOGONAL``,
     sqrt(eps / n), the vectors are semi-orthogonal, and the Jacobi matrix
     is then accurate to working precision without reorthogonalisation
-    (Simon, Math. Comp. 42, 1984).  Otherwise, as for rules of Lebesgue
-    densities alone, the recurrence runs again in the same basis with one
+    (Simon, Math. Comp. 42, 1984).  Otherwise, as for rules of constant
+    tables alone, the recurrence runs again in the same basis with one
     reorthogonalisation pass against all earlier vectors, and the rule is
-    the one that pass has always given, bit for bit.  The nodes are
+    the one that pass has always given, bit for bit.  No measure of the
+    benchmark workloads takes this second pass.  The nodes are
     clipped to [0, 1], which rounding may leave by an ulp.  The recurrence
     does not break down: every density's fixed rule has hundreds of points
     of positive weight, against n = 128.
@@ -818,7 +804,8 @@ def dirac(t):
 
 
 def lebesgue():
-    return Measure(densities=(Lebesgue(),))
+    """The uniform probability measure, beta(1, 2)."""
+    return beta_measure(1.0, 2.0)
 
 
 def beta_measure(a, c):

@@ -14,7 +14,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from cmharmonic.measures import Atom, Beta, Lebesgue, LogGamma, Measure  # noqa: E402
+from cmharmonic.measures import Atom, Beta, LogGamma, Measure  # noqa: E402
 from cmharmonic.moments import MomentSequence  # noqa: E402
 
 
@@ -56,7 +56,7 @@ def random_measure(rng, max_atoms=2, with_densities=True):
     for w in weights[n_atoms:]:
         kind = int(rng.integers(0, 3))
         if kind == 0:
-            dens.append(Lebesgue(float(w)))
+            dens.append(Beta(1.0, 2.0, float(w)))
         elif kind == 1:
             a = float(rng.uniform(0.6, 3.0))
             dens.append(Beta(a, a + float(rng.uniform(0.6, 3.0)), float(w)))

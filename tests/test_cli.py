@@ -228,6 +228,21 @@ def test_dilatation_of_identity_charts_near_one(tmp_path):
     assert out["im"] == 0.0
 
 
+def test_render_of_the_uniform_map_near_one_agrees_with_eval(tmp_path, capsys):
+    # render sums over the fixed rule, eval integrates adaptively; on the
+    # identity chart of the uniform density render printed re f = 24.3954
+    # here against eval's 27.6310 (in process: two subprocesses cost 1 s)
+    uniform = {"densities": [{"family": "lebesgue"}]}
+    spec = write(tmp_path, "map.json", {"h": uniform, "g": uniform, "c": 0.5})
+    assert main(["eval", spec, "--z", "0.99999999"]) == 0
+    ref = json.loads(capsys.readouterr().out)["re"]
+    assert main(["render", spec, "--curve", "segment", "--x0", "0.99999999", "--x1", "0.99999999", "--n", "2"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert len(rows) == 2
+    for row in rows:
+        assert math.isclose(float(row[3]), ref, rel_tol=1e-10), (row, ref)
+
+
 def test_moments_formats(tmp_path):
     mu = write(
         tmp_path,

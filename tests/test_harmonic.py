@@ -38,6 +38,7 @@ from cmharmonic.harmonic import (
 )
 from cmharmonic.measures import (
     Atom,
+    Beta,
     Measure,
     beta_measure,
     dirac,
@@ -1004,10 +1005,6 @@ _GAP = st.one_of(
 )
 
 
-def _beta_or_lebesgue(a, ca):
-    return lebesgue() if (a, ca) == (1.0, 1.0) else beta_measure(a, a + ca)
-
-
 @st.composite
 def _same_family_pair(draw):
     """(phi, psi, rule): a named same-family pair and whether its parameters make psi/phi nondecreasing."""
@@ -1026,7 +1023,7 @@ def _same_family_pair(draw):
     else:
         h, g = (1.0 - p, 1.0 - q), (1.0, 1.0)
     assume(min(h + g) >= 0.2)
-    return _beta_or_lebesgue(*h), _beta_or_lebesgue(*g), p >= 0.0 and q <= 0.0
+    return beta_measure(h[0], sum(h)), beta_measure(g[0], sum(g)), p >= 0.0 and q <= 0.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -1095,7 +1092,7 @@ def _line(pieces, t):
 
 def _table_of(mu):
     d = mu.densities[0]
-    return ((0.0, 1.0), (1.0, 1.0)) if d.family == "lebesgue" else (d.grid, d.values)
+    return ((0.0, 1.0), (1.0, 1.0)) if d == Beta(1.0, 2.0) else (d.grid, d.values)
 
 
 # Inner breakpoints: sixteenths, and two points closer to an end than any midpoint (i + 1/2)/1000.
@@ -1104,7 +1101,7 @@ _TABLE_POINTS = [i / 16 for i in range(1, 16)] + [1e-4, 1.0 - 1e-4]
 
 @st.composite
 def _table_pair(draw):
-    """(phi, psi): phi Lebesgue or a positive table, psi a table that may start with a zero piece and end falling."""
+    """(phi, psi): phi uniform or a positive table, psi a table that may start with a zero piece and end falling."""
     def grid():
         inner = draw(st.lists(st.sampled_from(_TABLE_POINTS), max_size=4, unique=True))
         return [0.0] + sorted(inner) + [1.0]

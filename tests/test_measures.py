@@ -15,7 +15,6 @@ from cmharmonic.measures import (
     _gauss_agrees,
     Atom,
     Beta,
-    Lebesgue,
     LogGamma,
     Measure,
     Table,
@@ -79,7 +78,7 @@ def test_integrate_closed_form():
 def test_make_named():
     f0 = make_named("dirac", t=0.0)
     assert f0.moment(0) == 1.0 and f0.moment(5) == 0.0
-    assert isinstance(make_named("lebesgue").densities[0], Lebesgue)
+    assert make_named("lebesgue") == Measure(densities=(Beta(1.0, 2.0),))
     assert isinstance(make_named("beta", a=1.0, c=2.0).densities[0], Beta)
     assert isinstance(make_named("loggamma", alpha=2.0).densities[0], LogGamma)
     assert make_named("beta", a=1, c=3) == beta_measure(1.0, 3.0)
@@ -144,7 +143,7 @@ def test_moments_match_closed_forms_to_rounding():
         (loggamma_measure(0.5), lambda n: 1.0 / math.sqrt(n + 1)),
     ]
     atoms = [Atom(0.25, 0.125), Atom(0.75, 0.25), Atom(1.0, 0.0625)]
-    densities = [Beta(0.7, 1.5, 0.25), LogGamma(3.0, 0.1875), Lebesgue(0.125)]
+    densities = [Beta(0.7, 1.5, 0.25), LogGamma(3.0, 0.1875), Beta(1.0, 2.0, 0.125)]
     mixture = Measure(atoms, densities)
     cases.append(
         (
@@ -311,7 +310,7 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         Measure()
     with pytest.raises(ValueError):
-        Measure(densities=(Lebesgue(weight=-1.0),))
+        Measure(densities=(Beta(1.0, 2.0, weight=-1.0),))
 
 
 @pytest.mark.parametrize("w", [math.inf, 1e309, math.nan])
@@ -319,7 +318,7 @@ def test_weights_must_be_finite(w):
     with pytest.raises(ValueError, match="finite and positive"):
         Atom(0.5, w)
     with pytest.raises(ValueError, match="finite and positive"):
-        Measure(densities=(Lebesgue(weight=w),))
+        Measure(densities=(Beta(1.0, 2.0, weight=w),))
     with pytest.raises(ValueError, match="finite and positive"):
         measure_from_dict({"atoms": [{"t": 0.5, "w": w}]})
     with pytest.raises(ValueError, match="finite and positive"):
@@ -338,7 +337,7 @@ def test_moment_rejects_bad_order():
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
 def test_moment_and_integrate_check_the_tolerance_for_every_family(tol):
     # closed-form families never reach the quadrature, so its check alone
-    # would let these through for beta, log-power, Lebesgue and atoms
+    # would let these through for beta, log-power and atoms
     words = "tolerance must be finite" if tol != -1.0 else "tolerance must be nonnegative"
     for mu in (beta_measure(1.0, 3.0), loggamma_measure(2.0), lebesgue(), dirac(0.5),
                table_measure([0.0, 1.0], [1.0, 1.0])):
@@ -369,20 +368,25 @@ def test_json_round_trip():
         dirac(0.25),
     ]:
         assert measure_from_dict(measure_to_dict(other)) == other
-    back = measure_from_dict(measure_to_dict(_FOUR_FAMILIES))
-    assert back.atoms == _FOUR_FAMILIES.atoms
-    assert back.densities[:3] == _FOUR_FAMILIES.densities[:3]
+    back = measure_from_dict(measure_to_dict(_EVERY_FAMILY))
+    assert back.atoms == _EVERY_FAMILY.atoms
+    assert back.densities[:3] == _EVERY_FAMILY.densities[:3]
     # a table normalizes its values once: they come back exactly
-    table, table_back = _FOUR_FAMILIES.densities[3], back.densities[3]
+    table, table_back = _EVERY_FAMILY.densities[3], back.densities[3]
     assert (table_back.grid, table_back.weight) == (table.grid, table.weight)
     assert table_back.values == table.values
-    assert back == _FOUR_FAMILIES
-    assert measure_to_dict(_FOUR_FAMILIES)["densities"] == [
-        {"family": "lebesgue", "w": 0.1},
+    assert back == _EVERY_FAMILY
+    assert measure_to_dict(_EVERY_FAMILY)["densities"] == [
+        {"family": "beta", "a": 1.0, "c": 2.0, "w": 0.1},
         {"family": "beta", "a": 0.7, "c": 2.9, "w": 0.3},
         {"family": "loggamma", "alpha": 1.7, "w": 0.2},
-        {"family": "table", "grid": [0.1, 0.4, 0.8], "values": list(_FOUR_FAMILIES.densities[3].values), "w": 0.2},
+        {"family": "table", "grid": [0.1, 0.4, 0.8], "values": list(_EVERY_FAMILY.densities[3].values), "w": 0.2},
     ]
+    # "lebesgue" is the wire name of the uniform density beta(1, 2), which
+    # writes itself as a beta
+    uniform = measure_from_dict({"densities": [{"family": "lebesgue", "w": 1}]})
+    assert uniform == lebesgue() == Measure(densities=(Beta(1.0, 2.0),))
+    assert measure_to_dict(uniform) == {"densities": [{"family": "beta", "a": 1.0, "c": 2.0, "w": 1.0}]}
     # JSON integers give the same densities as floats
     ints = {"densities": [{"family": "beta", "a": 1, "c": 3}, {"family": "loggamma", "alpha": 2, "w": 1}]}
     dens = measure_from_dict(ints).densities
@@ -394,15 +398,16 @@ def test_json_round_trip():
         measure_from_dict({"densities": [{"family": "gauss"}]})
 
 
-# A measure holding atoms and all four density families, weights summing to 1.
-_FOUR_FAMILIES = Measure(
+# A measure holding atoms and every density family, the uniform one (beta(1, 2))
+# among them, weights summing to 1.
+_EVERY_FAMILY = Measure(
     (Atom(0.3, 0.1), Atom(1.0, 0.1)),
-    (Lebesgue(0.1), Beta(0.7, 2.9, 0.3), LogGamma(1.7, 0.2), Table([0.1, 0.4, 0.8], [1.0, 3.0, 0.5], 0.2)),
+    (Beta(1.0, 2.0, 0.1), Beta(0.7, 2.9, 0.3), LogGamma(1.7, 0.2), Table([0.1, 0.4, 0.8], [1.0, 3.0, 0.5], 0.2)),
 )
 
 
 def test_integrate_is_integrate_below_at_one():
-    mu = _FOUR_FAMILIES
+    mu = _EVERY_FAMILY
     for fn in (
         lambda t: 1.0 / (1.0 - t * (0.3 + 0.4j)),
         lambda t: (1.0 - t * (-0.5 + 0.2j)) ** -2.0,
@@ -426,8 +431,8 @@ def test_integrate_below_cut_masks_density_and_atoms():
     assert atoms.integrate_below(lambda t: t, 0.5, 1e-12) == pytest.approx(0.15, abs=1e-12)
     assert atoms.integrate_below(lambda t: t, 0.7, 1e-12) == pytest.approx(0.5, abs=1e-12)
     # a cut at or past 1 keeps everything
-    assert _FOUR_FAMILIES.integrate_below(lambda t: t**2, 1.0, 1e-12) == pytest.approx(
-        _FOUR_FAMILIES.moment(2), abs=1e-12
+    assert _EVERY_FAMILY.integrate_below(lambda t: t**2, 1.0, 1e-12) == pytest.approx(
+        _EVERY_FAMILY.moment(2), abs=1e-12
     )
 
 
@@ -435,17 +440,17 @@ def test_mix_and_scaled_reweight_every_family():
     # the reweighted density equals the family constructed directly with the
     # new weight; a table keeps its (already normalized) values
     other = Measure((Atom(0.5, 1.0),))
-    lb, bt, lg, tb = _FOUR_FAMILIES.densities
+    lb, bt, lg, tb = _EVERY_FAMILY.densities
     for s in (0.25, 0.6):
-        for reweighted in (mix(_FOUR_FAMILIES, other, s), _FOUR_FAMILIES.scaled(s)):
+        for reweighted in (mix(_EVERY_FAMILY, other, s), _EVERY_FAMILY.scaled(s)):
             assert reweighted.densities == (
-                Lebesgue(lb.weight * s),
+                Beta(1.0, 2.0, lb.weight * s),
                 Beta(bt.a, bt.c, bt.weight * s),
                 LogGamma(lg.alpha, lg.weight * s),
                 Table(tb.grid, tb.values, tb.weight * s),
             )
             assert reweighted.densities[3].values == tb.values
-    assert mix(other, _FOUR_FAMILIES, 0.25).densities[1] == Beta(0.7, 2.9, 0.3 * 0.75)
+    assert mix(other, _EVERY_FAMILY, 0.25).densities[1] == Beta(0.7, 2.9, 0.3 * 0.75)
 
 
 @pytest.mark.parametrize("alpha", [0.005, 0.01, 0.03, 0.05])
@@ -475,7 +480,7 @@ def test_gauss_rule_keeps_atoms_as_exact_nodes():
     # atoms at one location become one node of their total weight, so the
     # rule does not depend on how the atoms are split
     atoms = (Atom(0.0, 0.1), Atom(1.0, 0.2), Atom(0.3, 0.05), Atom(0.3, 0.15))
-    mu = Measure(atoms, (Lebesgue(0.3), Beta(0.6, 1.9, 0.2)))
+    mu = Measure(atoms, (Beta(1.0, 2.0, 0.3), Beta(0.6, 1.9, 0.2)))
     t, w = mu._gauss_rule
     assert len(t) == _GAUSS_NODES + 3
     assert t[-3:].tolist() == [0.0, 1.0, 0.3]
@@ -487,7 +492,7 @@ def test_gauss_rule_keeps_atoms_as_exact_nodes():
 
 
 def test_gauss_check_reads_the_kernel_sums_beyond_the_moments():
-    # the 2-node Gauss rule of Lebesgue has its first four moments, but not
+    # the 2-node Gauss rule of the uniform density has its first four moments, but not
     # its kernel sums on the route boundary; the 128-node rule has both
     mu = lebesgue()
     x, w = np.polynomial.legendre.leggauss(2)
@@ -548,7 +553,7 @@ def _same_bytes(rule, ref):
 )
 def test_gauss_compress_matches_the_always_reorthogonalised_reference(mu):
     # a rerun recurrence is the reference's, so its rule is compared byte for
-    # byte: the nodes of two Lebesgue densities move by up to 1.5e-9 when the
+    # byte: the nodes of two constant tables move by up to 1.5e-9 when the
     # weights move by 1e-15.  A plain one gives the nodes to 1e-14, and each
     # weight to 1e-14 of the mass plus twice eps sqrt(w_i mass) / gap_i, gap_i
     # the distance to the nearest other node: how far an eps-sized change in the
@@ -581,18 +586,24 @@ def test_gauss_compress_matches_the_always_reorthogonalised_reference(mu):
 
 
 def test_only_a_basis_that_lost_semi_orthogonality_is_rebuilt():
-    # Lanczos on Lebesgue densities alone drifts far from orthogonal (4.6e-4
-    # on the 420 points of lebesgue()), so the recurrence reruns with
-    # reorthogonalisation, to the reference rule byte for byte; the basis of
-    # the default-grid test measure stays at 5.5e-13, below sqrt(eps / n)
-    for mu in (lebesgue(), Measure((), (Lebesgue(0.46), Lebesgue(0.54)))):
+    # Lanczos on constant tables alone (the chart t = 1 - s, 420 points a
+    # table) drifts far from orthogonal (4.6e-4 for one table, 1.4e-4 for
+    # two), so the recurrence reruns with reorthogonalisation, to the
+    # reference rule byte for byte; the basis of the default-grid test measure
+    # stays at 5.5e-13, below sqrt(eps / n) = 1.3e-9, and that of atoms plus
+    # the uniform density on its graded beta charts at 6.4e-11
+    constant = ([0.0, 1.0], [1.0, 1.0])
+    for mu in (table_measure(*constant), Measure((), (Table(*constant, 0.46), Table(*constant, 0.54)))):
         rule, kept, retried = _gauss_build(mu, measures._gauss_compress)
         ref, ref_kept, _ = _gauss_build(mu, _reference_gauss_compress)
         assert retried and kept and ref_kept
         assert _same_bytes(rule, ref)
-    mu = Measure((Atom(0.3, 0.2),), (Beta(1.5, 3.2, 0.5), LogGamma(2.0, 0.3)))
-    _, kept, retried = _gauss_build(mu, measures._gauss_compress)
-    assert kept and not retried
+    for mu in (
+        Measure((Atom(0.3, 0.2),), (Beta(1.5, 3.2, 0.5), LogGamma(2.0, 0.3))),
+        Measure((Atom(0.2, 0.3), Atom(0.9, 0.2)), (Beta(1.0, 2.0, 0.5),)),
+    ):
+        _, kept, retried = _gauss_build(mu, measures._gauss_compress)
+        assert kept and not retried
 
 
 def test_atomic_moments_are_exact_power_sums():
