@@ -78,11 +78,6 @@ _GAUSS_NODES = 128
 _GAUSS_RHO = (_GAUSS_NODES**2 / np.finfo(float).eps) ** (0.5 / _GAUSS_NODES)
 # |p| + |p - 1| on the boundary of E_rho0, whose foci are 0 and 1.
 _GAUSS_FOCAL = 0.5 * (_GAUSS_RHO + 1.0 / _GAUSS_RHO)
-# Simon's semi-orthogonality level sqrt(eps / n) for the n Lanczos vectors
-# of a Gauss rule: a plain recurrence whose basis stays below it keeps its
-# Jacobi matrix (Simon, Math. Comp. 42, 1984), one that does not is rerun
-# with reorthogonalisation (_gauss_compress).
-_SEMI_ORTHOGONAL = math.sqrt(np.finfo(float).eps / _GAUSS_NODES)
 # The Gauss rule must reproduce the closed-form moments and the fixed rule's
 # kernel sums on the route boundary to this, relative, or the fixed rule stays.
 _GAUSS_TOL = 1e-13
@@ -204,7 +199,7 @@ class Beta:
     family = "beta"
 
     def __post_init__(self):
-        if not (self.c > self.a > 0.0):
+        if not math.inf > self.c > self.a > 0.0:
             raise ValueError(f"beta density needs c > a > 0, got a={self.a!r}, c={self.c!r}")
         try:
             self._norm
@@ -283,7 +278,7 @@ class LogGamma:
     family = "loggamma"
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
+        if not 0.0 < self.alpha < math.inf:
             raise ValueError(f"log-power density needs alpha > 0, got {self.alpha!r}")
 
     def pdf(self, t):
@@ -367,9 +362,9 @@ class Table:
         v = tuple(float(x) for x in values)
         if len(g) != len(v) or len(g) < 2:
             raise ValueError("table density needs matching grids of length >= 2")
-        if any(b <= a for a, b in zip(g, g[1:])):
+        if not all(b > a for a, b in zip(g, g[1:])):
             raise ValueError("table grid must be strictly increasing")
-        if g[0] < 0.0 or g[-1] > 1.0:
+        if not (0.0 <= g[0] and g[-1] <= 1.0):
             raise ValueError("table grid must lie inside [0, 1]")
         if any(x < 0.0 for x in v):
             raise ValueError("table values must be nonnegative")
@@ -586,16 +581,14 @@ class Measure:
         """The Gauss rule (t-nodes, weights) of the measure, built from :attr:`_rule` on first use.
 
         The density part of the fixed rule is compressed to its
-        ``_GAUSS_NODES``-node Gauss rule (:func:`_gauss_compress`: plain
-        Lanczos whose basis is checked once for Simon's semi-orthogonality,
-        sqrt(eps / n), and rerun with reorthogonalisation, to the rule that
-        pass has always given, only when it has lost it), and the
-        atoms are appended as exact nodes, those at one location as one
-        node of their total weight: the Gauss rule of the atomic part, so
-        that a measure's rule does not depend on how its atoms are split.
-        The result must reproduce the closed-form ``moments(4)`` and the
-        fixed rule's kernel sums on the route boundary
-        (:func:`_gauss_agrees`); when it does not, this is ``_rule`` itself.
+        ``_GAUSS_NODES``-node Gauss rule by one Lanczos recurrence
+        (:func:`_gauss_compress`), and the atoms are appended as exact
+        nodes, those at one location as one node of their total weight:
+        the Gauss rule of the atomic part, so that a measure's rule does
+        not depend on how its atoms are split.  The result must reproduce
+        the closed-form ``moments(4)`` and the fixed rule's kernel sums on
+        the route boundary (:func:`_gauss_agrees`); when it does not, this
+        is ``_rule`` itself.
         """
         t, w = self._rule
         dense = len(t) - len(self.atoms)
@@ -711,56 +704,32 @@ def _gauss_compress(t, w):
     the n x n Jacobi matrix of the measure; its eigenvalues plus 1/2 are
     the nodes and the squared first components of its eigenvectors, times
     the mass, the weights (Golub and Welsch, Math. Comp. 23, 1969).  The
-    recurrence runs plain first, and its basis is checked once: if every
-    off-diagonal entry of its Gram matrix is at most ``_SEMI_ORTHOGONAL``,
-    sqrt(eps / n), the vectors are semi-orthogonal, and the Jacobi matrix
-    is then accurate to working precision without reorthogonalisation
-    (Simon, Math. Comp. 42, 1984).  Otherwise, as for rules of constant
-    tables alone, the recurrence runs again in the same basis with one
-    reorthogonalisation pass against all earlier vectors, and the rule is
-    the one that pass has always given, bit for bit.  No measure of the
-    benchmark workloads takes this second pass.  The nodes are
-    clipped to [0, 1], which rounding may leave by an ulp.  The recurrence
-    does not break down: every density's fixed rule has hundreds of points
-    of positive weight, against n = 128.
+    recurrence runs without reorthogonalisation.  Where its vectors lose
+    orthogonality, the rule is still the Gauss rule of a measure near the
+    given one (Greenbaum, Linear Algebra Appl. 113, 1989), and
+    :func:`_gauss_agrees` checks it against the fixed rule before it is
+    used.  The nodes are clipped to [0, 1], which rounding may leave by an
+    ulp.  The recurrence does not break down: every density's fixed rule
+    has hundreds of points of positive weight, against n = 128.
     """
+    n = _GAUSS_NODES
     mass = float(np.sum(w))
     x = t - 0.5
-    start = np.sqrt(w / mass)
-    q = np.empty((_GAUSS_NODES, len(t)))
-    alpha, beta = _lanczos(x, start, q, reorthogonalise=False)
-    gram = q @ q.T
-    np.fill_diagonal(gram, 0.0)
-    if not np.max(np.abs(gram)) <= _SEMI_ORTHOGONAL:  # NaN retries too
-        alpha, beta = _lanczos(x, start, q, reorthogonalise=True)
-    nodes, vectors = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
-    return np.clip(nodes + 0.5, 0.0, 1.0), mass * vectors[0] ** 2
-
-
-def _lanczos(x, start, q, reorthogonalise):
-    """The recurrence coefficients (alpha, beta) of Lanczos on diag(x) from ``start``, filling the basis ``q``.
-
-    With ``reorthogonalise``, each new vector is orthogonalised once more
-    against all earlier ones.
-    """
-    n = len(q)
     alpha = np.empty(n)
     beta = np.empty(n - 1)
-    q[0] = start
+    prev, q = 0.0, np.sqrt(w / mass)
     for k in range(n):
-        v = x * q[k]
+        v = x * q
         if k:
-            v -= beta[k - 1] * q[k - 1]
-        alpha[k] = q[k] @ v
+            v -= beta[k - 1] * prev
+        alpha[k] = q @ v
         if k == n - 1:
             break
-        v -= alpha[k] * q[k]
-        if reorthogonalise:
-            basis = q[: k + 1]
-            v -= (basis @ v) @ basis
+        v -= alpha[k] * q
         beta[k] = math.sqrt(v @ v)
-        np.divide(v, beta[k], out=q[k + 1])
-    return alpha, beta
+        prev, q = q, v / beta[k]
+    nodes, vectors = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+    return np.clip(nodes + 0.5, 0.0, 1.0), mass * vectors[0] ** 2
 
 
 def _gauss_agrees(rule, fine, moments):

@@ -378,6 +378,20 @@ def test_beta_whose_normalizer_overflows_exits_2(tmp_path):
     assert "a=3000.0, c=6000.0" in res.stderr and "overflows" in res.stderr
 
 
+def test_non_finite_density_parameters_exit_2(tmp_path, capsys):
+    # loggamma alpha = inf once printed an OverflowError as its message, and
+    # the other two integrated to nan
+    for density, message in (
+        ({"family": "loggamma", "alpha": math.inf}, "log-power density needs alpha > 0"),
+        ({"family": "beta", "a": 1, "c": math.inf}, "beta density needs c > a > 0"),
+        ({"family": "table", "grid": [0, math.nan, 1], "values": [1, 1, 1]}, "strictly increasing"),
+    ):
+        mu = write(tmp_path, "mu.json", {"densities": [density]})
+        assert main(["moments", mu, "--count", "3"]) == 2, density
+        out, err = capsys.readouterr()
+        assert out == "" and message in err, (density, err)
+
+
 _POLY = {"alpha": 4, "beta": 3, "c": 0.5}
 _HYP = {"a": 1, "c": 6, "a2": 2, "c2": 6, "b": 0.3}
 
