@@ -470,17 +470,17 @@ def _signed_nonneg_probe(mu, nu, c):
     """Sufficient structural check that mu - c*nu is a nonnegative measure.
 
     At each location of nu's atoms, in listed order, their total weight n
-    and mu's total there, m, must satisfy m - c n >= -CROSS_SLACK m; on the
-    density-pair sample (``measures._pair_points``), which decides the named
-    same-family pairs, phi - c psi >= -CROSS_SLACK phi must hold.  Failure
+    and mu's total there, m (both from ``Measure._point_masses``), must
+    satisfy m - c n >= -CROSS_SLACK m; on the density-pair sample
+    (``measures._pair_points``), which decides the named same-family
+    pairs, phi - c psi >= -CROSS_SLACK phi must hold.  Failure
     does not prove the signed measure is negative somewhere; the check errs
     on the safe side.
     """
     if c == 0.0:
         return True, None
-    for t in dict.fromkeys(a.t for a in nu.atoms):
-        m = sum(a.w for a in mu.atoms if a.t == t)
-        n = sum(a.w for a in nu.atoms if a.t == t)
+    for t, n in nu._point_masses.items():
+        m = mu._point_masses.get(t, 0.0)
         if m - c * n < -CROSS_SLACK * m:
             return False, f"nu atoms at t={t!r} (weight {n!r}) not dominated in mu"
     if nu.densities:

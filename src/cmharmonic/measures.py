@@ -8,10 +8,10 @@ Each density has one fixed rule (:func:`_density_rule`): the unit-mass
 check and the table moments sum over it, and a measure's fixed rule
 (:attr:`Measure._rule`) is the reference its Gauss rule is built from.
 The kernel sums of the sweeps take the Gauss rule of the measure
-(:attr:`Measure._gauss_rule`, 128 nodes plus the atoms) wherever the
-kernel's pole lies far enough from [0, 1], and the fixed rule elsewhere
-(:meth:`Measure._rule_for`).  :meth:`Measure.integrate`
-is the adaptive route, for pointwise values to a tolerance near the slit;
+(:attr:`Measure._gauss_rule`, 128 nodes plus one per atom location)
+wherever the kernel's pole lies far enough from [0, 1], and the fixed rule
+elsewhere (:meth:`Measure._rule_for`).  :meth:`Measure.integrate` is the
+adaptive route, for pointwise values to a tolerance near the slit;
 power moments have one route (:meth:`Measure.moments`), closed but for tables.
 Every chart has one of two power forms (see :class:`Chart`): t = s**p
 toward t = 0, which regularizes an integrable singularity there (beta with
@@ -89,12 +89,13 @@ def same_exponent(x, y):
 
 
 def _pair_points(mu, nu, n):
-    """Sorted points of (0, 1) at which to compare the densities phi of mu and psi of nu.
+    """Sorted distinct points of (0, 1) at which to compare the densities phi of mu and psi of nu.
 
     The n midpoints (i + 1/2)/n, the dyadic points 2**-j and 1 - 2**-j for
     j = 1 .. J, with 2**-J the first below ``EXPONENT_TOL``, and every table
-    breakpoint inside (0, 1).  Points where both densities vanish
-    constrain nothing.  The sample decides the named same-family pairs:
+    breakpoint inside (0, 1): the values of ``np.unique`` on them that lie
+    in (0, 1).  Points where both densities vanish constrain nothing.  The
+    sample decides the named same-family pairs:
     - beta against beta, the uniform density among them: psi/phi ~ t**p (1 - t)**q
       with p = a_g - a_h and q = (c_g - a_g) - (c_h - a_h).  It fails to be
       nondecreasing iff p < 0 or q > 0, and then falls by a factor of about
@@ -112,7 +113,7 @@ def _pair_points(mu, nu, n):
     dyadic = 0.5 ** np.arange(1, levels + 1)
     breaks = [x for m in (mu, nu) for d in m.densities if isinstance(d, Table) for x in d.grid]
     ts = np.sort(np.concatenate([(np.arange(n) + 0.5) / n, dyadic, 1.0 - dyadic, breaks]))
-    # np.unique would import numpy.ma, about 1 MB of resident memory
+    # np.unique imports numpy.ma (1.2 MB resident on numpy 2.4) unless asked for indices
     return ts[(np.diff(ts, prepend=0.0) > 0.0) & (ts < 1.0)]
 
 
@@ -563,17 +564,27 @@ class Measure:
         return float(self.moments(int(n) + 1)[-1])
 
     @cached_property
+    def _point_masses(self):
+        """The atoms as one mass per location, ``{t: w}``: locations first-seen, weights added in listed order."""
+        masses = {}
+        for a in self.atoms:
+            masses[a.t] = masses.get(a.t, 0.0) + a.w
+        return masses
+
+    @cached_property
     def _rule(self):
         """The fixed rule (t-nodes, weights): the sweeps' rule near the slit, and the Gauss rule's reference.
 
         Each density contributes :func:`_density_rule` at its weight, and
-        atoms are appended as exact nodes.  Good to roughly 1e-12 for
-        integrands smooth away from the endpoints; single-point evaluations
-        with guaranteed tolerances go through :meth:`integrate` instead.
+        the atoms end it as exact nodes, one per location of
+        :attr:`_point_masses`, so that the rule does not depend on how the
+        atoms are split.  Good to roughly 1e-12 for integrands smooth away
+        from the endpoints; single-point evaluations with guaranteed
+        tolerances go through :meth:`integrate` instead.
         """
+        masses = self._point_masses
         parts = [_density_rule(d, d.weight)[::2] for d in self.densities]  # (t, w)
-        parts += [(np.array([a.t]), np.array([a.w])) for a in self.atoms]
-        ts, ws = zip(*parts)
+        ts, ws = zip(*parts, (np.fromiter(masses, float), np.fromiter(masses.values(), float)))
         return np.concatenate(ts), np.concatenate(ws)
 
     @cached_property
@@ -582,24 +593,19 @@ class Measure:
 
         The density part of the fixed rule is compressed to its
         ``_GAUSS_NODES``-node Gauss rule by one Lanczos recurrence
-        (:func:`_gauss_compress`), and the atoms are appended as exact
-        nodes, those at one location as one node of their total weight:
-        the Gauss rule of the atomic part, so that a measure's rule does
-        not depend on how its atoms are split.  The result must reproduce
-        the closed-form ``moments(4)`` and the fixed rule's kernel sums on
-        the route boundary (:func:`_gauss_agrees`); when it does not, this
-        is ``_rule`` itself.
+        (:func:`_gauss_compress`), and the fixed rule's atom nodes, already
+        the Gauss rule of the atomic part, end it unchanged; an atoms-only
+        measure's Gauss rule is ``_rule`` itself.  The result must
+        reproduce the closed-form ``moments(4)`` and the fixed rule's
+        kernel sums on the route boundary (:func:`_gauss_agrees`); when it
+        does not, this is ``_rule`` itself.
         """
         t, w = self._rule
-        dense = len(t) - len(self.atoms)
-        merged = {}
-        for a in self.atoms:
-            merged[a.t] = merged.get(a.t, 0.0) + a.w
-        atoms = np.array(list(merged), dtype=float), np.array(list(merged.values()), dtype=float)
+        dense = len(t) - len(self._point_masses)
         if not dense:
-            return atoms
+            return self._rule
         gauss = _gauss_compress(t[:dense], w[:dense])
-        rule = np.concatenate([gauss[0], atoms[0]]), np.concatenate([gauss[1], atoms[1]])
+        rule = np.concatenate([gauss[0], t[dense:]]), np.concatenate([gauss[1], w[dense:]])
         return rule if _gauss_agrees(rule, self._rule, self.moments(4)) else self._rule
 
     def _rule_for(self, zs):

@@ -4,7 +4,9 @@ Integrands must accept an ndarray of abscissae and return an array of the
 same shape; values may be real or complex.  The adaptive driver bisects
 panels breadth-first and compares a 15-point rule against a 7-point rule
 for the local error estimate, so repeated calls on the same input perform
-the identical sequence of floating operations.
+the identical sequence of floating operations.  Both rules are module
+constants, equal bit for bit to numpy's ``leggauss`` on numpy 2, so neither
+this module nor the fixed rules of the measures import ``numpy.polynomial``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import numpy as np
 
 __all__ = ["QuadratureError", "adaptive_quad", "graded_edges", "composite_rule"]
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 # Panels per integrand call: a level of up to 16384 panels is evaluated in
 # slices, so the working set stays a few MB whatever the integrand.
 _PANELS_PER_EVAL = 512
@@ -23,10 +24,27 @@ _PANELS_PER_EVAL = 512
 COMPOSITE_ORDER = 15
 
 
-def _leggauss(n):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+def _mirrored(nodes, weights):
+    """The rule (ascending nodes on [-1, 1], weights) of an odd Gauss-Legendre rule from its half x >= 0."""
+    x, w = np.array(nodes), np.array(weights)
+    return np.concatenate([-x[:0:-1], x]), np.concatenate([w[:0:-1], w])
+
+
+# The 7- and 15-point Gauss-Legendre rules as numpy.polynomial.legendre.leggauss
+# gives them, whose nodes and weights it makes symmetric exactly, so the half
+# x >= 0 holds each rule.  Constants keep numpy.polynomial out of the import.
+_GAUSS_LEGENDRE = {
+    7: _mirrored(
+        (0.0, 0.4058451513773972, 0.7415311855993945, 0.9491079123427586),
+        (0.4179591836734693, 0.3818300505051187, 0.27970539148927687, 0.12948496616886973),
+    ),
+    15: _mirrored(
+        (0.0, 0.20119409399743451, 0.3941513470775634, 0.5709721726085388,
+         0.7244177313601701, 0.8482065834104272, 0.9372733924007058, 0.9879925180204854),
+        (0.2025782419255613, 0.1984314853271116, 0.1861610000155622, 0.16626920581699398,
+         0.13957067792615444, 0.10715922046717141, 0.0703660474881084, 0.030753241996117203),
+    ),
+}
 
 
 def _check_tol(tol):
@@ -63,8 +81,8 @@ def adaptive_quad(f, a, b, tol=1e-10, max_depth=48):
         if b == a:
             return 0.0, 0.0
         raise ValueError(f"empty interval [{a}, {b}]")
-    x7, w7 = _leggauss(7)
-    x15, w15 = _leggauss(15)
+    x7, w7 = _GAUSS_LEGENDRE[7]
+    x15, w15 = _GAUSS_LEGENDRE[15]
     width = b - a
 
     total = 0.0 + 0.0j
@@ -137,7 +155,7 @@ def graded_edges(lo, hi, levels=12):
 
 def composite_rule(edges):
     """Nodes and weights of the composite ``COMPOSITE_ORDER``-point Gauss-Legendre rule on ``edges``."""
-    x, w = _leggauss(COMPOSITE_ORDER)
+    x, w = _GAUSS_LEGENDRE[COMPOSITE_ORDER]
     edges = np.asarray(edges, dtype=float)
     lo = edges[:-1]
     hi = edges[1:]

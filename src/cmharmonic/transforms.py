@@ -40,10 +40,14 @@ class SlitDomainError(ValueError):
 
 
 def slit_distance(z):
-    z = complex(z)
-    if z.real >= 1.0:
-        return abs(z.imag)
-    return abs(z - 1.0)
+    """Distance from ``z`` (scalar or array) to the slit [1, oo): |Im z| where Re z >= 1, else |z - 1|.
+
+    A scalar gives a float and an array an array of the same shape.  A
+    point that is not finite reads what the formula gives;
+    :func:`_outside_domain` tests finiteness on its own.
+    """
+    z = np.asarray(z, dtype=complex)
+    return np.where(z.real >= 1.0, np.abs(z.imag), np.abs(z - 1.0))[()]
 
 
 def _outside_domain(z):
@@ -53,8 +57,7 @@ def _outside_domain(z):
     of the slit; the distance test is written so that NaN fails it.
     """
     z = np.asarray(z, dtype=complex)
-    dist = np.where(z.real >= 1.0, np.abs(z.imag), np.abs(z - 1.0))
-    return ~np.isfinite(z) | ~(dist >= SLIT_MARGIN)
+    return ~np.isfinite(z) | ~(slit_distance(z) >= SLIT_MARGIN)
 
 
 def _check_slit(z):

@@ -996,6 +996,13 @@ def test_probe_compares_the_total_atom_weight_at_each_location():
     assert not reports[0].im_checked
     assert reports[0].im_skip_reason == "nu atoms at t=0.5 (weight 1.0) not dominated in mu"
     assert _signed_nonneg_probe(h, split, 0.6)[0] and _signed_nonneg_probe(h, joined, 0.6)[0]
+    # mu's masses add up the same way, and the verdict and the reason do not change
+    h_split = measure_from_dict(
+        {"atoms": [{"t": 0.5, "w": 0.3}, {"t": 0.5, "w": 0.3}], "densities": [{"family": "lebesgue", "w": 0.4}]}
+    )
+    for c in (0.6, 0.9):
+        verdict = _signed_nonneg_probe(h, joined, c)
+        assert _signed_nonneg_probe(h, split, c) == _signed_nonneg_probe(h_split, split, c) == verdict
 
 
 # Signed exponent gaps: zero, or between 1e-9 and 2 in size.

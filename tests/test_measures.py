@@ -521,6 +521,40 @@ def test_gauss_rule_keeps_atoms_as_exact_nodes():
     assert t.tolist() == [0.0, 1.0, 0.3] and w.tolist() == [0.1, 0.2, 0.05 + 0.15]
 
 
+def test_rules_do_not_depend_on_how_atoms_are_split():
+    # atoms at one location are one point mass: both rules end with one node
+    # per location, in first-seen order, of the weights added in listed order
+    densities = (Beta(1.0, 2.0, 0.3), LogGamma(2.0, 0.2))
+    split = Measure((Atom(0.0, 0.1), Atom(0.3, 0.05), Atom(1.0, 0.2), Atom(0.3, 0.15)), densities)
+    joined = Measure((Atom(0.0, 0.1), Atom(0.3, 0.05 + 0.15), Atom(1.0, 0.2)), densities)
+    for name in ("_rule", "_gauss_rule"):
+        (t, w), (t_ref, w_ref) = getattr(split, name), getattr(joined, name)
+        assert t.tobytes() == t_ref.tobytes() and w.tobytes() == w_ref.tobytes(), name
+    assert split._rule[0][-3:].tolist() == [0.0, 0.3, 1.0]
+    atoms = Measure(split.atoms)
+    assert atoms._gauss_rule is atoms._rule
+    assert atoms._rule[0].tolist() == [0.0, 0.3, 1.0] and atoms._rule[1].tolist() == [0.1, 0.05 + 0.15, 0.2]
+
+
+@pytest.mark.parametrize(
+    "mu, nu, n",
+    [
+        (beta_measure(0.7, 2.9), lebesgue(), 100),
+        (loggamma_measure(1.5), beta_measure(2.0, 3.5), 7),
+        (table_measure([0.0, 0.25, 0.5, 1.0], [1.0, 2.0, 0.5, 1.0]), table_measure([0.0, 0.3, 0.95], [1.0, 1.0, 3.0]), 4),
+        (table_measure([0.1, 0.375, 1.0 - 2.0**-40], [1.0, 3.0, 0.5]), loggamma_measure(2.0), 8),
+    ],
+)
+def test_pair_points_are_numpys_unique_points_inside_the_open_interval(mu, nu, n):
+    # the sort-and-diff construction stands in for np.unique, which would
+    # import numpy.ma; breakpoints at 0 and 1 drop out, shared ones count once
+    dyadic = 0.5 ** np.arange(1, 41)
+    breaks = [x for m in (mu, nu) for d in m.densities if isinstance(d, Table) for x in d.grid]
+    ref = np.unique(np.concatenate([(np.arange(n) + 0.5) / n, dyadic, 1.0 - dyadic, breaks]))
+    ref = ref[(ref > 0.0) & (ref < 1.0)]
+    assert measures._pair_points(mu, nu, n).tobytes() == ref.tobytes()
+
+
 def test_gauss_check_reads_the_kernel_sums_beyond_the_moments():
     # the 2-node Gauss rule of the uniform density has its first four moments, but not
     # its kernel sums on the route boundary; the 128-node rule has both

@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cmharmonic.quadrature import QuadratureError, adaptive_quad, composite_rule, graded_edges
+from cmharmonic.quadrature import _GAUSS_LEGENDRE, QuadratureError, adaptive_quad, composite_rule, graded_edges
+
+NUMPY_2 = int(np.__version__.split(".")[0]) >= 2
 
 
 def test_polynomial():
@@ -92,3 +98,34 @@ def test_tolerance_must_be_finite_and_nonnegative(tol, words):
 def test_zero_tolerance_means_to_rounding():
     val, _ = adaptive_quad(lambda t: t**3, 0.0, 1.0, tol=0.0)
     assert abs(val - 0.25) < 1e-15
+
+
+@pytest.mark.parametrize("n", [7, 15])
+def test_gauss_legendre_panels_are_numpys_leggauss(n):
+    # held as constants; numpy 2's leggauss gives them bit for bit
+    for got, ref in zip(_GAUSS_LEGENDRE[n], np.polynomial.legendre.leggauss(n)):
+        assert np.all(np.abs(got - ref) <= np.spacing(np.abs(ref)))
+        if NUMPY_2:
+            assert got.tobytes() == ref.tobytes()
+
+
+_FOOTPRINT = """
+import sys
+import cmharmonic
+from cmharmonic.measures import _pair_points
+mu = cmharmonic.lebesgue()
+h = cmharmonic.ShiftedCauchyTransform.from_measure(mu)
+cmharmonic.certify_qc_grid(cmharmonic.HarmonicMap(h, h, 0.3), 0.5, cmharmonic.GridSpec(nr=4, ntheta=8))
+_pair_points(mu, mu, 8)
+print([m for m in ("numpy.polynomial", "numpy.ma") if m in sys.modules])
+"""
+
+
+@pytest.mark.skipif(not NUMPY_2, reason="numpy 1 imports numpy.polynomial and numpy.ma with numpy itself")
+def test_rules_and_sweeps_import_neither_numpy_polynomial_nor_numpy_ma():
+    # each would add about 1 MB of resident memory to every process
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", _FOOTPRINT], capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

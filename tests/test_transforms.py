@@ -20,6 +20,7 @@ from cmharmonic.measures import (
     table_measure,
 )
 from cmharmonic.transforms import (
+    SLIT_MARGIN,
     CauchyTransform,
     ExtendedReal,
     GridSpec,
@@ -126,6 +127,20 @@ def test_non_finite_points_are_rejected(z):
     for vector in (FLEB.values, h.values, h.derivs, h.deriv2s):
         with pytest.raises(SlitDomainError, match="is not finite"):
             vector(np.array([0.5, z, 0.25j]))
+
+
+def test_slit_distance_is_the_distance_the_domain_check_reads():
+    # one formula: on scalars and arrays, non-finite points included, the
+    # domain mask is "not finite or nearer the slit than SLIT_MARGIN"
+    zs = np.array(_NON_FINITE + [1.0, 1.5, 2.0 + 1e-13j, 2.0 + 0.5j, 0.0, 1.0 - 1e-12, -2.0 + 4.0j])
+    for z in zs:
+        d = slit_distance(z)
+        assert isinstance(d, float)
+        assert bool(_outside_domain(z)) is (not np.isfinite(z) or not d >= SLIT_MARGIN)
+    dist = slit_distance(zs.reshape(2, 7))
+    assert dist.shape == (2, 7)
+    assert np.array_equal(_outside_domain(zs), ~np.isfinite(zs) | ~(dist.ravel() >= SLIT_MARGIN))
+    assert slit_distance(-2.0 + 4.0j) == 5.0 and slit_distance(1.5 - 2.0j) == 2.0
 
 
 def test_slit_message_names_the_first_bad_point():

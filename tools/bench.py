@@ -7,9 +7,10 @@ Runs ``perfbench/run.py`` of this checkout unchanged, one subprocess at a
 time: every workload of BENCHMARK.json untraced at each seed (default 1, 2
 and 3, for ``run_seconds`` from BENCHMARK.json), then once traced at the
 first seed, then the Tier-1 pytest suite.  The file holds, per workload,
-each run's JSON line, the median and quartiles of each end-to-end metric
-over the seeds, and the traced run's per-layer metrics, together with the
-machine and the commit measured.  Only the standard library is used.
+each run's JSON line and call count, the median and quartiles of each
+end-to-end metric and of the call count over the seeds, and the traced
+run's per-layer metrics, together with the machine and the commit measured.
+Only the standard library is used.
 """
 
 import argparse
@@ -27,14 +28,24 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def perfbench(workload, seed, seconds, size, trace):
-    """The last stdout line of one ``perfbench/run.py`` run, parsed; a failed run raises."""
+    """The last stdout line of one ``perfbench/run.py`` run, parsed; a failed run raises.
+
+    An untraced run also gets ``calls``, its number of timed calls, read from
+    the ``n=`` of its ``op_p50_s`` line: the harness keeps one record per
+    call, so ``peak_rss_mb`` can rise with the call count alone.
+    """
     cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload, "--seed", str(seed),
            "--seconds", repr(seconds), "--size", size, "--trace", str(trace)]
     print("+", " ".join(cmd[1:]), file=sys.stderr, flush=True)
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"bench: {' '.join(cmd[1:])} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    run = json.loads(lines[-1])
+    for line in lines:
+        if line.startswith("metric op_p50_s "):
+            run["calls"] = int(line.rsplit("n=", 1)[1])
+    return run
 
 
 def spread(values):
@@ -106,7 +117,7 @@ def main(argv=None):
                 "end_to_end": {
                     m["name"]: dict(unit=m["unit"], **spread([r["metrics"][m["name"]]["value"] for r in runs[w]]))
                     for m in declared["end_to_end"]
-                },
+                } | {"calls": dict(unit="count", **spread([r["calls"] for r in runs[w]]))},
                 "per_layer": traced[w]["metrics"],
                 "runs": [dict(seed=seed, **r) for seed, r in zip(args.seeds, runs[w])],
                 "traced_run": {k: v for k, v in traced[w].items() if k != "metrics"},
