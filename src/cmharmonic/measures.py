@@ -5,14 +5,14 @@ is beta(1, 2); ``"lebesgue"`` is its wire name and :func:`lebesgue` its
 measure, so it has the graded beta charts at both ends.
 
 Each density has one fixed rule (:func:`_density_rule`): the unit-mass
-check and the table moments sum over it, and a measure's fixed rule
-(:attr:`Measure._rule`) is the reference its Gauss rule is built from.
+check sums over it, and a measure's fixed rule (:attr:`Measure._rule`) is
+the reference its Gauss rule is built from.  No family's moments read it.
 The kernel sums of the sweeps take the Gauss rule of the measure
 (:attr:`Measure._gauss_rule`, 128 nodes plus one per atom location)
 wherever the kernel's pole lies far enough from [0, 1], and the fixed rule
 elsewhere (:meth:`Measure._rule_for`).  :meth:`Measure.integrate` is the
 adaptive route, for pointwise values to a tolerance near the slit;
-power moments have one route (:meth:`Measure.moments`), closed but for tables.
+power moments have one route (:meth:`Measure.moments`), closed for every family.
 Every chart has one of two power forms (see :class:`Chart`): t = s**p
 toward t = 0, which regularizes an integrable singularity there (beta with
 a small first exponent, log-power), or t = 1 - s**q toward t = 1, where the
@@ -384,35 +384,39 @@ class Table:
         return np.where((t < self.grid[0]) | (t > self.grid[-1]), 0.0, out)
 
     def charts(self):
-        """One chart t = 1 - s per segment of the grid, weighted by the interpolant at t."""
+        """One chart t = 1 - s**3 per segment of the grid, weighted by the interpolant at t.
+
+        The power q = 3 of beta(1, 2) grades each segment toward its upper
+        end, so a kernel pole just beyond t = 1 sits about its cube root
+        away in s, where the graded panels resolve it.
+        """
 
         def weight(s):
-            return np.interp(1.0 - s, self.grid, self.values)
+            return np.interp(1.0 - s**3, self.grid, self.values) * 3.0 * s**2
 
-        return tuple(_chart_at_one(1.0, 1.0 - hi, 1.0 - lo, weight) for lo, hi in zip(self.grid, self.grid[1:]))
+        return tuple(
+            _chart_at_one(3.0, (1.0 - hi) ** (1.0 / 3.0), (1.0 - lo) ** (1.0 / 3.0), weight)
+            for lo, hi in zip(self.grid, self.grid[1:])
+        )
 
     def moments(self, count):
-        """The integrals of t**n against the density for n < count: power sums over its rule.
+        """The integrals of t**n against the density for n < count, exact per segment in Bernstein form.
 
-        The exact form, a sum of differences of powers of the grid points
-        over the segments, cancels badly on short segments; the rule's panels
-        grade toward both ends of each segment and resolve the peak at t = 1.
-        The rule is built once, and t**n is a running product over n,
-        restarted every 32 orders so that its rounding does not build up.  A
-        restart takes t**n where t <= 1/2, which the chart forms exactly, and
-        exp(n log1p(-u)) from the chart's exact complement u above.
+        On a segment [a, b] with values v_a, v_b the interpolant integrates
+        t**n to (b - a)(v_a D_n + v_b U_n) / ((n + 1)(n + 2)), where
+        U_n = sum (k + 1) b**k a**(n - k) and D_n, its mirror with a and b
+        swapped, run forward as U_n = a U_{n-1} + (n + 1) b**n.  Every term
+        is nonnegative, so short segments do not cancel, and the recurrence
+        damps an earlier rounding error by a factor a (or b) per order.
         """
-        t, u, w = _density_rule(self)
-        near_one = u < 0.5
-        log_t = np.log1p(-u[near_one])
-        out = np.empty(count)
-        for n in range(count):
-            if n % 32 == 0:
-                power = t**n
-                power[near_one] = np.exp(n * log_t)
-            out[n] = power @ w
-            power *= t
-        return out
+        out = [0.0] * count
+        for a, b, va, vb in zip(self.grid, self.grid[1:], self.values, self.values[1:]):
+            up = down = 0.0
+            for n in range(count):
+                up = a * up + (n + 1) * b**n
+                down = b * down + (n + 1) * a**n
+                out[n] += (b - a) * (va * down + vb * up) / ((n + 1) * (n + 2))
+        return np.array(out)
 
     def endpoint_moment(self, p):
         """Exact integral of (1 - t)**-p against the piecewise-linear density.
@@ -494,7 +498,7 @@ class Measure:
         for d in densities:
             if not 0.0 < d.weight < math.inf:
                 raise ValueError(f"density weight must be finite and positive, got {d.weight!r}")
-            unit = float(np.sum(_density_rule(d)[2]))
+            unit = float(np.sum(_density_rule(d)[1]))
             if not abs(unit - 1.0) <= MASS_TOL:
                 raise ValueError(
                     f"{d.family} density integrates to {unit!r}, expected 1 within {MASS_TOL:g}"
@@ -583,7 +587,7 @@ class Measure:
         tolerances go through :meth:`integrate` instead.
         """
         masses = self._point_masses
-        parts = [_density_rule(d, d.weight)[::2] for d in self.densities]  # (t, w)
+        parts = [_density_rule(d, d.weight) for d in self.densities]
         ts, ws = zip(*parts, (np.fromiter(masses, float), np.fromiter(masses.values(), float)))
         return np.concatenate(ts), np.concatenate(ws)
 
@@ -630,8 +634,8 @@ class Measure:
     def moments(self, count):
         """First ``count`` power moments, the one route: atom power sums plus each density's ``moments``.
 
-        Beta (the uniform density among them) and log-power densities have
-        closed forms; a table sums t**n over its rule.
+        Every family has a closed form: beta (the uniform density among
+        them) and log-power by formula, a table exactly per segment.
         """
         if count < 0 or count != int(count):
             raise ValueError(f"moment count must be nonnegative and an integer, got {count!r}")
@@ -693,14 +697,13 @@ class Measure:
 
 
 def _density_rule(density, weight=1.0):
-    """Graded composite rule over a density's charts: t-nodes, complements u, weights times ``weight``."""
-    ts, us, ws = [], [], []
+    """Graded composite rule over a density's charts: t-nodes and weights times ``weight``."""
+    ts, ws = [], []
     for ch in density.charts():
         s, w = composite_rule(graded_edges(ch.lo, ch.hi, levels=14))
         ts.append(ch.to_t(s))
-        us.append(ch.to_u(s))
         ws.append(weight * w * ch.weight(s))
-    return np.concatenate(ts), np.concatenate(us), np.concatenate(ws)
+    return np.concatenate(ts), np.concatenate(ws)
 
 
 def _gauss_compress(t, w):

@@ -25,29 +25,21 @@ __all__ = [
     "leibniz_rhs",
 ]
 
-_NORMALIZED_TOL = 1e-12
-
 
 @dataclass(frozen=True, init=False)
 class MomentSequence:
     """Finite prefix ``a_0..a_N`` (finite entries) of a candidate completely monotone sequence."""
 
     values: tuple
-    normalized: bool
 
-    def __init__(self, values, normalized=None):
+    def __init__(self, values):
         vals = tuple(float(v) for v in values)
         if len(vals) < 1:
             raise ValueError("a moment sequence needs at least one entry")
         bad = next((n for n, v in enumerate(vals) if not math.isfinite(v)), None)
         if bad is not None:
             raise ValueError(f"moment sequence entries must be finite, got a_{bad}={vals[bad]!r}")
-        if normalized is None:
-            normalized = abs(vals[0] - 1.0) <= _NORMALIZED_TOL
-        elif normalized and abs(vals[0] - 1.0) > _NORMALIZED_TOL:
-            raise ValueError(f"normalized sequence must start at 1, got a_0={vals[0]!r}")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "normalized", bool(normalized))
 
     def __len__(self):
         return len(self.values)
@@ -169,7 +161,7 @@ def hadamard(seq_a, seq_b):
     if len(seq_a) != len(seq_b):
         raise ValueError(f"length mismatch: {len(seq_a)} vs {len(seq_b)}")
     values = tuple(x * y for x, y in zip(seq_a.values, seq_b.values))
-    return MomentSequence(values, normalized=seq_a.normalized and seq_b.normalized)
+    return MomentSequence(values)
 
 
 def leibniz_rhs(table_a, table_b, k, n):

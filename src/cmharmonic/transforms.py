@@ -360,7 +360,7 @@ class CauchyTransform:
         return _kernel_sums(zs, t, w, 1)
 
     def series_eval(self, z, terms=300):
-        """Truncated moment series (|z| < 1 only), closed forms but for tables: a check of :meth:`values`."""
+        """Truncated moment series (|z| < 1 only) over the closed-form moments: a check of :meth:`values`."""
         z = complex(z)
         if not abs(z) < 1.0:
             raise ValueError(f"moment series needs |z| < 1, got {z!r}")

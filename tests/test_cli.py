@@ -243,6 +243,20 @@ def test_render_of_the_uniform_map_near_one_agrees_with_eval(tmp_path, capsys):
         assert math.isclose(float(row[3]), ref, rel_tol=1e-10), (row, ref)
 
 
+def test_render_of_the_table_map_near_one_agrees_with_eval(tmp_path, capsys):
+    # the table map of ROADMAP P: on the identity chart t = 1 - s of each
+    # segment, render printed re f = 17.777 here against eval's 19.610
+    table = {"densities": [{"family": "table", "grid": [0.0, 0.3, 1.0], "values": [1.0, 2.0, 1.0]}]}
+    spec = write(tmp_path, "map.json", {"h": table, "g": table, "c": 0.5})
+    assert main(["eval", spec, "--z", "0.99999999"]) == 0
+    ref = json.loads(capsys.readouterr().out)["re"]
+    assert main(["render", spec, "--curve", "segment", "--x0", "0.99999999", "--x1", "0.99999999", "--n", "2"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert len(rows) == 2
+    for row in rows:
+        assert math.isclose(float(row[3]), ref, rel_tol=1e-9), (row, ref)
+
+
 def test_moments_formats(tmp_path):
     mu = write(
         tmp_path,

@@ -212,6 +212,42 @@ def test_table_moments_resolve_the_peak_at_one_for_large_orders():
             assert math.isclose(ms[n], exact, rel_tol=1e-12), (grid, n)
 
 
+@st.composite
+def _dyadic_tables(draw):
+    """A table of 2 to 7 breakpoints on multiples of 2**-40, from 0, to 1, both or neither.
+
+    Segments are 2**-40 to 2**-3 long, but for the last one of a table
+    spanning [0, 1], which reaches 1.  Values are multiples of 1/8.
+    """
+    k = draw(st.integers(2, 7))
+    gaps = [draw(st.integers(1, 2 ** draw(st.integers(0, 37)))) for _ in range(k - 1)]
+    ends = draw(st.sampled_from(["zero", "one", "both", "inside"]))
+    room = 2**40 - sum(gaps)
+    if ends == "both":
+        gaps[-1] += room
+    if ends == "inside":
+        start = draw(st.integers(0, room))
+    else:
+        start = room if ends == "one" else 0
+    steps = [start]
+    for gap in gaps:
+        steps.append(steps[-1] + gap)
+    values = draw(st.lists(st.integers(0, 16), min_size=k, max_size=k).filter(any))
+    return Table([s / 2**40 for s in steps], [v / 8 for v in values])
+
+
+@settings(max_examples=25, deadline=None)
+@given(_dyadic_tables(), st.lists(st.integers(0, 400), min_size=4, max_size=4))
+def test_table_moments_match_the_exact_integrals_on_dyadic_tables(table, orders):
+    # every term of the per-segment form is nonnegative, so segments 2**-40
+    # long do not cancel; moments below 1e-290 lose digits to the underflow
+    # of b**n, so they are held to an absolute floor instead
+    ms = table.moments(401)
+    for n in [0, 1, 400, *orders]:
+        exact = _exact_table_moment(table, n)
+        assert math.isclose(ms[n], exact, rel_tol=1e-13, abs_tol=1e-290), (table, n)
+
+
 def test_table_moments_with_rule_nodes_at_t_zero():
     # a segment 1e-17 wide at t = 0 puts rule nodes at t = 1 - s = 0 exactly;
     # restarting the running power t**n must not take the log of 0 there

@@ -130,10 +130,6 @@ def test_hadamard_length_mismatch():
 
 
 def test_normalized_flag():
-    assert MomentSequence([1.0, 0.2]).normalized
-    assert not MomentSequence([0.9, 0.2]).normalized
-    with pytest.raises(ValueError):
-        MomentSequence([0.9, 0.2], normalized=True)
     with pytest.raises(ValueError):
         MomentSequence([])
 

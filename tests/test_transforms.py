@@ -745,6 +745,28 @@ def test_uniform_density_kernel_sums_hold_near_the_slit(j):
         assert abs(got - ref) <= tol * abs(ref), (got, ref)
 
 
+# F and h' of table([0, 0.3, 1], [1, 2, 1]) at the float points 1 - 10**-j,
+# j = 4..8: the closed-form antiderivatives of (a + b t)/(1 - x t)**p on each
+# segment, by mpmath at 50 digits, checked against mpmath.quad at 40
+_TABLE_NEAR_SLIT = [
+    (4, 6.932671897175363167352, 6674.307782191487904863),
+    (5, 8.467871459758117727584, 66676.49926673619519149),
+    (6, 10.00294838371408577302, 666678.6920006010022061),
+    (7, 11.53800772425623728156, 6666680.888444563900973),
+    (8, 13.07306476957705095248, 66666682.7428871222083),
+]
+
+
+@pytest.mark.parametrize("j, value, deriv", _TABLE_NEAR_SLIT)
+def test_table_kernel_sums_hold_near_the_slit(j, value, deriv):
+    # each segment is charted t = 1 - s**3, as beta(1, 2) is; on the chart
+    # t = 1 - s the value missed by 3.1e-5 at j = 6 and by 9.3e-2 at j = 8
+    h = ShiftedCauchyTransform.from_measure(table_measure([0.0, 0.3, 1.0], [1.0, 2.0, 1.0]))
+    zs = np.array([1.0 - 10.0**-j], dtype=complex)
+    assert abs(h.base.values(zs)[0] - value) <= 1e-10 * value
+    assert abs(h.derivs(zs)[0] - deriv) <= 1e-9 * deriv
+
+
 def test_pointwise_derivative_near_the_slit_evaluates_few_points(monkeypatch):
     # a rounded 1 - t z, or a rounded node near t = 1 on a chart t = s,
     # splits panels into 16,384-panel frontiers, about 1e6 integrand points

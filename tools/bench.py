@@ -8,9 +8,10 @@ time: every workload of BENCHMARK.json untraced at each seed (default 1, 2
 and 3, for ``run_seconds`` from BENCHMARK.json), then once traced at the
 first seed, then the Tier-1 pytest suite.  The file holds, per workload,
 each run's JSON line and call count, the median and quartiles of each
-end-to-end metric and of the call count over the seeds, and the traced
-run's per-layer metrics, together with the machine and the commit measured.
-Only the standard library is used.
+end-to-end metric and of the call count over the seeds, and every
+``metric <name> <value> <unit>`` row of the traced run as its per-layer
+figures (those BENCHMARK.json declares among them), together with the
+machine and the commit measured.  Only the standard library is used.
 """
 
 import argparse
@@ -32,7 +33,9 @@ def perfbench(workload, seed, seconds, size, trace):
 
     An untraced run also gets ``calls``, its number of timed calls, read from
     the ``n=`` of its ``op_p50_s`` line: the harness keeps one record per
-    call, so ``peak_rss_mb`` can rise with the call count alone.
+    call, so ``peak_rss_mb`` can rise with the call count alone.  A traced
+    run gets ``rows``, each of its ``metric <name> <value> <unit>`` lines as
+    ``{"value", "unit"}`` by name, its trailing ``#`` note dropped.
     """
     cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload, "--seed", str(seed),
            "--seconds", repr(seconds), "--size", size, "--trace", str(trace)]
@@ -42,9 +45,14 @@ def perfbench(workload, seed, seconds, size, trace):
         raise SystemExit(f"bench: {' '.join(cmd[1:])} exited {proc.returncode}:\n{proc.stderr}")
     lines = proc.stdout.strip().splitlines()
     run = json.loads(lines[-1])
+    if trace:
+        run["rows"] = {}
     for line in lines:
         if line.startswith("metric op_p50_s "):
             run["calls"] = int(line.rsplit("n=", 1)[1])
+        if trace and line.startswith("metric "):
+            name, value, unit = line.split("#", 1)[0].split()[1:]
+            run["rows"][name] = {"value": int(value) if value.lstrip("-").isdigit() else float(value), "unit": unit}
     return run
 
 
@@ -118,9 +126,9 @@ def main(argv=None):
                     m["name"]: dict(unit=m["unit"], **spread([r["metrics"][m["name"]]["value"] for r in runs[w]]))
                     for m in declared["end_to_end"]
                 } | {"calls": dict(unit="count", **spread([r["calls"] for r in runs[w]]))},
-                "per_layer": traced[w]["metrics"],
+                "per_layer": traced[w]["rows"],
                 "runs": [dict(seed=seed, **r) for seed, r in zip(args.seeds, runs[w])],
-                "traced_run": {k: v for k, v in traced[w].items() if k != "metrics"},
+                "traced_run": {k: v for k, v in traced[w].items() if k not in ("metrics", "rows")},
             }
             for w in workloads
         },
