@@ -329,10 +329,11 @@ def certify_qc_grid(f, k, grid=None):
 
     The dilatation c g'/h' is analytic wherever h' does not vanish, so by
     the maximum modulus principle its sup over the closed disk lies on the
-    circle |z| = rmax, and only that ring of the polar grid is evaluated.
-    Parts with real coefficients, as all parts here are, make |dilatation|
-    even under conjugation, so only the ring nodes with theta in [0, pi]
-    are (see ``GridSpec._upper_ring``); they are the outer row of
+    circle |z| = rmax, and only that ring of the polar grid is evaluated,
+    by :meth:`HarmonicMap.dilatation_values`.  Parts with real coefficients,
+    as all parts here are, make |dilatation| even under conjugation, so
+    only the ring nodes with theta in [0, pi] are (see
+    ``GridSpec._upper_ring``); they are the outer row of
     ``grid.disk_points()`` bit for bit.  The certificate records the
     arg-sup, the first maximizing node of that half-ring in grid order.
 
@@ -340,14 +341,13 @@ def certify_qc_grid(f, k, grid=None):
     transform-class part has that: with alpha = arg(1 - z),
     Re(e^{i alpha} h'(z)) >= cos(alpha) / (1 + |z|)**2 > 0 for |z| < 1,
     since each arg(1 - t z), t in [0, 1], lies between 0 and alpha (see the
-    module docstring).  The status is certified or violated.  A pass is
+    module docstring).  The status is certified or violated; the NaN of a
+    singular node would be the sup, and violate.  A pass is
     grid evidence only, and says nothing about the boundary point z = 1.
     """
     grid = grid or GridSpec()
     zs = grid._upper_ring()
-    hp = f.h.derivs(zs)
-    gp = hp if f._shares_measure() else f.g.derivs(zs)
-    mags = np.abs(f.c * gp / hp)
+    mags = np.abs(f.dilatation_values(zs)[0])
     idx = int(np.argmax(mags))
     sup = float(mags[idx])
     at = zs[idx]

@@ -13,12 +13,13 @@ wherever the kernel's pole lies far enough from [0, 1], and the fixed rule
 elsewhere (:meth:`Measure._rule_for`).  :meth:`Measure.integrate` is the
 adaptive route, for pointwise values to a tolerance near the slit;
 power moments have one route (:meth:`Measure.moments`), closed for every family.
-Every chart has one of two power forms (see :class:`Chart`): t = s**p
-toward t = 0, which regularizes an integrable singularity there (beta with
-a small first exponent, log-power), or t = 1 - s**q toward t = 1, where the
-complement u = 1 - t of each point is s**q, formed without the rounding of
-t.  The adaptive route hands integrands the pair (t, u), so a kernel with a
-pole near t = 1 can be formed from u.
+Every chart is t = base + step * s**power on s in [0, hi] (see
+:class:`Chart`): t = s**p toward t = 0 regularizes an integrable singularity
+there (beta with a small first exponent, log-power), t = 1 - s**q toward
+t = 1 gives the complement u = 1 - t as s**q, without the rounding of t,
+and a table segment [lo, hi] takes t = hi - (hi - lo) s**3.  The adaptive
+route hands integrands the pair (t, u), so a kernel with a pole near t = 1
+can be formed from u.
 
 Boundary values at z = 1- of the transforms built from a measure are its
 endpoint moments, integrals of (1 - t)**-p; every family has them in closed
@@ -146,36 +147,29 @@ def zeta(s, tol=1e-12):
 
 @dataclass(frozen=True)
 class Chart:
-    """Parametrization s -> t of part of (0, 1) with a smooth pulled-back weight.
+    """Parametrization t = base + step * s**power, s in [0, hi], with a smooth pulled-back weight.
 
     ``weight(s)`` is ``pdf(t(s)) * |dt/ds|``, so integrating a function g
     against the density over the covered t-range equals integrating
-    ``g(to_t(s)) * weight(s)`` over ``[lo, hi]``.  ``to_u(s)`` is the
-    complement u = 1 - t of the same point.
-
-    Every chart has one of two forms.  :func:`_chart_at_zero` maps t = s**p
-    up to t = 1/2, where u = 1 - s**p >= 1/2 is one rounding off.
-    :func:`_chart_at_one` maps t = 1 - s**q, with u = s**q from s alone.
-    Near t = 1 a rounded t has lost the digits of 1 - t that a pole at z ~ 1
-    amplifies: ``1 - t z`` at z = 1 - 1e-6 carries relative noise of about
-    1e-10, which adaptive refinement bisects forever.
+    ``g(to_t(s)) * weight(s)`` over ``[0, hi]``.  ``to_u(s)`` is the
+    complement u = 1 - t of the same point, (1 - base) - step * s**power,
+    which is step * s**power from s alone on a chart based at t = 1.
+    Near t = 1 a rounded t has lost the digits of 1 - t that a pole at
+    z ~ 1 amplifies: ``1 - t z`` at z = 1 - 1e-6 carries relative noise of
+    about 1e-10, which adaptive refinement bisects forever.
     """
 
-    lo: float
+    base: float
+    step: float
+    power: float
     hi: float
-    to_t: object
-    to_u: object
     weight: object
 
+    def to_t(self, s):
+        return self.base + self.step * s**self.power
 
-def _chart_at_zero(p, weight):
-    """The chart t = s**p over t in (0, 1/2], graded toward t = 0; ``weight`` is pulled back already."""
-    return Chart(0.0, 0.5 ** (1.0 / p), lambda s: s**p, lambda s: 1.0 - s**p, weight)
-
-
-def _chart_at_one(q, lo, hi, weight):
-    """The chart t = 1 - s**q on s in [lo, hi], graded toward t = 1, with u = s**q."""
-    return Chart(lo, hi, lambda s: 1.0 - s**q, lambda s: s**q, weight)
+    def to_u(self, s):
+        return (1.0 - self.base) - self.step * s**self.power
 
 
 @dataclass(frozen=True)
@@ -232,9 +226,10 @@ class Beta:
         p = max(1.0, math.ceil(3.0 / a))
         q = max(1.0, math.ceil(3.0 / ca))
         return (
-            _chart_at_zero(p, lambda s: norm * p * s ** (p * a - 1.0) * (1.0 - s**p) ** (ca - 1.0)),
-            _chart_at_one(q, 0.0, 0.5 ** (1.0 / q),
-                          lambda s: norm * q * s ** (q * ca - 1.0) * (1.0 - s**q) ** (a - 1.0)),
+            Chart(0.0, 1.0, p, 0.5 ** (1.0 / p),
+                  lambda s: norm * p * s ** (p * a - 1.0) * (1.0 - s**p) ** (ca - 1.0)),
+            Chart(1.0, -1.0, q, 0.5 ** (1.0 / q),
+                  lambda s: norm * q * s ** (q * ca - 1.0) * (1.0 - s**q) ** (a - 1.0)),
         )
 
     def moments(self, count):
@@ -314,8 +309,9 @@ class LogGamma:
             return np.where(tiny, inv_gamma * q * s ** (q * alpha - 1.0), plain)
 
         return (
-            _chart_at_zero(p, lambda s: inv_gamma * p * s ** (p - 1.0) * (-p * np.log(s)) ** (alpha - 1.0)),
-            _chart_at_one(q, 0.0, 0.5 ** (1.0 / q), right_weight),
+            Chart(0.0, 1.0, p, 0.5 ** (1.0 / p),
+                  lambda s: inv_gamma * p * s ** (p - 1.0) * (-p * np.log(s)) ** (alpha - 1.0)),
+            Chart(1.0, -1.0, q, 0.5 ** (1.0 / q), right_weight),
         )
 
     def moments(self, count):
@@ -384,19 +380,20 @@ class Table:
         return np.where((t < self.grid[0]) | (t > self.grid[-1]), 0.0, out)
 
     def charts(self):
-        """One chart t = 1 - s**3 per segment of the grid, weighted by the interpolant at t.
+        """One chart t = hi - (hi - lo) s**3, s in [0, 1], per segment [lo, hi] of the grid.
 
-        The power q = 3 of beta(1, 2) grades each segment toward its upper
-        end, so a kernel pole just beyond t = 1 sits about its cube root
-        away in s, where the graded panels resolve it.
+        The power 3 of beta(1, 2) grades each segment toward its upper end,
+        so a kernel pole just beyond t = 1 sits about its cube root away in
+        s, where the graded panels resolve it.  The chart starts at hi
+        exactly and keeps its nodes inside [lo, hi] at any width.  Its
+        weight (v_hi + (v_lo - v_hi) s**3) 3 (hi - lo) s**2, the interpolant
+        times dt/ds, is a polynomial of degree 5, which the 15-point panels
+        integrate exactly.
         """
-
-        def weight(s):
-            return np.interp(1.0 - s**3, self.grid, self.values) * 3.0 * s**2
-
         return tuple(
-            _chart_at_one(3.0, (1.0 - hi) ** (1.0 / 3.0), (1.0 - lo) ** (1.0 / 3.0), weight)
-            for lo, hi in zip(self.grid, self.grid[1:])
+            Chart(hi, lo - hi, 3.0, 1.0,
+                  lambda s, lo=lo, hi=hi, vlo=vlo, vhi=vhi: (vhi + (vlo - vhi) * s**3) * 3.0 * (hi - lo) * s**2)
+            for lo, hi, vlo, vhi in zip(self.grid, self.grid[1:], self.values, self.values[1:])
         )
 
     def moments(self, count):
@@ -538,7 +535,7 @@ class Measure:
         for d, ch in pieces:
             val, _ = adaptive_quad(
                 lambda s, ch=ch: np.asarray(integrand(ch.to_t(s), ch.to_u(s))) * ch.weight(s),
-                ch.lo,
+                0.0,
                 ch.hi,
                 tol=tol_piece,
             )
@@ -700,7 +697,7 @@ def _density_rule(density, weight=1.0):
     """Graded composite rule over a density's charts: t-nodes and weights times ``weight``."""
     ts, ws = [], []
     for ch in density.charts():
-        s, w = composite_rule(graded_edges(ch.lo, ch.hi, levels=14))
+        s, w = composite_rule(graded_edges(0.0, ch.hi, levels=14))
         ts.append(ch.to_t(s))
         ws.append(weight * w * ch.weight(s))
     return np.concatenate(ts), np.concatenate(ws)

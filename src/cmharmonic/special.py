@@ -142,8 +142,10 @@ def _check_c_pole(c):
 def hyp2f1(a, b, c, z, tol=1e-12):
     """Gauss series with term recurrence, |z| < 1.
 
-    Truncation uses the geometric tail bound from the term ratio; a stalled
-    sum raises :class:`ConvergenceError`.
+    Truncation uses the geometric tail bound |t_n| rho / (1 - rho) with
+    rho = max(next term ratio, |z|), which bounds every later ratio once
+    they run monotone toward |z| (from the start for b = 1, c > a > 0); a
+    stalled sum raises :class:`ConvergenceError`.
     """
     _check_c_pole(c)
     z = complex(z)
@@ -156,7 +158,7 @@ def hyp2f1(a, b, c, z, tol=1e-12):
         term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
         total += term
         if abs(term) <= tol * (1.0 + abs(total)):
-            ratio = abs((a + n + 1) * (b + n + 1) / ((c + n + 1) * (n + 2.0)) * z)
+            ratio = max(abs((a + n + 1) * (b + n + 1) / ((c + n + 1) * (n + 2.0)) * z), abs(z))
             if ratio < 1.0 and abs(term) * ratio / (1.0 - ratio) <= tol * (1.0 + abs(total)):
                 return total
     raise ConvergenceError(

@@ -249,12 +249,67 @@ def test_table_moments_match_the_exact_integrals_on_dyadic_tables(table, orders)
 
 
 def test_table_moments_with_rule_nodes_at_t_zero():
-    # a segment 1e-17 wide at t = 0 puts rule nodes at t = 1 - s = 0 exactly;
-    # restarting the running power t**n must not take the log of 0 there
+    # a segment 1e-17 wide at t = 0 keeps its rule nodes inside it (the rule
+    # holds both segments' nodes in grid order, equally many each), and the
+    # closed-form moments do not read them
     mu = table_measure([0.0, 1e-17, 1.0], [1.0, 1.0, 1.0])
-    assert np.any(mu._rule[0] == 0.0)
+    first = mu._rule[0][: len(mu._rule[0]) // 2]
+    assert np.all((0.0 <= first) & (first <= 1e-17))
     ms = mu.moments(65)
     assert np.allclose(ms, 1.0 / np.arange(1, 66), rtol=1e-13, atol=0.0)
+
+
+@st.composite
+def _narrow_tables(draw):
+    """Grid and values of a table of 2 to 6 breakpoints, its segments 2**-40 to 1/4 wide.
+
+    The grid walks from 0 up, from 1 down, or from a point inside either
+    way; a step that would leave [0, 1] stops at the end it passes, and one
+    that would leave a segment narrower than 2**-40 ends the walk.  Widths
+    are powers of two or arbitrary floats, so segment ends need not be
+    dyadic.
+    """
+    k = draw(st.integers(2, 6))
+    widths = draw(st.lists(st.integers(3, 40).map(lambda j: 2.0**-j) | st.floats(2.0**-40, 0.25),
+                           min_size=k - 1, max_size=k - 1))
+    start = draw(st.sampled_from([0.0, 1.0]) | st.floats(2.0**-40, 1.0 - 2.0**-40))
+    sign = -1.0 if start == 1.0 or (start > 0.0 and draw(st.booleans())) else 1.0
+    grid = [start]
+    for w in widths:
+        step = min(1.0, max(0.0, grid[-1] + sign * w))
+        if abs(step - grid[-1]) < 2.0**-40:
+            break
+        grid.append(step)
+    values = draw(st.lists(st.just(0.0) | st.floats(1e-3, 10.0), min_size=len(grid), max_size=len(grid)).filter(any))
+    return sorted(grid), values
+
+
+def _assert_table_rule_in_segments(mu, tol):
+    # the unit rule of the table sums to 1 within ``tol``, and each
+    # segment's chart keeps its nodes (equally many per segment, in grid
+    # order) inside the segment
+    (d,) = mu.densities
+    t, w = measures._density_rule(d)
+    assert abs(float(np.sum(w)) - 1.0) <= tol, float(np.sum(w))
+    t = t.reshape(len(d.grid) - 1, -1)
+    lo, hi = np.array(d.grid[:-1])[:, None], np.array(d.grid[1:])[:, None]
+    assert np.all((lo <= t) & (t <= hi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_narrow_tables())
+def test_narrow_and_edge_table_segments_keep_unit_mass_and_their_nodes(table):
+    # each segment is charted from its upper end hi with the step lo - hi,
+    # so no rounded cube root of 1 - t misplaces a narrow segment, and its
+    # degree-5 pulled-back weight is integrated exactly at any width
+    _assert_table_rule_in_segments(table_measure(*table), 8 * math.ulp(1.0))
+
+
+@pytest.mark.parametrize("grid", [(0.5, 0.5 + 2.0**-40), (0.9, 0.9 + 1e-9)])
+def test_a_single_narrow_table_segment_builds_with_unit_mass(grid):
+    # both were refused while segments were charted through (1 - t)**(1/3):
+    # they integrated to 1.0000777132490777 and 0.9999999775188082
+    _assert_table_rule_in_segments(table_measure(grid, [1.0, 1.0]), 4e-16)
 
 
 def test_uniform_table_moments_equal_lebesgue_moments():

@@ -211,6 +211,34 @@ def test_hyp2f1_pole_and_domain():
         hyp2f1(1.0, 1.0, 2.0, 1.0)
 
 
+# 2F1(a, 1; c; x) at the doubles x = 1 - 10**-j, j = 1, 2, 3, for the beta
+# pairs (a, c) of the benchmark's far references: mpmath 1.3 at 50 digits.
+_HYP2F1_B1_MPMATH = [
+    (0.6042, 2.1667, (1.5809712069094644, 1.903312180030921, 2.022865076300422)),
+    (1.6458, 3.3333, (2.2267031508922694, 3.020454945594977, 3.300043363755076)),
+    (2.6875, 4.5, (2.653088725805659, 3.814659875950022, 4.201032788540533)),
+    (1.2292, 3.1667, (1.814923699000759, 2.1959790606912253, 2.291087821147197)),
+    (2.2708, 4.3333, (2.2614908823198814, 2.9375857846918874, 3.105256128293134)),
+    (0.8125, 3.0, (1.4825284716634615, 1.6482221845882954, 1.679360675064442)),
+    (1.8542, 4.1667, (1.9357280664874483, 2.3251956407191345, 2.40126870861072)),
+    (2.8958, 5.3333, (2.277441898013444, 2.8779023587861734, 2.9970897480547243)),
+    (1.4375, 4.0, (1.6626333174967314, 1.8801924205353715, 1.9153873220436806)),
+    (2.4792, 5.1667, (2.0085754579652595, 2.3955119422947333, 2.4606594067631953)),
+    (1.0208, 3.8333, (1.4320220894946092, 1.5454143448371715, 1.5612752423983443)),
+    (2.0625, 5.0, (1.7771064379265245, 2.0235906178918475, 2.0600584147224743)),
+]
+
+
+@pytest.mark.parametrize("a, c, refs", _HYP2F1_B1_MPMATH)
+def test_hyp2f1_meets_its_tolerance_where_the_term_ratios_rise(a, c, refs):
+    # for b = 1 and c > a the term ratios (a + n)/(c + n) x rise toward x,
+    # so the next ratio alone does not bound the tail; 19 of these 36 values
+    # missed tol (1 + |F|) when it stood for the bound
+    for j, ref in zip((1, 2, 3), refs):
+        x = 1.0 - 10.0**-j
+        assert abs(hyp2f1(a, 1.0, c, x) - ref) <= 1e-12 * (1.0 + abs(ref)), (j, ref)
+
+
 def test_hyp2f1_derivative_contiguous_relation():
     # oracle: central finite difference of the series
     for (a, b, c, z) in [(1.2, 0.7, 2.5, 0.4), (2.0, 1.0, 4.0, -0.3)]:

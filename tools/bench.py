@@ -11,10 +11,12 @@ each run's JSON line and call count, the median and quartiles of each
 end-to-end metric and of the call count over the seeds, and every
 ``metric <name> <value> <unit>`` row of the traced run as its per-layer
 figures (those BENCHMARK.json declares among them), together with the
-machine and the commit measured.  Only the standard library is used.
+machine, the commit measured and the size of the library's source.  Only
+the standard library is used.
 """
 
 import argparse
+import ast
 import json
 import os
 import platform
@@ -75,6 +77,27 @@ def pytest_wall():
     return {"wall_s": wall, "returncode": proc.returncode, "summary": lines[-1] if lines else ""}
 
 
+def src_lines():
+    """Lines of ``src/cmharmonic/*.py``, and its code lines: neither blank, nor comments, nor docstrings.
+
+    A docstring is the first statement of a module, class or function when
+    it is a string (``ast.get_docstring``); all its lines are dropped.
+    """
+    lines = code = 0
+    for path in sorted((ROOT / "src" / "cmharmonic").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        docs = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and ast.get_docstring(node) is not None:
+                docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        rows = text.splitlines()
+        lines += len(rows)
+        code += sum(1 for i, row in enumerate(rows, 1)
+                    if row.strip() and not row.lstrip().startswith("#") and i not in docs)
+    return {"lines": lines, "code_lines": code}
+
+
 def git(*args):
     proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
@@ -119,6 +142,7 @@ def main(argv=None):
     out = {
         "pr": args.pr,
         "machine": machine(),
+        "src": src_lines(),
         "settings": {"seeds": args.seeds, "seconds": seconds, "size": args.size},
         "workloads": {
             w: {
