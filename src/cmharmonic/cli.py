@@ -166,7 +166,7 @@ def _floats(spec, *names):
 
 
 def _certify_boundary_limit(f, k):
-    return certify_qc_boundary_limit(f.h, f.g, f.real_c, k)
+    return certify_qc_boundary_limit(f.h, f.g, f.c, k)
 
 
 # method name -> certifier of (spec, k, grid); the first entry is the default

@@ -2,7 +2,7 @@
 
 Each part is a shifted Cauchy-Stieltjes transform or the Hadamard product
 of one with a measure's generator (:class:`ConvolutionPart`), the
-co-analytic one scaled by a constant of modulus below one.  This module
+co-analytic one scaled by a real constant c in [0, 1).  This module
 evaluates such maps, their dilatation ``c g'/h'`` and Jacobian, and issues
 numerical quasiconformality certificates.
 
@@ -28,7 +28,6 @@ measures' endpoint calculus.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -45,7 +44,6 @@ __all__ = [
     "shifted",
     "map_from_dict",
     "map_to_dict",
-    "load_map",
     "certify_qc_grid",
     "radial_limit",
     "check_modulus_bound",
@@ -179,26 +177,21 @@ _PARTS = (ShiftedCauchyTransform, ConvolutionPart)
 
 @dataclass(frozen=True)
 class HarmonicMap:
-    """Map ``f(z) = h(z) + c * conj(g(z))`` with |c| < 1.
+    """Map ``f(z) = h(z) + c * conj(g(z))`` with c real in [0, 1).
 
-    Complex ``c`` is accepted for the convolution algebra; the geometric
-    checks and certificates require real ``c`` in [0, 1).  Both parts must
-    be transform-class (:class:`ShiftedCauchyTransform` or
+    ``c`` is checked once, here, and held as a float: anything else
+    (complex, negative, at least 1, or NaN) raises ``ValueError``.  Both
+    parts must be transform-class (:class:`ShiftedCauchyTransform` or
     :class:`ConvolutionPart`); any other raises ``TypeError``.
     """
 
     h: object
     g: object
-    c: complex
+    c: float
 
     def __post_init__(self):
         _check_parts((self.h, self.g), _PARTS, "transform-class")
-        if not abs(self.c) < 1.0:
-            raise ValueError(f"|c| must be below 1, got {self.c!r}")
-
-    @property
-    def real_c(self):
-        return _real_c(self.c)
+        object.__setattr__(self, "c", _real_c(self.c))
 
     def eval(self, z, tol=1e-10):
         z = complex(z)
@@ -248,11 +241,11 @@ class HarmonicMap:
         return omega, singular
 
     def jacobian(self, z, tol=1e-10):
-        """|h'|^2 - |c|^2 |g'|^2; positive exactly where |dilatation| < 1."""
+        """|h'|^2 - c^2 |g'|^2; positive exactly where |dilatation| < 1."""
         z = complex(z)
         hp = self.h.deriv(z, tol=tol)
         gp = hp if self._shares_measure() else self.g.deriv(z, tol=tol)
-        return abs(hp) ** 2 - abs(self.c) ** 2 * abs(gp) ** 2
+        return abs(hp) ** 2 - self.c**2 * abs(gp) ** 2
 
 
 def map_from_dict(spec):
@@ -267,16 +260,9 @@ def map_from_dict(spec):
 
 
 def map_to_dict(f):
-    return {
-        "h": measure_to_dict(f.h.mu),
-        "g": measure_to_dict(f.g.mu),
-        "c": complex(f.c).real if complex(f.c).imag == 0.0 else complex(f.c),
-    }
-
-
-def load_map(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return map_from_dict(json.load(fh))
+    """The wire format of :func:`map_from_dict`; ``TypeError`` unless both parts are measure-backed."""
+    mu, nu = _measures(f.h, f.g)
+    return {"h": measure_to_dict(mu), "g": measure_to_dict(nu), "c": f.c}
 
 
 # -- certificates --------------------------------------------------------------
@@ -382,10 +368,9 @@ class ModulusBoundReport:
 
 
 def radial_limit(f):
-    """lim of f(-r) as r -> 1-, finite for every map with real c and measure-backed parts."""
-    c = f.real_c
+    """lim of f(-r) as r -> 1-, finite for every map with measure-backed parts."""
     _measures(f.h, f.g)
-    return -(f.h.base.real_part_floor() + c * f.g.base.real_part_floor())
+    return -(f.h.base.real_part_floor() + f.c * f.g.base.real_part_floor())
 
 
 def check_modulus_bound(f, a=None, samples=None):
@@ -508,7 +493,7 @@ def check_partial_signs(f, grid=None):
     whose kernel scale is at most ``DEGENERATE_TOL`` are degenerate, and
     each sign may miss by ``CHECK_SLACK``.
     """
-    c = f.real_c
+    c = f.c
     mu, nu = _measures(f.h, f.g)
     grid = grid or GridSpec()
     x, y = grid._rect_axes()
@@ -565,15 +550,15 @@ def convolve(f1, f2):
 
     Each part of the result is a :class:`ConvolutionPart` of ``f1``'s part
     with the measure of ``f2``'s, exact on the slit plane; the co-analytic
-    constants multiply.
+    constants multiply, and their product stays in [0, 1).
     """
     _, _, mu2, nu2 = _measures(f1.h, f1.g, f2.h, f2.g)
-    return HarmonicMap(ConvolutionPart(f1.h, mu2), ConvolutionPart(f1.g, nu2), complex(f1.c) * complex(f2.c))
+    return HarmonicMap(ConvolutionPart(f1.h, mu2), ConvolutionPart(f1.g, nu2), f1.c * f2.c)
 
 
 def convex_combination(f1, f2, s):
     """Mix two maps with the same c by mixing their representing measures."""
-    if complex(f1.c) != complex(f2.c):
+    if f1.c != f2.c:
         raise ValueError(f"c mismatch: {f1.c!r} vs {f2.c!r}")
     mu1, nu1, mu2, nu2 = _measures(f1.h, f1.g, f2.h, f2.g)
     return HarmonicMap(shifted(mix(mu1, mu2, s)), shifted(mix(nu1, nu2, s)), f1.c)
@@ -581,7 +566,6 @@ def convex_combination(f1, f2, s):
 
 def make_convolution_map(h, nu, c):
     """Map whose co-analytic part is the Hadamard product of h with nu's generator."""
-    c = _real_c(c)
     return HarmonicMap(h, ConvolutionPart(h, nu), c)
 
 
@@ -630,7 +614,7 @@ def certify_qc_ratio_sup(f, k, grid=None):
     only; the certificate records the grid, ``ratio_sup`` and ``c``.
     """
     grid = grid or GridSpec()
-    c = f.real_c
+    c = f.c
     ratio_sup = derivative_ratio_sup(f.h, grid=grid)
     bound = c * ratio_sup
     return QCCertificate(
@@ -722,14 +706,6 @@ class DensityRatioVerdict:
         return asdict(self)
 
 
-def _as_density_measure(obj):
-    if isinstance(obj, Measure):
-        if obj.atoms:
-            raise ValueError("density comparison needs purely absolutely continuous measures")
-        return obj
-    return Measure(densities=(obj,))
-
-
 def derivative_quotient(h, g):
     """Vectorized callable g'/h' for membership probing (value 1 at 0)."""
 
@@ -753,19 +729,19 @@ def quotient(h, g):
 def density_ratio_condition(phi, psi, n=PAIR_MIDPOINTS):
     """Check that psi/phi is nondecreasing on the density-pair sample with n midpoints.
 
-    ``phi`` and ``psi`` may be density objects or purely density measures;
-    phi plays the h role and psi the g role.  On ``measures._pair_points``,
+    ``phi`` and ``psi`` are measures without atoms (``ValueError``
+    otherwise); phi plays the h role and psi the g role.  On ``measures._pair_points``,
     less the points where both densities vanish, r = psi/phi (+inf where
     only phi vanishes) fails where it falls below the largest r before it
     by more than CROSS_SLACK, relative: the cross inequality on every pair
     of sample points, in one pass.  The sample decides the named
     same-family pairs; for other pairs a pass is evidence only.
     """
-    mu = _as_density_measure(phi)
-    nu = _as_density_measure(psi)
-    ts = _pair_points(mu, nu, n)
-    p = mu.pdf(ts)
-    q = nu.pdf(ts)
+    if phi.atoms or psi.atoms:
+        raise ValueError("density comparison needs purely absolutely continuous measures")
+    ts = _pair_points(phi, psi, n)
+    p = phi.pdf(ts)
+    q = psi.pdf(ts)
     live = (p > 0.0) | (q > 0.0)
     ts, p, q = ts[live], p[live], q[live]
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -32,7 +32,6 @@ equality of measures is not decidable numerically and is not attempted.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
@@ -56,7 +55,6 @@ __all__ = [
     "mix",
     "measure_from_dict",
     "measure_to_dict",
-    "load_measure",
     "zeta",
     "same_exponent",
 ]
@@ -346,7 +344,9 @@ class Table:
     Zero outside the grid's span.  The trapezoid mass is exact for a
     piecewise-linear function, so normalization is not a quadrature.  Values
     that are normalized already (to rounding) are kept as given, so a table
-    rebuilt from its own values equals it.
+    rebuilt from its own values equals it.  Values that are not finite,
+    given or once normalized (a subnormal mass overflows them), raise
+    ``ValueError``.
     """
 
     grid: tuple
@@ -356,7 +356,7 @@ class Table:
 
     def __init__(self, grid, values, weight=1.0):
         g = tuple(float(x) for x in grid)
-        v = tuple(float(x) for x in values)
+        v = given = tuple(float(x) for x in values)
         if len(g) != len(v) or len(g) < 2:
             raise ValueError("table density needs matching grids of length >= 2")
         if not all(b > a for a, b in zip(g, g[1:])):
@@ -370,6 +370,8 @@ class Table:
             raise ValueError("table density has zero mass")
         if not abs(mass - 1.0) <= _NORMALIZED_ULPS * len(g) * math.ulp(1.0):
             v = tuple(x / mass for x in v)
+        if not all(map(math.isfinite, v)):
+            raise ValueError(f"table values must be finite once normalized, got {given} -> {v}")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "weight", float(weight))
@@ -689,15 +691,12 @@ class Measure:
             out = out + d.weight * d.pdf(t)
         return out
 
-    def to_dict(self):
-        return measure_to_dict(self)
-
 
 def _density_rule(density, weight=1.0):
     """Graded composite rule over a density's charts: t-nodes and weights times ``weight``."""
     ts, ws = [], []
     for ch in density.charts():
-        s, w = composite_rule(graded_edges(0.0, ch.hi, levels=14))
+        s, w = composite_rule(graded_edges(0.0, ch.hi))
         ts.append(ch.to_t(s))
         ws.append(weight * w * ch.weight(s))
     return np.concatenate(ts), np.concatenate(ws)
@@ -848,8 +847,3 @@ def measure_from_dict(spec):
         _density(d.get("family"), d, d.get("w", 1.0)) for d in spec.get("densities", ())
     )
     return Measure(atoms, densities)
-
-
-def load_measure(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return measure_from_dict(json.load(fh))

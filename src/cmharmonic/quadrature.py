@@ -22,6 +22,11 @@ __all__ = ["QuadratureError", "adaptive_quad", "graded_edges", "composite_rule"]
 _PANELS_PER_EVAL = 512
 # Gauss-Legendre points per panel of the composite rule.
 COMPOSITE_ORDER = 15
+# Bisection depth of adaptive_quad at which every panel left is summed as it stands.
+MAX_DEPTH = 48
+# Dyadic levels of graded_edges toward each end: its outermost panels span
+# 2**-GRADED_LEVELS of the interval.
+GRADED_LEVELS = 14
 
 
 def _mirrored(nodes, weights):
@@ -64,15 +69,16 @@ class QuadratureError(RuntimeError):
         self.error_estimate = error_estimate
 
 
-def adaptive_quad(f, a, b, tol=1e-10, max_depth=48):
+def adaptive_quad(f, a, b, tol=1e-10):
     """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``tol``.
 
     Returns ``(value, error_estimate)``.  A panel is accepted once the
     7/15-point discrepancy fits its proportional share of ``tol``; panels
-    still failing at ``max_depth`` are summed anyway and, if the accumulated
-    estimate misses ``tol``, a :class:`QuadratureError` carrying the partial
-    result is raised.  ``tol`` must be finite and nonnegative; 0 asks for
-    the rounding floor.
+    still failing at ``MAX_DEPTH``, or once a level holds more than 16384
+    panels, are summed anyway and, if the accumulated estimate misses
+    ``tol``, a :class:`QuadratureError` carrying the partial result and
+    naming the depth reached is raised.  ``tol`` must be finite and
+    nonnegative; 0 asks for the rounding floor.
     """
     _check_tol(tol)
     a = float(a)
@@ -117,7 +123,7 @@ def adaptive_quad(f, a, b, tol=1e-10, max_depth=48):
         # without it, noise-dominated panels would split forever
         scale = np.concatenate(scale) * hw
         accept = (err <= budget) | (err <= 1e-14 * scale)
-        if depth >= max_depth or lo.size > 16384:
+        if depth >= MAX_DEPTH or lo.size > 16384:
             accept = np.ones_like(accept, dtype=bool)
             exhausted = True
         total += complex(np.sum(i15[accept]))
@@ -132,7 +138,7 @@ def adaptive_quad(f, a, b, tol=1e-10, max_depth=48):
     value = total if complex_out else total.real
     if exhausted and err_total > tol:
         raise QuadratureError(
-            f"tolerance {tol:g} not met after depth {max_depth}"
+            f"tolerance {tol:g} not met after depth {depth - 1}"  # the last level evaluated
             f" (error estimate {err_total:g})",
             value,
             err_total,
@@ -140,12 +146,13 @@ def adaptive_quad(f, a, b, tol=1e-10, max_depth=48):
     return value, err_total
 
 
-def graded_edges(lo, hi, levels=12):
+def graded_edges(lo, hi):
     """Panel edges on ``[lo, hi]``, dyadically graded toward both endpoints.
 
-    The outermost panels span 2**-levels of the interval and each next one
-    doubles up to the midpoint, 2 * levels panels in all.
+    The outermost panels span 2**-GRADED_LEVELS of the interval and each
+    next one doubles up to the midpoint, 2 * GRADED_LEVELS panels in all.
     """
+    levels = GRADED_LEVELS
     fracs = [0.0]
     fracs += [2.0 ** (-levels + j) for j in range(levels)]  # up to 1/2
     fracs += [1.0 - 2.0 ** (-levels + j) for j in range(levels - 2, -1, -1)]

@@ -171,6 +171,26 @@ def test_certify_rejects_k_outside_the_unit_interval(tmp_path, k):
         assert res.stderr == f"error: k must lie in [0, 1), got {float(k)!r}\n", method
 
 
+@pytest.mark.parametrize("c", [-0.3, 1.0])
+def test_every_map_command_refuses_c_outside_zero_one(tmp_path, capsys, c):
+    # grid certified c = -0.3 with exit 0 while thm1.6 and thm1.9 refused it;
+    # the map now refuses it when built, so every command does
+    spec = write(tmp_path, "map.json", dict(F1_ID, c=c))
+    for argv in (
+        ["certify", spec, "--method", "grid", "--k", "0.5"],
+        ["certify", spec, "--method", "thm1.6", "--k", "0.5"],
+        ["certify", spec, "--method", "thm1.9", "--k", "0.5"],
+        ["verify-thm", "1.2", spec],
+        ["verify-thm", "1.3", spec],
+        ["eval", spec, "--z", "0.5"],
+        ["dilatation", spec, "--z", "0.5"],
+        ["render", spec, "--curve", "circle"],
+    ):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: c must be real in [0, 1), got {c!r}\n"), argv
+
+
 def test_eval_and_dilatation(tmp_path):
     spec = write(tmp_path, "map.json", dict(F1_ID, c=0.3))
     res = run_cli("eval", spec, "--z", "0.5j")
@@ -512,19 +532,20 @@ def test_rect_with_non_finite_bounds_is_rejected(tmp_path, rect):
 
 
 def test_density_with_nan_mass_exits_2(tmp_path):
-    # the density of each spec integrates to NaN
+    # the log-power density integrates to NaN; the table, with a NaN value,
+    # is refused before it is integrated
     lg150 = {"densities": [{"family": "loggamma", "alpha": 150}]}
     nan_table = {"densities": [{"family": "table", "grid": [0, 0.5, 1], "values": [1, math.nan, 1]}]}
     fmap = write(tmp_path, "f.json", {"h": lg150, "g": lg150, "c": 0.5})
-    for args in (
-        ("verify-thm", "1.3", fmap),
-        ("ratio-sup", write(tmp_path, "lg.json", lg150)),
-        ("moments", write(tmp_path, "tab.json", nan_table)),
+    for args, message in (
+        (("verify-thm", "1.3", fmap), "integrates to nan"),
+        (("ratio-sup", write(tmp_path, "lg.json", lg150)), "integrates to nan"),
+        (("moments", write(tmp_path, "tab.json", nan_table)), "table values must be finite"),
     ):
         res = run_cli(*args)
         assert res.returncode == 2, args
         assert res.stdout == ""
-        assert "integrates to nan" in res.stderr
+        assert message in res.stderr
 
 
 def test_infinite_weight_exits_2(tmp_path):

@@ -180,7 +180,8 @@ def test_c_bound_enforced():
         HarmonicMap(F1, F1, 1.0)
     with pytest.raises(ValueError):
         HarmonicMap(F1, F1, 0.8 + 0.7j)
-    HarmonicMap(F1, F1, 0.5j)  # complex below 1 allowed for the algebra
+    with pytest.raises(ValueError):
+        HarmonicMap(F1, F1, 0.5j)  # every certificate reads c as a real in [0, 1)
 
 
 # -- dilatation and Jacobian -----------------------------------------------------
@@ -376,7 +377,7 @@ def test_partial_signs_mixture_probe():
 
 def _partial_signs_reference(f, grid, slack=1e-9, degenerate_tol=1e-12):
     """The sweep as first written: grid plus mirror, rules concatenated, three sums."""
-    c = f.real_c
+    c = f.c
     mu, nu = f.h.mu, f.g.mu
     upper = grid.rect_points()
     nodes = np.concatenate([upper, np.conj(upper)])
@@ -1364,6 +1365,8 @@ def _non_measure_part_calls():
         "check_partial_signs": (lambda: check_partial_signs(with_h, grid=SMALL), "ConvolutionPart"),
         "convex_combination h": (lambda: convex_combination(good, with_h, 0.5), "ConvolutionPart"),
         "convex_combination g": (lambda: convex_combination(with_g, good, 0.5), "ConvolutionPart"),
+        "map_to_dict h": (lambda: map_to_dict(with_h), "ConvolutionPart"),
+        "map_to_dict g": (lambda: map_to_dict(with_g), "ConvolutionPart"),
         "certify_qc_boundary_limit": (lambda: certify_qc_boundary_limit(IDENT, _FakePart(), 0.3, 0.5), "_FakePart"),
         "ConvolutionPart": (lambda: ConvolutionPart(_FakePart(), lebesgue()), "_FakePart"),
     }
@@ -1384,9 +1387,15 @@ def test_every_real_c_operation_refuses_c_outside_zero_one(c):
         make_convolution_map(h, lebesgue(), c)
     with pytest.raises(ValueError, match=msg):
         certify_qc_boundary_limit(h, h, c, 0.5)
-    # a map refuses |c| >= 1 and NaN when built, and real_c the rest
-    with pytest.raises(ValueError, match=msg + r"|\|c\| must be below 1"):
-        HarmonicMap(h, h, c).real_c
+    with pytest.raises(ValueError, match=msg):
+        HarmonicMap(h, h, c)
+
+
+@pytest.mark.parametrize("c", [0, 0.3, np.float64(0.7)])
+def test_map_holds_c_as_a_float(c):
+    f = HarmonicMap(F1, F1, c)
+    assert type(f.c) is float and f.c == c
+    assert map_to_dict(HarmonicMap(shifted(lebesgue()), shifted(lebesgue()), c))["c"] == c
 
 
 @pytest.mark.parametrize("excess, accepted", [(5e-11, True), (-5e-11, True), (2e-10, False), (-2e-10, False)])

@@ -446,6 +446,22 @@ def test_table_refuses_non_finite_breakpoints(grid, message):
         table_measure(grid, [1.0] * len(grid))
 
 
+@pytest.mark.parametrize(
+    "grid, values",
+    [
+        ([0.0, 1.0], [math.nan, 1.0]),
+        ([0.0, 0.5, 1.0], [1.0, math.inf, 1.0]),
+        # normalizing by the subnormal mass overflows the upper value to inf
+        ([0.0, 2.2250738585e-313], [0.0, 0.99999]),
+    ],
+)
+def test_table_refuses_non_finite_values(grid, values):
+    # each once ended in "table density integrates to nan", the subnormal
+    # segment after an "invalid value" RuntimeWarning
+    with pytest.raises(ValueError, match=r"table values must be finite once normalized, got \(.*\) -> \(.*(nan|inf)"):
+        table_measure(grid, values)
+
+
 def test_moment_rejects_bad_order():
     # moments refuses its count as moment refuses its order
     for bad in (-1, 1.5):
@@ -836,15 +852,16 @@ def test_atomic_moments_are_exact_power_sums():
 
 def test_density_with_nan_unit_mass_is_rejected():
     # a NaN unit mass fails every comparison, so the check must be written
-    # to reject it rather than to accept on "not too far from 1"
+    # to reject it rather than to accept on "not too far from 1"; a table
+    # with a value that is not finite is refused before it is integrated
     with np.errstate(all="ignore"):
-        for build in (
-            lambda: loggamma_measure(150.0),
-            lambda: table_measure([0.0, 0.5, 1.0], [math.nan, 1.0, 1.0]),
-            lambda: table_measure([0.0, 0.5, 1.0], [1.0, math.nan, 1.0]),
-            lambda: table_measure([0.0, 0.5, 1.0], [1.0, math.inf, 1.0]),
+        for build, message in (
+            (lambda: loggamma_measure(150.0), "integrates to nan"),
+            (lambda: table_measure([0.0, 0.5, 1.0], [math.nan, 1.0, 1.0]), "table values must be finite"),
+            (lambda: table_measure([0.0, 0.5, 1.0], [1.0, math.nan, 1.0]), "table values must be finite"),
+            (lambda: table_measure([0.0, 0.5, 1.0], [1.0, math.inf, 1.0]), "table values must be finite"),
         ):
-            with pytest.raises(ValueError, match="integrates to nan"):
+            with pytest.raises(ValueError, match=message):
                 build()
 
 

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cmharmonic import special
-from cmharmonic.harmonic import HarmonicMap, certify_qc_boundary_limit, certify_qc_grid, shifted
+from cmharmonic.harmonic import HarmonicMap, QCCertificate, certify_qc_boundary_limit, certify_qc_grid, shifted
 from cmharmonic.measures import Beta, beta_measure, loggamma_measure, same_exponent
 from cmharmonic.special import (
     ConvergenceError,
@@ -209,6 +209,17 @@ def test_hyp2f1_pole_and_domain():
         hyp2f1(1.0, 1.0, -2.0, 0.5)
     with pytest.raises(ValueError):
         hyp2f1(1.0, 1.0, 2.0, 1.0)
+
+
+def test_hyp2f1_term_cap_keeps_the_partial_sum():
+    # 2F1(1, 1; 2; x) = -log(1 - x)/x; at x = 1 - 2e-9, inside the series
+    # domain, the terms x**n/(n + 1) still exceed the tolerance at n = 10**6
+    x = 1.0 - 2e-9
+    with pytest.raises(ConvergenceError) as info:
+        hyp2f1(1.0, 1.0, 2.0, x)
+    assert info.value.terms == 10**6
+    partial = info.value.partial
+    assert np.isfinite(partial) and 0.0 < partial.real < -math.log1p(-x) / x
 
 
 # 2F1(a, 1; c; x) at the doubles x = 1 - 10**-j, j = 1, 2, 3, for the beta
@@ -455,6 +466,27 @@ def test_closed_form_certificates_refuse_parameters_that_are_not_finite(value):
         params = dict(_HYP, **{name: value})
         with pytest.raises(ValueError, match=f"parameter {name} must be finite"):
             certify_hypergeom_map(**params, k=0.7, spot_check=False)
+
+
+def test_closed_form_certificates_refuse_a_negative_scale():
+    with pytest.raises(ValueError, match="c must be nonnegative"):
+        certify_polylog_map(**dict(_POLY, c=-0.1), k=0.7, spot_check=False)
+    with pytest.raises(ValueError, match="b must be nonnegative"):
+        certify_hypergeom_map(**dict(_HYP, b=-0.1), k=0.7, spot_check=False)
+
+
+@pytest.mark.parametrize("certify, params", [(certify_polylog_map, _POLY), (certify_hypergeom_map, _HYP)])
+def test_spot_check_above_the_closed_form_bound_is_inconclusive(monkeypatch, certify, params):
+    # both parameter sets satisfy a branch at k = 0.7, so only a grid sup
+    # above k + 1e-6 can contradict them; the sweep is replaced to give one
+    def contradicting(f, k, grid=None):
+        return QCCertificate("grid", k, "violated", sup_estimate=k + 2e-6, grid=grid)
+
+    monkeypatch.setattr(special, "certify_qc_grid", contradicting)
+    cert = certify(**params, k=0.7, grid=SMALL)
+    assert cert.status == "inconclusive"
+    assert cert.details["reason"] == "grid evidence contradicts the closed-form bound"
+    assert cert.details["spot_sup"] == cert.sup_estimate == 0.7 + 2e-6
 
 
 def test_loggamma_moments_match_series_coefficients():

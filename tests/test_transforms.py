@@ -759,8 +759,9 @@ _TABLE_NEAR_SLIT = [
 
 @pytest.mark.parametrize("j, value, deriv", _TABLE_NEAR_SLIT)
 def test_table_kernel_sums_hold_near_the_slit(j, value, deriv):
-    # each segment is charted t = 1 - s**3, as beta(1, 2) is; on the chart
-    # t = 1 - s the value missed by 3.1e-5 at j = 6 and by 9.3e-2 at j = 8
+    # each segment [lo, hi] is charted t = hi - (hi - lo) s**3, graded toward
+    # hi as beta(1, 2) is toward 1; on the chart t = 1 - s the value missed
+    # by 3.1e-5 at j = 6 and by 9.3e-2 at j = 8
     h = ShiftedCauchyTransform.from_measure(table_measure([0.0, 0.3, 1.0], [1.0, 2.0, 1.0]))
     zs = np.array([1.0 - 10.0**-j], dtype=complex)
     assert abs(h.base.values(zs)[0] - value) <= 1e-10 * value
