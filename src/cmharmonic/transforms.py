@@ -283,38 +283,56 @@ def _rect_kernel_sums(x, y, t, weights, power):
     ``a = 1 - x t``, a real form of the Cauchy kernel off the real axis:
     ``Im 1/(1 - t z)`` at power 1, and half the partial-sign kernel
     ``2 y t (1 - x t) / |1 - t z|^4`` at power 2.  The squares (y t)^2 are
-    formed once per block of y values, and a, a^2 and t a once per x, so
-    each term costs one add and one divide (and one square at power 2); y
-    multiplies the sums once, after the loop.  Two real block buffers are
-    allocated once per call with aligned rows (see :func:`_aligned_rows`),
-    and the loop runs under :func:`_kernel_bufsize` because the add and the
-    divide broadcast rows of the rule.  The result has shape
-    ``(len(x), len(y)) + weights.shape[1:]``.
+    formed once per block of y values, and a, a^2 and t a once per block of
+    x values, so each term costs one add and one divide (and one square at
+    power 2); y multiplies the sums once, after the loop.  A block holds as
+    many x columns as fit in ``_BLOCK_TERMS`` terms, and its contiguous axis
+    is the longer of the rule and the block's y values: a short rule (the
+    33-point rung against 100 y values) is laid out y-contiguous and summed
+    through a transposed matmul, so its ufuncs run neither row by row nor
+    one column per call.  Each column is summed by its own matmul,
+    whose shape depends on the rule and the y axis only, so a node's sum
+    runs in the same order whatever the columns of the call.  Two real
+    block buffers are allocated once per call with aligned rows (see
+    :func:`_aligned_rows`), and the loop runs under :func:`_kernel_bufsize`
+    because the add and the divide broadcast rows of the rule.  The result
+    has shape ``(len(x), len(y)) + weights.shape[1:]``.
     """
     rows = _block_rows(len(t))
     out = np.empty((len(x), len(y)) + weights.shape[1:])
-    yt2 = _aligned_rows(min(rows, len(y)), len(t))
-    den = _aligned_rows(min(rows, len(y)), len(t))
-    a = np.empty_like(t)
-    a2 = np.empty_like(t)
-    num = np.empty_like(t) if power == 2 else t
+    ny = min(rows, len(y))
+    cols = max(1, min(rows // ny, len(x)))
+    # blocks are (x, y, t) arrays whose contiguous axis is the longer of y and t
+    if len(t) >= ny:
+        yt2 = _aligned_rows(ny, len(t))
+        den = _aligned_rows(cols * ny, len(t)).reshape(cols, ny, len(t))
+    else:
+        yt2 = _aligned_rows(len(t), ny).T
+        den = _aligned_rows(cols * len(t), ny).reshape(cols, len(t), ny).swapaxes(1, 2)
+    a = np.empty((cols, 1, len(t)))
+    a2 = np.empty_like(a)
+    num = np.empty_like(a) if power == 2 else np.broadcast_to(t, a.shape)
+    x3 = x[:, None, None]
     with _kernel_bufsize():
         for j in range(0, len(y), rows):
             ys = y[j : j + rows, None]
             b = yt2[: len(ys)]
-            d = den[: len(ys)]
             np.multiply(ys, t, out=b)
             b *= b
-            for i, xi in enumerate(x):
-                np.multiply(xi, t, out=a)
-                np.subtract(1.0, a, out=a)
-                np.multiply(a, a, out=a2)
-                np.add(a2, b, out=d)
+            d = den[:, : len(ys)]
+            for i in range(0, len(x), cols):
+                xs = x3[i : i + cols]
+                k = len(xs)
+                ak, a2k, numk, dk = (a, a2, num, d) if k == cols else (a[:k], a2[:k], num[:k], d[:k])
+                np.multiply(xs, t, out=ak)
+                np.subtract(1.0, ak, out=ak)
+                np.multiply(ak, ak, out=a2k)
+                np.add(a2k, b, out=dk)
                 if power == 2:
-                    np.multiply(t, a, out=num)
-                    d *= d
-                np.divide(num, d, out=d)
-                np.matmul(d, weights, out=out[i, j : j + rows])
+                    np.multiply(t, ak, out=numk)
+                    dk *= dk
+                np.divide(numk, dk, out=dk)
+                np.matmul(dk, weights, out=out[i : i + k, j : j + rows])
     out *= y.reshape((-1,) + (1,) * (weights.ndim - 1))
     return out
 

@@ -470,6 +470,29 @@ def test_partial_signs_factored_kernel_block_edges(monkeypatch):
                     assert math.isclose(got[key], ref[key], rel_tol=1e-12), (name, ny, slack, key)
 
 
+def test_partial_signs_route_the_default_rectangle_by_columns(monkeypatch):
+    # 97 columns clear the rung's ellipse and take the 32-node rungs, the 3
+    # from x = 0.909 take the 128-node rules: two kernel calls per map
+    calls = []
+    sums = harmonic._rect_kernel_sums
+
+    def counting(x, y, t, weights, power):
+        calls.append((len(x), len(t)))
+        return sums(x, y, t, weights, power)
+
+    monkeypatch.setattr(harmonic, "_rect_kernel_sums", counting)
+    mu = measure_from_dict(_SPEC)
+    nu = beta_measure(2.0, 3.0)
+    for f, rung, gauss in (
+        (HarmonicMap(shifted(mu), shifted(mu), 0.5), 33, 129),
+        (HarmonicMap(shifted(mu), shifted(nu), 0.5), 33 + 32, 129 + 128),
+    ):
+        calls.clear()
+        rep = check_partial_signs(f)
+        assert calls == [(97, rung), (3, gauss)]
+        assert rep.checked_nodes == 2 * 100 * 100 and rep.passed
+
+
 def test_sign_kernel_sums_match_plain_formula_at_block_edges():
     t, w = measure_from_dict(_SPEC)._rule
     weights = np.stack([w, -w, t * w], axis=1)
@@ -815,14 +838,16 @@ def _certify_reference(f, grid):
 
 
 def _ratio_reference(h, grid, nt=11):
-    """``derivative_ratio_sup`` and the Harnack floor as first written, over the full grid."""
+    """``derivative_ratio_sup`` and the Harnack floor as first written, over the full grid.
+
+    One t per call, so that each slice routes as the sweep's slices do:
+    those with |t z| <= 0.895 to the 32-node rung.
+    """
     zs = grid.disk_points()
     hp = h.derivs(zs)
-    ts = grid.t_samples(nt)
     sup = 0.0
-    for i in range(0, len(zs), 512):
-        num = np.abs(h.derivs(np.outer(zs[i : i + 512], ts)))
-        sup = max(sup, float(np.max(num / np.abs(hp[i : i + 512])[:, None])))
+    for t in grid.t_samples(nt):
+        sup = max(sup, float(np.max(np.abs(h.derivs(t * zs)) / np.abs(hp))))
     return sup, float(np.min((zs * h.deriv2s(zs) / hp).real))
 
 

@@ -12,7 +12,11 @@ from hypothesis import strategies as st
 from cmharmonic import measures
 from cmharmonic.measures import (
     _GAUSS_NODES,
+    _GAUSS_TOL,
+    _RUNG_NODES,
+    _RUNG_RHO,
     _gauss_agrees,
+    _route_levels,
     Atom,
     Beta,
     LogGamma,
@@ -462,6 +466,13 @@ def test_table_refuses_non_finite_values(grid, values):
         table_measure(grid, values)
 
 
+def test_table_refuses_a_mass_that_overflows():
+    # the trapezoid sum of these finite values is inf, which once divided
+    # every value to 0.0 and ended in "table density integrates to 0.0"
+    with pytest.raises(ValueError, match=r"table mass must be finite, got inf from the values \(1e\+308, 1\.7e\+308\)"):
+        table_measure([0.0, 1.0], [1e308, 1.7e308])
+
+
 def test_moment_rejects_bad_order():
     # moments refuses its count as moment refuses its order
     for bad in (-1, 1.5):
@@ -842,6 +853,54 @@ def test_a_kept_gauss_rule_matches_the_fixed_rule_on_the_default_grids(mu):
     zs = np.concatenate([g.disk_points(), g.rect_points(), g.real_ray()])
     scales, errors = _kernel_scales_and_errors(zs, fine, rule)
     assert np.all(errors <= 1e-13 * scales)
+
+
+def _ellipse_points(rho, theta):
+    """The points z whose poles 1/z lie on the Bernstein ellipse E_rho of [0, 1] at the angles theta."""
+    return 2.0 / (1.0 + 0.5 * (rho * np.exp(1j * theta) + np.exp(-1j * theta) / rho))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.integers(0, 2**32 - 1).map(lambda seed: random_measure(np.random.default_rng(seed))),
+        _tables(),
+    ),
+    st.lists(st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=8),
+    st.lists(st.one_of(st.just(0.0), st.floats(0.0, 3.0)), min_size=1, max_size=3),
+)
+def test_a_kept_rung_matches_the_fixed_rule_on_and_beyond_its_ellipse(mu, thetas, beyond):
+    # the rung is checked against the 128-node rule and that rule against the
+    # fixed rule, each to _GAUSS_TOL, so the rung may miss the fixed rule by
+    # twice that, relative to the sum of the moduli of the fixed rule's terms;
+    # poles on E_rho32 and beyond it, at rho32 (1 + s), take the rung wherever
+    # the route hands it out
+    zs = np.concatenate([_ellipse_points(_RUNG_RHO * (1.0 + s), np.array(thetas)) for s in beyond])
+    zs = zs[_route_levels(zs) == 0]
+    if mu._gauss_rung is mu._gauss_rule or not zs.size:
+        return
+    assert mu._rule_for(zs) is mu._gauss_rung
+    assert len(mu._gauss_rung[0]) == _RUNG_NODES + len(mu._point_masses)
+    scales, errors = _kernel_scales_and_errors(zs, mu._rule, mu._gauss_rung)
+    assert np.all(errors <= 2.0 * _GAUSS_TOL * scales)
+
+
+def test_a_rung_that_fails_its_check_falls_back_to_the_gauss_rule(monkeypatch):
+    mu = Measure((Atom(0.3, 0.2),), (Beta(1.5, 3.2, 0.5), LogGamma(2.0, 0.3)))
+    gauss = mu._gauss_rule
+    assert gauss is not mu._rule
+    monkeypatch.setattr(measures, "_GAUSS_TOL", 0.0)
+    assert mu._gauss_rung is gauss
+    assert mu._rule_for(np.zeros(1)) is gauss
+    monkeypatch.undo()
+    # no rung where the Gauss rule is the fixed rule: its check failed, or
+    # the measure is atoms only; far points then take the fixed rule
+    for fixed in (loggamma_measure(30.0), Measure((Atom(0.2, 0.5), Atom(0.7, 0.5)))):
+        assert fixed._gauss_rule is fixed._rule
+        assert fixed._gauss_rung is fixed._rule
+        assert fixed._rule_for(np.zeros(1)) is fixed._rule
+    # and a kept rung has 32 nodes plus the atoms
+    assert len(Measure(mu.atoms, mu.densities)._gauss_rung[0]) == _RUNG_NODES + 1
 
 
 def test_atomic_moments_are_exact_power_sums():

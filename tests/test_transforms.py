@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cmharmonic import transforms
 from cmharmonic.measures import (
     _GAUSS_RHO,
+    _RUNG_RHO,
     Atom,
     Beta,
     LogGamma,
@@ -409,6 +410,30 @@ def test_rect_kernel_matches_plain_imaginary_part_at_block_edges():
         assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), ny
 
 
+def test_rect_kernel_on_a_short_rule_matches_the_plain_formula_column_by_column():
+    # a rule shorter than the block's y values is laid out y-contiguous;
+    # either layout sums each column as a call on that column alone does, bit
+    # for bit, at the first, the last and one past the last column of a block
+    mu = Measure((Atom(0.3, 0.2),), (Beta(1.5, 3.2, 0.5), LogGamma(2.0, 0.3)))
+    t, w = mu._gauss_rung
+    assert len(t) == 33
+    rows = _block_rows(len(t))
+    for ny in (20, 33, 34, 100):
+        y = np.linspace(0.01, 3.0, ny)
+        cols = rows // ny
+        x = np.linspace(-3.0, 0.9, cols + 1)
+        base = 1.0 - t * (x[:, None, None] + 1j * y[None, :, None])
+        for power, weights in ((1, w), (2, np.stack([w, t * w], axis=1))):
+            got = _rect_kernel_sums(x, y, t, weights, power)
+            kern = (1.0 / base).imag if power == 1 else y[:, None] * t * base.real / np.abs(base) ** 4
+            ref = kern @ weights
+            assert got.shape == ref.shape
+            assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), (ny, power)
+            for i in (0, cols - 1, cols):
+                alone = _rect_kernel_sums(x[i : i + 1], y, t, weights, power)[0]
+                assert got[i].tobytes() == alone.tobytes(), (ny, power, i)
+
+
 def _upper_imag_reference(F, grid):
     """``_upper_imag`` as first written: the power-1 kernel on every rectangle node, over the rectangle's rule."""
     x, y = grid._rect_axes()
@@ -632,12 +657,18 @@ def test_the_default_grids_route_to_the_gauss_rule():
         focal = (1.0 + abs(1.0 - z)) / abs(z)
         return focal + math.sqrt(focal**2 - 1.0)
 
-    assert 1.195 < _GAUSS_RHO < 1.197
+    assert 1.195 < _GAUSS_RHO < 1.197 and 1.956 < _RUNG_RHO < 1.958
     assert 1.246 < rho(0.99 + 0.01j) < rho(0.98) < 1.33
     mu = Measure((Atom(0.3, 0.2),), (Beta(1.5, 3.2, 0.5), LogGamma(2.0, 0.3)))
     g = GridSpec()
-    for zs in (g.disk_points(), g.rect_points(), g.real_ray(), np.zeros(1)):
+    for zs in (g.disk_points(), g.rect_points(), g.real_ray()):
         assert mu._rule_for(zs) is mu._gauss_rule
+    # the far points take the 32-node rung: the origin and the rectangle's left column
+    left = g.rect_points()[: g.ny]
+    assert min(rho(z) for z in left) > _RUNG_RHO
+    for zs in (np.zeros(1), left):
+        assert mu._rule_for(zs) is mu._gauss_rung
+        assert len(mu._gauss_rung[0]) == 32 + len(mu.atoms)
 
 
 def test_a_point_inside_the_route_ellipse_sends_the_call_to_the_fixed_rule():
