@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .measures import Measure, _pair_points, _route_levels, measure_from_dict, measure_to_dict, mix, same_exponent
-from .transforms import CHECK_SLACK, GridSpec, ShiftedCauchyTransform, _check_slit, _rect_kernel_sums
+from .transforms import CHECK_SLACK, GridSpec, ShiftedCauchyTransform, _check_slit, _rect_kernel_sums, _routed_sums
 
 __all__ = [
     "SingularDerivativeError",
@@ -128,23 +128,28 @@ class ConvolutionPart:
             raise ValueError("convolution factor must be a probability measure")
 
     def _scaled_sums(self, sums, zs, t_power):
-        """``sums(z t) @ (t**t_power w)`` at each point of ``zs``, (t, w) the rule ``nu._rule_for(zs)``.
+        """``sums(z t) @ (t**t_power w)`` at each point of ``zs``, (t, w) the rule of nu that serves it.
 
         The s-integrand sums(s z) has its singularities at s = 1/(t z) for
         t in (0, 1], on the ray beyond the pole 1/z, so nu's rule is routed
-        on the points themselves.  Works through blocks of 256 points, one
-        row of scaled copies each.  The points are checked first, so an
+        on the points themselves, point by point (``transforms._routed_sums``):
+        the Gauss rule of nu at the points whose poles clear its ellipse,
+        its fixed rule at the others.  Works through blocks of 256 points,
+        one row of scaled copies each.  The points are checked first, so an
         error names the point given rather than a scaled copy of it.
         """
         zs = np.asarray(zs, dtype=complex)
-        flat = zs.ravel()
-        _check_slit(flat)
-        t, w = self.nu._rule_for(flat)
-        weights = t**t_power * w
-        out = np.empty(flat.shape, dtype=complex)
-        for i in range(0, len(flat), 256):
-            out[i : i + 256] = sums(np.outer(flat[i : i + 256], t)) @ weights
-        return out.reshape(zs.shape)
+        _check_slit(zs)
+
+        def scaled(points, t, w):
+            flat = points.ravel()
+            weights = t**t_power * w
+            out = np.empty(flat.shape, dtype=complex)
+            for i in range(0, len(flat), 256):
+                out[i : i + 256] = sums(np.outer(flat[i : i + 256], t)) @ weights
+            return out.reshape(points.shape)
+
+        return _routed_sums(self.nu, zs, scaled)
 
     def values(self, zs):
         zs = np.asarray(zs, dtype=complex)
@@ -488,14 +493,18 @@ def check_partial_signs(f, grid=None):
     weights (1 + c) w and (1 - c) w.  The kernel is twice the power-2 one
     of ``transforms._rect_kernel_sums``, factored over the rectangle's axes,
     which also avoids the cancellation in 1 - 2 x t + t^2 |z|^2.  The
-    rectangle is routed by columns: each run of adjacent columns whose
-    points share a route level (``measures._route_levels``) takes the rule
-    of that level from each measure (``Measure._rule_at``), in one kernel
-    call.  On the default rectangle 97 columns take the 32-node rung and
-    the 3 from x = 0.909 the 128-node Gauss rule.  The kernel sums of a
-    column do not depend on the other columns of its call.  Nodes
-    whose kernel scale is at most ``DEGENERATE_TOL`` are degenerate, and
-    each sign may miss by ``CHECK_SLACK``.
+    rectangle is routed by runs of adjacent columns: a run whose points all
+    clear the Gauss rules' ellipse (``measures._route_levels``) takes the
+    Gauss rule of each measure (``Measure._rule_at``) in one kernel call,
+    and in a run that holds points that fall short, the rows holding them
+    take the fixed rules and the other rows the Gauss rules, one call each.
+    On the default rectangle the 97 columns left of x = 0.909 take one
+    call, and the last 3 take the fixed rules in their 9 rows from y = 0.01
+    to 0.25, which hold the 18 nodes that fall short, and the Gauss rules
+    in the other 91.  The kernel sums of a column do not depend on the other
+    columns of its call.  Nodes whose kernel scale is at most
+    ``DEGENERATE_TOL`` are degenerate, and each sign may miss by
+    ``CHECK_SLACK``.
     """
     c = f.c
     mu, nu = _measures(f.h, f.g)
@@ -503,28 +512,34 @@ def check_partial_signs(f, grid=None):
     grid = grid or GridSpec()
     x, y = grid._rect_axes()
 
-    levels = _route_levels(grid.rect_points()).reshape(len(x), len(y)).max(axis=1)
-    cuts = [0, *(np.flatnonzero(np.diff(levels)) + 1), len(x)]
-    blocks = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        t, w_mu = mu._rule_at(levels[lo])
+    def rect_sums(xs, ys, level):
+        t, w_mu = mu._rule_at(level)
         if shared:
             w_plus = (1.0 + c) * w_mu
             w_minus = (1.0 - c) * w_mu
         else:
-            t_nu, w_nu = nu._rule_at(levels[lo])
+            t_nu, w_nu = nu._rule_at(level)
             t = np.concatenate([t, t_nu])
             w_plus = np.concatenate([w_mu, c * w_nu])
             w_minus = np.concatenate([w_mu, -c * w_nu])
-        weights = np.stack([w_plus, w_minus], axis=1)
-        blocks.append(_rect_kernel_sums(x[lo:hi], y, t, weights, 2))
+        return _rect_kernel_sums(xs, ys, t, np.stack([w_plus, w_minus], axis=1), 2)
+
+    levels = _route_levels(grid.rect_points()).reshape(len(x), len(y))
+    columns = levels.max(axis=1)
+    cuts = [0, *(np.flatnonzero(np.diff(columns)) + 1), len(x)]
+    sums = np.empty((len(x), len(y), 2))
+    for lo, hi in zip(cuts, cuts[1:]):
+        fixed = levels[lo:hi].max(axis=0) == 1
+        for level, rows in ((0, ~fixed), (1, fixed)):
+            if rows.any():
+                sums[lo:hi, rows] = rect_sums(x[lo:hi], y[rows], level)
 
     probe_ok, reason = _signed_nonneg_probe(mu, nu, c)
 
     # For y > 0, x < 1 and t in [0, 1] the kernel is nonnegative, and so is
     # every weight of w+ (rule and atom weights, c >= 0), so the degeneracy
     # scale sum |kern| |w+| is the w+ column itself.
-    sums = np.concatenate(blocks).reshape(-1, 2)
+    sums = sums.reshape(-1, 2)
     sums *= 2.0
     deg = sums[:, 0] <= DEGENERATE_TOL
     live = ~deg
@@ -585,9 +600,9 @@ def _ratio_sup(h, zs, hp, ts):
     """Sup of |h'(t z)| / |h'(z)| over the nodes zs and samples ts.
 
     ``ts`` runs from 0 to 1.  At t = 1 the ratio is exactly 1, so only the
-    other samples need kernel sums, all in one call: the points t z route
-    together, and on the default ring (|t z| <= 0.882) they take the
-    32-node rung.
+    other samples need kernel sums, all in one call: on the default ring
+    (|t z| <= 0.882) every point t z clears the Gauss rule's ellipse, so the
+    call is one kernel sum over it.
     """
     ratios = np.abs(h.derivs(np.outer(ts[:-1], zs))) / np.abs(hp)
     return max(1.0, float(np.max(ratios)))

@@ -7,14 +7,11 @@ measure, so it has the graded beta charts at both ends.
 Each density has one fixed rule (:func:`_density_rule`): the unit-mass
 check sums over it, and a measure's fixed rule (:attr:`Measure._rule`) is
 the reference its Gauss rule is built from.  No family's moments read it.
-The kernel sums of the sweeps take a Gauss rule of the measure wherever
-the kernel's pole lies far enough from [0, 1], and the fixed rule
-elsewhere (:meth:`Measure._rule_for`).  The Gauss rule
-(:attr:`Measure._gauss_rule`, 128 nodes plus one per atom location) comes
-from one Lanczos recurrence over the fixed rule, and its rung
-(:attr:`Measure._gauss_rung`, 32 nodes plus one per atom location), the
-32-node Gauss rule of that rule, serves the points whose poles lie farther
-still.  :meth:`Measure.integrate` is the
+The kernel sums of the sweeps take a Gauss rule of the measure
+(:attr:`Measure._gauss_rule`, 32 nodes plus one per atom location, from one
+Lanczos recurrence over the fixed rule) at each point whose kernel pole
+lies far enough from [0, 1], and the fixed rule at the few others, point
+by point (:func:`_route_levels`).  :meth:`Measure.integrate` is the
 adaptive route, for pointwise values to a tolerance near the slit;
 power moments have one route (:meth:`Measure.moments`), closed for every family.
 Every chart is t = base + step * s**power on s in [0, hi] (see
@@ -71,24 +68,18 @@ MASS_TOL = 1e-10
 # the exact value: 1.9 - 0.9 is 0.9999999999999999, not 1.
 EXPONENT_TOL = 1e-12
 
-# Nodes of a measure's Gauss rule (Measure._gauss_rule), and of its rung
-# (Measure._gauss_rung), the Gauss rule of that rule for the farthest poles.
-_GAUSS_NODES = 128
-_RUNG_NODES = 32
-# The route's Bernstein parameter rho0 of each: an n-node rule serves the
-# points z whose kernel pole 1/z lies outside the ellipse E_rho0 of [0, 1].
-# There an n-node Gauss rule of a positive measure errs by O(rho0**-2n), and
-# the kernel's p-th power costs about n**(p - 1) more, so rho0**2n = n**2 / eps
-# puts the power-3 sums at rounding level: rho0 = 1.196 for n = 128 and 1.957
-# for n = 32.
+# Nodes of a measure's Gauss rule (Measure._gauss_rule), besides its atom nodes.
+_GAUSS_NODES = 32
+# The route's Bernstein parameter rho0: the Gauss rule serves the points z
+# whose kernel pole 1/z lies outside the ellipse E_rho0 of [0, 1].  There an
+# n-node Gauss rule of a positive measure errs by O(rho0**-2n), and the
+# kernel's p-th power costs about n**(p - 1) more, so rho0**2n = n**2 / eps
+# puts the power-3 sums at rounding level: rho0 = 1.957 for n = 32.
 _GAUSS_RHO = (_GAUSS_NODES**2 / np.finfo(float).eps) ** (0.5 / _GAUSS_NODES)
-_RUNG_RHO = (_RUNG_NODES**2 / np.finfo(float).eps) ** (0.5 / _RUNG_NODES)
-# |p| + |p - 1| on the boundary of each E_rho0, whose foci are 0 and 1.
+# |p| + |p - 1| on the boundary of E_rho0, whose foci are 0 and 1.
 _GAUSS_FOCAL = 0.5 * (_GAUSS_RHO + 1.0 / _GAUSS_RHO)
-_RUNG_FOCAL = 0.5 * (_RUNG_RHO + 1.0 / _RUNG_RHO)
-# A Gauss rule must reproduce the closed-form moments and the kernel sums of
-# the rule it is checked against on its route boundary to this, relative, or
-# the larger rule stays.
+# The Gauss rule must reproduce the closed-form moments and the fixed rule's
+# kernel sums on the route boundary to this, relative, or the fixed rule stays.
 _GAUSS_TOL = 1e-13
 
 
@@ -608,13 +599,14 @@ class Measure:
         """The Gauss rule (t-nodes, weights) of the measure, built from :attr:`_rule` on first use.
 
         The density part of the fixed rule is compressed to its
-        ``_GAUSS_NODES``-node Gauss rule by one Lanczos recurrence
-        (:func:`_gauss_compress`), and the fixed rule's atom nodes, already
-        the Gauss rule of the atomic part, end it unchanged; an atoms-only
-        measure's Gauss rule is ``_rule`` itself.  The result must
-        reproduce the closed-form ``moments(4)`` and the fixed rule's
-        kernel sums on its route boundary, the ellipse of ``_GAUSS_RHO``
-        (:func:`_gauss_agrees`); when it does not, this is ``_rule`` itself.
+        ``_GAUSS_NODES``-node Gauss rule by one Lanczos recurrence of 32
+        steps over it and one 32 x 32 ``eigh`` (:func:`_gauss_compress`),
+        and the fixed rule's atom nodes, already the Gauss rule of the
+        atomic part, end it unchanged; an atoms-only measure's Gauss rule is
+        ``_rule`` itself.  The result must reproduce the closed-form
+        ``moments(4)`` and the fixed rule's kernel sums on its route
+        boundary, the ellipse of ``_GAUSS_RHO`` (:func:`_gauss_agrees`);
+        when it does not, this is ``_rule`` itself.
         """
         t, w = self._rule
         dense = len(t) - len(self._point_masses)
@@ -624,48 +616,18 @@ class Measure:
         rule = np.concatenate([gauss[0], t[dense:]]), np.concatenate([gauss[1], w[dense:]])
         return rule if _gauss_agrees(rule, self._rule, self.moments(4)) else self._rule
 
-    @cached_property
-    def _gauss_rung(self):
-        """The rung: the ``_RUNG_NODES``-node Gauss rule of the measure plus the atom nodes, built on first use.
-
-        An n-node Gauss rule depends only on the moments below 2n, which a
-        Gauss rule of more nodes keeps, so the rung is the 32-node Gauss
-        rule of the density part of :attr:`_gauss_rule`: 32 steps of the
-        same Lanczos recurrence over its 128 nodes, whose Jacobi matrix is,
-        in exact arithmetic, the leading 32 x 32 block of the 128-step one.
-        The rung must reproduce ``moments(4)`` and the kernel sums of
-        :attr:`_gauss_rule` on its own route boundary, the ellipse of
-        ``_RUNG_RHO`` (:func:`_gauss_agrees`).  When it does not, or when
-        the Gauss rule is the fixed rule (atoms only, or its own check
-        failed), this is :attr:`_gauss_rule` itself.
-        """
-        gauss = self._gauss_rule
-        if gauss is self._rule:
-            return gauss
-        t, w = gauss
-        dense = len(t) - len(self._point_masses)
-        nodes, weights = _gauss_compress(t[:dense], w[:dense], _RUNG_NODES)
-        rung = np.concatenate([nodes, t[dense:]]), np.concatenate([weights, w[dense:]])
-        return rung if _gauss_agrees(rung, gauss, self.moments(4), _RUNG_RHO) else gauss
-
     def _rule_at(self, level):
-        """The rule of a route level (:func:`_route_levels`): 0 the rung, 1 the Gauss rule, 2 the fixed rule."""
-        if level == 0:
-            return self._gauss_rung
-        return self._gauss_rule if level == 1 else self._rule
+        """The rule of a route level (:func:`_route_levels`): 0 the Gauss rule, 1 the fixed rule."""
+        return self._rule if level else self._gauss_rule
 
     def _rule_for(self, zs):
-        """The rule for kernel sums at the points ``zs``: the smallest that every point's level allows.
+        """The rule that serves every point of ``zs``: the Gauss rule when each clears its ellipse, else the fixed rule.
 
-        That is :attr:`_gauss_rung` when every point clears the rung's
-        ellipse, else :attr:`_gauss_rule` when every point clears the Gauss
-        rule's, else :attr:`_rule` (see :func:`_route_levels`).  An empty
-        set of points takes the fixed rule: its sums are empty either way,
-        and it builds no Gauss rule.  On the default grids the ring
-        |z| = 0.98 and the rectangle corner 0.99 + 0.01i (rho = 1.33 and
-        1.246) clear the Gauss rule's ellipse, rho0 = 1.196, but not the
-        rung's, 1.957; the rectangle columns left of x = 0.909 and the
-        disk |z| <= 0.895 clear both.
+        See :func:`_route_levels`.  An empty set of points takes the fixed
+        rule: its sums are empty either way, and it builds no Gauss rule.
+        The vector sums route point by point instead
+        (``transforms._routed_sums``); this serves a set of points summed in
+        one kernel call, such as the rectangle column of ``_upper_imag``.
         """
         zs = np.asarray(zs)
         return self._rule_at(int(_route_levels(zs).max())) if zs.size else self._rule
@@ -743,25 +705,24 @@ def _density_rule(density, weight=1.0):
 
 
 def _route_levels(zs):
-    """Per point of ``zs``, the level of the smallest rule that serves it: 0 the rung, 1 the Gauss rule, 2 the fixed rule.
+    """Per point of ``zs``, the level of the rule that serves it: 0 the Gauss rule, 1 the fixed rule.
 
-    An n-node Gauss rule serves z when the pole 1/z lies outside its
-    Bernstein ellipse E_rho0 of [0, 1] (foci 0 and 1), that is
+    The Gauss rule serves z when the pole 1/z lies outside its Bernstein
+    ellipse E_rho0 of [0, 1] (foci 0 and 1), that is
     |1/z| + |1/z - 1| >= focal, or, times |z|, 1 + |1 - z| >= focal |z|;
-    z = 0 clears every ellipse and NaN none.  The rung's ellipse holds the
-    Gauss rule's, so a point that clears it clears both.  Every point s z,
-    s in [0, 1], on the way to a point z has at most z's level: each
+    z = 0 clears the ellipse and NaN does not.  Every point s z,
+    s in [0, 1], on the way to a point z has at most z's level: the
     ellipse is convex and holds 0, so the ray beyond 1/z stays outside it.
+    On the default grids only the points near z = 1 fall short: 6 of the
+    768 disk nodes, 18 of the 10,000 rectangle nodes, 3 of the 100 ray
+    points and 3 of the 33 upper-ring nodes.
     """
     zs = np.asarray(zs)
-    lhs = 1.0 + np.abs(1.0 - zs)
-    r = np.abs(zs)
-    # each ellipse a point clears takes one off its level
-    return 2 - (lhs >= _GAUSS_FOCAL * r) - (lhs >= _RUNG_FOCAL * r)
+    return 1 - (1.0 + np.abs(1.0 - zs) >= _GAUSS_FOCAL * np.abs(zs))
 
 
-def _gauss_compress(t, w, n=_GAUSS_NODES):
-    """The n-node Gauss rule (nodes, weights) of the discrete measure sum_j w_j delta(t_j).
+def _gauss_compress(t, w):
+    """The ``_GAUSS_NODES``-node Gauss rule (nodes, weights) of the discrete measure sum_j w_j delta(t_j).
 
     Lanczos on diag(t - 1/2) from the start vector sqrt(w / mass) gives
     the n x n Jacobi matrix of the measure; its eigenvalues plus 1/2 are
@@ -773,9 +734,9 @@ def _gauss_compress(t, w, n=_GAUSS_NODES):
     :func:`_gauss_agrees` checks it before it is used.  The nodes are
     clipped to [0, 1], which rounding may leave by an ulp.  The recurrence
     does not break down: every density's fixed rule has hundreds of points
-    of positive weight, against n = 128, and a 128-node Gauss rule has 128
-    distinct nodes, against the rung's n = 32.
+    of positive weight, against n = 32.
     """
+    n = _GAUSS_NODES
     mass = float(np.sum(w))
     x = t - 0.5
     alpha = np.empty(n)
@@ -795,12 +756,12 @@ def _gauss_compress(t, w, n=_GAUSS_NODES):
     return np.clip(nodes + 0.5, 0.0, 1.0), mass * vectors[0] ** 2
 
 
-def _gauss_agrees(rule, fine, moments, rho=_GAUSS_RHO):
-    """Whether ``rule`` reproduces ``moments`` and the kernel sums of ``fine`` on the ellipse E_rho to ``_GAUSS_TOL``.
+def _gauss_agrees(rule, fine, moments):
+    """Whether ``rule`` reproduces ``moments`` and the kernel sums of ``fine`` on the route boundary to ``_GAUSS_TOL``.
 
     Each moment is compared relative to itself.  The sums of (1 - t z)**-p,
     p = 1, 2, 3, are compared at 16 points z whose poles 1/z run over the
-    upper half of the route boundary, the ellipse E_rho, from z ~ 1 (pole
+    upper half of the route boundary, the ellipse E_rho0, from z ~ 1 (pole
     just right of t = 1) to the far side of t = 0, where the errors peak;
     real rules give conjugate sums at conjugate points.  They are compared
     relative to the sum of the moduli of the fine rule's terms, since the
@@ -815,7 +776,7 @@ def _gauss_agrees(rule, fine, moments, rho=_GAUSS_RHO):
     if not np.all(np.abs(powers - moments) <= _GAUSS_TOL * np.abs(moments)):
         return False
     theta = np.linspace(0.0, np.pi, 16)[:, None]
-    zs = 2.0 / (1.0 + 0.5 * (rho * np.exp(1j * theta) + np.exp(-1j * theta) / rho))
+    zs = 2.0 / (1.0 + 0.5 * (_GAUSS_RHO * np.exp(1j * theta) + np.exp(-1j * theta) / _GAUSS_RHO))
     fine_inv = 1.0 / (1.0 - zs * fine[0])
     fine_mod = np.abs(fine_inv)
     fine_w = fine[1].astype(complex)

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .measures import Measure
+from .measures import Measure, _route_levels
 from .quadrature import _check_tol
 
 __all__ = [
@@ -207,9 +207,11 @@ _BLOCK_TERMS = 2**16
 # buffer whenever three of them fit in it: the product z t then costs 2.6 ns
 # per element against 0.9 unbuffered (numpy 2.4, rules of 1,700 to 2,300
 # points).  At 256 elements every rule of more than 85 points, which is
-# every Gauss and fixed density rule, runs unbuffered: on a 130-point Gauss
-# rule the partial-sign rectangle took 3.4 ms against 4.3 at 1,024 elements,
-# where three of its rows fit (median of 30 runs).
+# every fixed density rule, runs unbuffered: on a 130-point rule the
+# partial-sign rectangle took 3.4 ms against 4.3 at 1,024 elements, where
+# three of its rows fit (median of 30 runs).  Three rows of a 33-point Gauss
+# rule still fit, but buffers of 16 to 128 elements gained at most 5% on it
+# (best of 40, `values` on 640 disk nodes and the partial-sign rectangle).
 _KERNEL_BUFSIZE = 256
 
 
@@ -287,9 +289,9 @@ def _rect_kernel_sums(x, y, t, weights, power):
     x values, so each term costs one add and one divide (and one square at
     power 2); y multiplies the sums once, after the loop.  A block holds as
     many x columns as fit in ``_BLOCK_TERMS`` terms, and its contiguous axis
-    is the longer of the rule and the block's y values: a short rule (the
-    33-point rung against 100 y values) is laid out y-contiguous and summed
-    through a transposed matmul, so its ufuncs run neither row by row nor
+    is the longer of the rule and the block's y values: a short rule (a
+    33-point Gauss rule against 100 y values) is laid out y-contiguous and
+    summed through a transposed matmul, so its ufuncs run neither row by row nor
     one column per call.  Each column is summed by its own matmul,
     whose shape depends on the rule and the y axis only, so a node's sum
     runs in the same order whatever the columns of the call.  Two real
@@ -337,6 +339,29 @@ def _rect_kernel_sums(x, y, t, weights, power):
     return out
 
 
+def _routed_sums(mu, zs, sums):
+    """``sums(points, t, w)`` at the points ``zs``, each point over the rule of its own route level.
+
+    The levels are ``measures._route_levels``: the Gauss rule of ``mu``
+    where a point's pole clears its ellipse, the fixed rule elsewhere
+    (``Measure._rule_at``).  A call whose points share one level runs one
+    ``sums`` call on the points as given; an empty set takes the fixed rule
+    and builds no Gauss rule.  Otherwise the points are checked against the
+    slit first, so an error names the first bad point given, then split by
+    level, each group summed over its rule, and the results scattered back.
+    """
+    zs = np.asarray(zs, dtype=complex)
+    levels = _route_levels(zs)
+    if not levels.size or levels.min() == levels.max():
+        return sums(zs, *mu._rule_at(levels.max() if levels.size else 1))
+    _check_slit(zs)
+    out = np.empty(zs.shape, dtype=complex)
+    for level in (0, 1):
+        group = levels == level
+        out[group] = sums(zs[group], *mu._rule_at(level))
+    return out
+
+
 def _kernel_base(z, t, u):
     """``1 - t z`` at points t with complements u: ``(1 - z) + z u`` where t >= 1/2.
 
@@ -373,9 +398,8 @@ class CauchyTransform:
     __call__ = eval
 
     def values(self, zs):
-        """Vectorized values on an array of slit-plane points, over the rule ``mu._rule_for(zs)`` picks."""
-        t, w = self.mu._rule_for(zs)
-        return _kernel_sums(zs, t, w, 1)
+        """Vectorized values on an array of slit-plane points, each over the rule its route level picks (``_routed_sums``)."""
+        return _routed_sums(self.mu, zs, lambda z, t, w: _kernel_sums(z, t, w, 1))
 
     def series_eval(self, z, terms=300):
         """Truncated moment series (|z| < 1 only) over the closed-form moments: a check of :meth:`values`."""
@@ -441,12 +465,10 @@ class ShiftedCauchyTransform:
         return complex(self.mu.integrate(lambda t, u: 2.0 * t * _kernel_base(z, t, u) ** -3.0, tol=tol))
 
     def derivs(self, zs):
-        t, w = self.mu._rule_for(zs)
-        return _kernel_sums(zs, t, w, 2)
+        return _routed_sums(self.mu, zs, lambda z, t, w: _kernel_sums(z, t, w, 2))
 
     def deriv2s(self, zs):
-        t, w = self.mu._rule_for(zs)
-        return _kernel_sums(zs, t, 2.0 * t * w, 3)
+        return _routed_sums(self.mu, zs, lambda z, t, w: _kernel_sums(z, t, 2.0 * t * w, 3))
 
 
 # -- membership diagnostics ---------------------------------------------------
@@ -510,18 +532,19 @@ def _upper_imag(F, grid):
     ``a = 1 - x t > 0``, d/dx of ``t / (a^2 + (y t)^2)`` is
     ``2 a t^2 / (a^2 + (y t)^2)^2 >= 0``.  The weights are nonnegative, so
     each row's minimum over the rectangle is its left node, and only the
-    x = xmin column is evaluated.  The rule is the one the whole rectangle
-    routes to (``mu._rule_for``), and each rounded step of the kernel, the
-    dot product with the weights included, keeps that order for any rule
-    with nodes in [0, 1] and nonnegative weights, so the minimum is the
-    full sweep's bit for bit.  Nodes within ``SLIT_MARGIN`` of the slit
+    x = xmin column is evaluated, over the one rule that serves every point
+    of it (``mu._rule_for``), so only that column is routed.  Each rounded
+    step of the kernel, the dot product with the weights included, keeps
+    that order for any rule with nodes in [0, 1] and nonnegative weights,
+    so the minimum is that of the whole rectangle over the same rule, bit
+    for bit.  Nodes within ``SLIT_MARGIN`` of the slit
     read NaN and every skipped rectangle node is counted, as the per-node
     fallback of :func:`_eval_grid` counts them; since |z - 1| falls as x
     rises, a row whose left node is skipped is skipped entirely.
     """
     x, y = grid._rect_axes()
     zs = grid.rect_points()
-    t, w = F.mu._rule_for(zs)
+    t, w = F.mu._rule_for(zs[: len(y)])
     im = _rect_kernel_sums(x[:1], y, t, w, 1)[0]
     bad = _outside_domain(zs)
     im[bad[: len(y)]] = np.nan

@@ -141,7 +141,12 @@ def test_vectorized_map_evaluates_a_shared_measure_once(monkeypatch, case):
     assert values.tobytes() == ref_values.tobytes()
     assert omega.tobytes() == ref_omega.tobytes()
     assert singular.tolist() == ref_singular.tolist()
-    sums = {"convolution part": 4}.get(case, 1 if case in _SHARED else 2)
+    # each measure's sums on the disk grid take two kernel calls, one over
+    # its Gauss rule and one over its fixed rule for the 6 nodes near z = 1;
+    # the convolution part splits the grid by nu's levels the same way, 762
+    # nodes in three blocks of 256 and 6 in one, and every scaled copy s z,
+    # s in {0.2, 0.9}, clears the ellipse: one call per block
+    sums = {"convolution part": 2 + 4}.get(case, 2 if case in _SHARED else 4)
     assert calls == [1] * sums + [2] * sums
 
 
@@ -290,7 +295,7 @@ def test_modulus_bound_with_default_shift():
 
 
 def _modulus_bound_reference(f, a, samples, slack=1e-9):
-    """The pre-change formula: one radial value per sample, not per radius."""
+    """The pre-change formula: one radial value per sample, not per radius, each point over the rule of its own route level."""
     limit = radial_limit(f)
     zs = np.asarray(samples, dtype=complex)
     radial = f.values(-np.abs(zs)).real
@@ -321,6 +326,44 @@ def test_modulus_bound_matches_per_sample_radial_values():
             assert (got["passed"], got["n_samples"]) == (ref["passed"], ref["n_samples"])
             for key in ("min_margin_pointwise", "min_margin_limit"):
                 assert math.isclose(got[key], ref[key], rel_tol=1e-15), key
+
+
+# The distinct maps of the benchmark's grid-sweeps workload at seeds 8 and 38
+# (second pass), whose pointwise margins read -1.1e-15 and -1.3e-15 when the
+# negative reals and the disk nodes were summed over different Gauss rules.
+_MARGIN_MAPS = [
+    {
+        "h": {"atoms": [{"t": 0.637544637013876, "w": 0.295870559254748}, {"t": 0.9945278681899548, "w": 0.19260829547333208}],
+              "densities": [{"family": "lebesgue", "w": 0.32113535852334657},
+                            {"family": "table", "grid": [0.0, 0.1698673628103991, 0.24846371476428514, 1.0],
+                             "values": [1.1986412218501397, 0.7472898109906688, 0.5974803068357034, 1.0936736944041359],
+                             "w": 0.19038578674857337}]},
+        "g": {"atoms": [{"t": 0.6021837537340986, "w": 0.34039660348484563}, {"t": 0.6749231193524742, "w": 0.09807095484601769}],
+              "densities": [{"family": "beta", "a": 2.4259621313939053, "c": 5.312744778445005, "w": 0.4922638512131413},
+                            {"family": "loggamma", "alpha": 2.6522159092110495, "w": 0.06926859045599529}]},
+        "c": 0.6548108695990099,
+    },
+    {
+        "h": {"atoms": [{"t": 0.9819060310510238, "w": 0.20199960832713876}, {"t": 0.2601360859175871, "w": 0.42646935550816806}],
+              "densities": [{"family": "lebesgue", "w": 0.226491600592808},
+                            {"family": "table", "grid": [0.0, 0.19627251496303505, 0.39865015658271336, 1.0],
+                             "values": [0.9255921739709928, 0.7642799164513541, 1.3834565172124529, 0.567070029837257],
+                             "w": 0.145039435571885}]},
+        "g": {"atoms": [{"t": 0.7969535006946996, "w": 0.339316619975528}],
+              "densities": [{"family": "beta", "a": 1.0584217041027713, "c": 2.8356751173117933, "w": 0.38734154853869335},
+                            {"family": "loggamma", "alpha": 2.4965429933240113, "w": 0.2733418314857787}]},
+        "c": 0.6029286877583816,
+    },
+]
+
+
+@pytest.mark.parametrize("spec", _MARGIN_MAPS)
+def test_modulus_margin_on_the_negative_axis_is_not_negative(spec):
+    # at z = -r the pointwise margin |a + f(-r)| - (a + f(-r)) is zero by
+    # construction; -r takes the rule of its route level both among the
+    # disk nodes and among the radial values, so it reads 0, not below
+    rep = check_modulus_bound(map_from_dict(spec), samples=GridSpec().disk_points())
+    assert rep.passed and rep.min_margin_pointwise >= 0.0
 
 
 def test_modulus_bound_requires_real_c():
@@ -471,25 +514,26 @@ def test_partial_signs_factored_kernel_block_edges(monkeypatch):
 
 
 def test_partial_signs_route_the_default_rectangle_by_columns(monkeypatch):
-    # 97 columns clear the rung's ellipse and take the 32-node rungs, the 3
-    # from x = 0.909 take the 128-node rules: two kernel calls per map
+    # the 97 columns left of x = 0.909 clear the Gauss rules' ellipse and
+    # take them in one call; in the last 3 the 9 rows holding the 18 nodes
+    # that fall short take the fixed rules and the other 91 the Gauss rules
     calls = []
     sums = harmonic._rect_kernel_sums
 
     def counting(x, y, t, weights, power):
-        calls.append((len(x), len(t)))
+        calls.append((len(x), len(y), len(t)))
         return sums(x, y, t, weights, power)
 
     monkeypatch.setattr(harmonic, "_rect_kernel_sums", counting)
     mu = measure_from_dict(_SPEC)
     nu = beta_measure(2.0, 3.0)
-    for f, rung, gauss in (
-        (HarmonicMap(shifted(mu), shifted(mu), 0.5), 33, 129),
-        (HarmonicMap(shifted(mu), shifted(nu), 0.5), 33 + 32, 129 + 128),
+    for f, gauss, fixed in (
+        (HarmonicMap(shifted(mu), shifted(mu), 0.5), 33, 1681),
+        (HarmonicMap(shifted(mu), shifted(nu), 0.5), 33 + 32, 1681 + 840),
     ):
         calls.clear()
         rep = check_partial_signs(f)
-        assert calls == [(97, rung), (3, gauss)]
+        assert calls == [(97, 100, gauss), (3, 91, gauss), (3, 9, fixed)]
         assert rep.checked_nodes == 2 * 100 * 100 and rep.passed
 
 
@@ -657,32 +701,44 @@ def test_convolution_part_validates():
 # -- the part protocol: vectorized methods, scalars derived on one point ----------
 
 
-def _convolution_reference(part, zs, order):
-    """The three 256-point block loops of ``ConvolutionPart`` before they shared a helper, over nu's routed rule."""
+def _by_level(mu, zs, sums):
+    """``sums(points, t, w)`` on the points of each route level of ``zs``, over that level's rule of ``mu``, scattered back."""
     zs = np.asarray(zs, dtype=complex)
-    t, w = part.nu._rule_for(zs)
-    flat = zs.ravel()
-    out = np.empty(flat.shape, dtype=complex)
-    for i in range(0, len(flat), 256):
-        block = flat[i : i + 256]
-        if order == 0:
-            out[i : i + 256] = block * (part.h.base.values(np.outer(block, t)) @ w)
-        elif order == 1:
-            out[i : i + 256] = part.h.derivs(np.outer(block, t)) @ w
-        else:
-            out[i : i + 256] = part.h.deriv2s(np.outer(block, t)) @ (t * w)
-    return out.reshape(zs.shape)
+    levels = measures._route_levels(zs)
+    out = np.empty(zs.shape, dtype=complex)
+    for level in (0, 1):
+        group = levels == level
+        if group.any():
+            out[group] = sums(zs[group], *mu._rule_at(level))
+    return out
+
+
+def _convolution_reference(part, zs, order):
+    """The three 256-point block loops of ``ConvolutionPart`` before they shared a helper, each point over nu's rule of its level."""
+
+    def blocks(points, t, w):
+        out = np.empty(points.shape, dtype=complex)
+        for i in range(0, len(points), 256):
+            block = points[i : i + 256]
+            if order == 0:
+                out[i : i + 256] = block * (part.h.base.values(np.outer(block, t)) @ w)
+            elif order == 1:
+                out[i : i + 256] = part.h.derivs(np.outer(block, t)) @ w
+            else:
+                out[i : i + 256] = part.h.deriv2s(np.outer(block, t)) @ (t * w)
+        return out
+
+    return _by_level(part.nu, zs, blocks)
 
 
 def _shifted_reference(part, zs, order):
-    """The vector formulas of ``ShiftedCauchyTransform`` through the blocked kernel, over the routed rule."""
+    """The vector formulas of ``ShiftedCauchyTransform`` through the blocked kernel, each point over the rule of its level."""
     zs = np.asarray(zs, dtype=complex)
-    t, w = part.mu._rule_for(zs)
     if order == 0:
-        return zs * _kernel_sums(zs, t, w, 1)
+        return zs * _by_level(part.mu, zs, lambda p, t, w: _kernel_sums(p, t, w, 1))
     if order == 1:
-        return _kernel_sums(zs, t, w, 2)
-    return _kernel_sums(zs, t, 2.0 * t * w, 3)
+        return _by_level(part.mu, zs, lambda p, t, w: _kernel_sums(p, t, w, 2))
+    return _by_level(part.mu, zs, lambda p, t, w: _kernel_sums(p, t, 2.0 * t * w, 3))
 
 
 def _protocol_parts():
@@ -722,14 +778,16 @@ def test_part_vector_methods_match_pre_protocol_formulas(case):
 
 
 def test_convolution_of_two_densities_matches_its_fixed_rules():
-    # nu's rule is routed on the points as h's is: both Gauss rules here,
-    # against the product of the two 840-point fixed rules, summed on the
-    # nodes with theta in [0, pi] and conjugated onto their mirror images
+    # nu's rule is routed on the points as h's is, point by point: both
+    # Gauss rules but at the 6 nodes near z = 1, which take nu's fixed rule
+    # (and h's where their scaled copies fall short too), against the
+    # product of the two 840-point fixed rules, summed on the nodes with
+    # theta in [0, pi] and conjugated onto their mirror images
     mu, nu = beta_measure(0.6, 1.3), loggamma_measure(1.2)
     part = ConvolutionPart(shifted(mu), nu)
     grid = GridSpec()
     zs = grid.disk_points()
-    assert nu._rule_for(zs) is nu._gauss_rule and mu._rule_for(zs) is mu._gauss_rule
+    assert int(measures._route_levels(zs).sum()) == 6
     (t_mu, w_mu), (t_nu, w_nu) = mu._rule, nu._rule
     half = grid.ntheta // 2
     upper = zs.reshape(grid.nr, grid.ntheta)[:, : half + 1]
@@ -840,8 +898,8 @@ def _certify_reference(f, grid):
 def _ratio_reference(h, grid, nt=11):
     """``derivative_ratio_sup`` and the Harnack floor as first written, over the full grid.
 
-    One t per call, so that each slice routes as the sweep's slices do:
-    those with |t z| <= 0.895 to the 32-node rung.
+    One t per call; each point of a slice takes the rule of its own route
+    level, as in the sweep's one call.
     """
     zs = grid.disk_points()
     hp = h.derivs(zs)

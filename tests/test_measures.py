@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 from cmharmonic import measures
 from cmharmonic.measures import (
     _GAUSS_NODES,
+    _GAUSS_RHO,
     _GAUSS_TOL,
-    _RUNG_NODES,
-    _RUNG_RHO,
     _gauss_agrees,
     _route_levels,
     Atom,
@@ -675,7 +674,7 @@ def test_pair_points_are_numpys_unique_points_inside_the_open_interval(mu, nu, n
 
 def test_gauss_check_reads_the_kernel_sums_beyond_the_moments():
     # the 2-node Gauss rule of the uniform density has its first four moments, but not
-    # its kernel sums on the route boundary; the 128-node rule has both
+    # its kernel sums on the route boundary; the 32-node rule has both
     mu = lebesgue()
     x, w = np.polynomial.legendre.leggauss(2)
     two = ((x + 1.0) / 2.0, w / 2.0)
@@ -739,15 +738,13 @@ def test_gauss_compress_matches_the_always_reorthogonalised_reference(mu):
     # of the mass plus twice eps sqrt(w_i mass) / gap_i, gap_i the distance to
     # the nearest other node: how far an eps-sized change in the Jacobi matrix
     # can move it.  That term is the weights' own conditioning, not slack:
-    # moving the fixed rule's weights by one ulp moves the reference's weights
-    # by up to 0.7 of it, by 9.3e-14 of the mass on beta(3, 3.05), and by
-    # 4.5e-11 on a log-power plus beta measure whose fixed rule holds each point
-    # twice and whose rule has two nodes 2.1e-7 apart; the plain rules stay
-    # within 0.6 of it.  The verdicts agree but where both rules pass the check
-    # at twice its tolerance, where a change in the last bits tips it either
-    # way (beta(3, 3.05) and some log-power exponents near 2.5).  A basis that
-    # lost semi-orthogonality (loggamma(30), loggamma(90)) is held to the
-    # fixed rule by the construction check alone
+    # moving the fixed rule's weights by one ulp moves the reference's 32
+    # weights by up to 0.37 of it on 60 random measures and the extremes,
+    # whose nodes lie at least 3.5e-3 apart, and the plain rules stay within
+    # 0.24 of the whole bound.  The verdicts agree but where both rules pass
+    # the check at twice its tolerance, where a change in the last bits could
+    # tip it either way.  A basis that lost semi-orthogonality (loggamma(90))
+    # is held to the fixed rule by the construction check alone
     if not mu.densities:
         return
     t, w = mu._rule
@@ -777,11 +774,12 @@ def test_gauss_compress_matches_the_always_reorthogonalised_reference(mu):
 _CONSTANT = ([0.0, 1.0], [1.0, 1.0])
 
 
-def test_a_basis_that_lost_orthogonality_still_gives_a_kept_rule():
-    # Lanczos on constant tables alone drifts far from orthogonal (4.6e-4 for
-    # one table, 1.4e-4 for two, against sqrt(eps / n) = 1.3e-9), yet its rule
-    # passes the construction check, as do those of measures whose basis stays
-    # semi-orthogonal
+def test_constant_tables_and_mixtures_keep_a_gauss_rule():
+    # 128 Lanczos steps on constant tables alone drifted far from orthogonal
+    # (4.6e-4 for one table, 1.4e-4 for two); over the 32 steps of the Gauss
+    # rule their bases stay within 1.1e-15 of orthogonal, against
+    # sqrt(eps / n) = 2.6e-9, and every one of these rules passes the
+    # construction check
     for mu in (
         table_measure(*_CONSTANT),
         Measure((), (Table(*_CONSTANT, 0.46), Table(*_CONSTANT, 0.54))),
@@ -841,7 +839,8 @@ def test_a_kept_gauss_rule_matches_the_fixed_rule_on_the_default_grids(mu):
     # loggamma(30) and loggamma(90); the rule it gives is kept only where the
     # construction check passes, and a kept one must then reproduce the fixed
     # rule's kernel sums on every default grid, relative to the sum of the
-    # moduli of the fixed rule's terms, since the sums may cancel
+    # moduli of the fixed rule's terms, since the sums may cancel, at every
+    # node that routes to it
     fine = mu._rule
     candidate, _ = _gauss_build(mu, measures._gauss_compress)
     if not _gauss_agrees(candidate, fine, mu.moments(4)):
@@ -851,6 +850,8 @@ def test_a_kept_gauss_rule_matches_the_fixed_rule_on_the_default_grids(mu):
     assert rule is not fine and len(rule[0]) == _GAUSS_NODES
     g = GridSpec()
     zs = np.concatenate([g.disk_points(), g.rect_points(), g.real_ray()])
+    zs = zs[_route_levels(zs) == 0]  # the nodes the Gauss rule serves: all but 27 near z = 1
+    assert len(zs) == 768 + 10_000 + 100 - 27
     scales, errors = _kernel_scales_and_errors(zs, fine, rule)
     assert np.all(errors <= 1e-13 * scales)
 
@@ -869,38 +870,61 @@ def _ellipse_points(rho, theta):
     st.lists(st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=8),
     st.lists(st.one_of(st.just(0.0), st.floats(0.0, 3.0)), min_size=1, max_size=3),
 )
-def test_a_kept_rung_matches_the_fixed_rule_on_and_beyond_its_ellipse(mu, thetas, beyond):
-    # the rung is checked against the 128-node rule and that rule against the
-    # fixed rule, each to _GAUSS_TOL, so the rung may miss the fixed rule by
-    # twice that, relative to the sum of the moduli of the fixed rule's terms;
-    # poles on E_rho32 and beyond it, at rho32 (1 + s), take the rung wherever
-    # the route hands it out
-    zs = np.concatenate([_ellipse_points(_RUNG_RHO * (1.0 + s), np.array(thetas)) for s in beyond])
+def test_a_kept_gauss_rule_matches_the_fixed_rule_on_and_beyond_its_ellipse(mu, thetas, beyond):
+    # the Gauss rule is checked against the fixed rule on its ellipse to
+    # _GAUSS_TOL, relative to the sum of the moduli of the fixed rule's
+    # terms, and holds that bound for poles on E_rho0 and beyond it, at
+    # rho0 (1 + s), wherever the route hands it out
+    zs = np.concatenate([_ellipse_points(_GAUSS_RHO * (1.0 + s), np.array(thetas)) for s in beyond])
     zs = zs[_route_levels(zs) == 0]
-    if mu._gauss_rung is mu._gauss_rule or not zs.size:
+    if mu._gauss_rule is mu._rule or not zs.size:
         return
-    assert mu._rule_for(zs) is mu._gauss_rung
-    assert len(mu._gauss_rung[0]) == _RUNG_NODES + len(mu._point_masses)
-    scales, errors = _kernel_scales_and_errors(zs, mu._rule, mu._gauss_rung)
-    assert np.all(errors <= 2.0 * _GAUSS_TOL * scales)
+    assert mu._rule_for(zs) is mu._gauss_rule
+    assert len(mu._gauss_rule[0]) == _GAUSS_NODES + len(mu._point_masses)
+    scales, errors = _kernel_scales_and_errors(zs, mu._rule, mu._gauss_rule)
+    assert np.all(errors <= _GAUSS_TOL * scales)
 
 
-def test_a_rung_that_fails_its_check_falls_back_to_the_gauss_rule(monkeypatch):
+def test_a_gauss_rule_that_fails_its_check_falls_back_to_the_fixed_rule(monkeypatch):
     mu = Measure((Atom(0.3, 0.2),), (Beta(1.5, 3.2, 0.5), LogGamma(2.0, 0.3)))
-    gauss = mu._gauss_rule
-    assert gauss is not mu._rule
     monkeypatch.setattr(measures, "_GAUSS_TOL", 0.0)
-    assert mu._gauss_rung is gauss
-    assert mu._rule_for(np.zeros(1)) is gauss
+    assert mu._gauss_rule is mu._rule
+    assert mu._rule_for(np.zeros(1)) is mu._rule
     monkeypatch.undo()
-    # no rung where the Gauss rule is the fixed rule: its check failed, or
-    # the measure is atoms only; far points then take the fixed rule
-    for fixed in (loggamma_measure(30.0), Measure((Atom(0.2, 0.5), Atom(0.7, 0.5)))):
+    # so do measures whose check fails at _GAUSS_TOL, and an atoms-only
+    # measure has no other rule; far points then take the fixed rule
+    for fixed in (loggamma_measure(30.0), loggamma_measure(90.0), Measure((Atom(0.2, 0.5), Atom(0.7, 0.5)))):
         assert fixed._gauss_rule is fixed._rule
-        assert fixed._gauss_rung is fixed._rule
         assert fixed._rule_for(np.zeros(1)) is fixed._rule
-    # and a kept rung has 32 nodes plus the atoms
-    assert len(Measure(mu.atoms, mu.densities)._gauss_rung[0]) == _RUNG_NODES + 1
+    # and a kept rule has 32 nodes plus the atoms
+    assert len(Measure(mu.atoms, mu.densities)._gauss_rule[0]) == _GAUSS_NODES + 1
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        loggamma_measure(2.5),
+        loggamma_measure(3.0),
+        # an h measure of the benchmark's grid-sweeps workload at seed 53
+        Measure(((0.9392070561507718, 0.17221147653257937),),
+                (Beta(2.214901557963004, 5.126702316766926, 0.1490495718646814),
+                 LogGamma(2.849636957353642, 0.6787389516027392))),
+        # the two-atom plus uniform-density measures of its cli-cold workload at seeds 8 and 78
+        Measure(((0.3325310009508601, 0.32760698397964066), (0.0740672989274612, 0.30050661143131563)),
+                (Beta(1.0, 2.0, 0.3718864045890438),)),
+        Measure(((0.4525072718034949, 0.33078144871688175), (0.048226962209507264, 0.1752845312402168)),
+                (Beta(1.0, 2.0, 0.4939340200429014),)),
+    ],
+)
+def test_measures_at_the_old_probes_rounding_floor_keep_a_gauss_rule(mu):
+    # the check of a 128-node rule probed out to z = -125 and in to
+    # z = 0.992, where its sums sat at the rounding floor: the benchmark's
+    # measures here missed 1e-13 there by 1.0e-13 to 1.2e-13 and kept their
+    # fixed rules, as loggamma(2.5) and loggamma(3) once did; the 32-node
+    # rule is probed on its own ellipse, from z = 0.895 to z = -8.5, and
+    # each of them passes within 6.7e-15
+    assert mu._gauss_rule is not mu._rule
+    assert len(mu._gauss_rule[0]) == _GAUSS_NODES + len(mu._point_masses)
 
 
 def test_atomic_moments_are_exact_power_sums():

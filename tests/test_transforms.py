@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cmharmonic import transforms
 from cmharmonic.measures import (
     _GAUSS_RHO,
-    _RUNG_RHO,
+    _route_levels,
     Atom,
     Beta,
     LogGamma,
@@ -415,7 +415,7 @@ def test_rect_kernel_on_a_short_rule_matches_the_plain_formula_column_by_column(
     # either layout sums each column as a call on that column alone does, bit
     # for bit, at the first, the last and one past the last column of a block
     mu = Measure((Atom(0.3, 0.2),), (Beta(1.5, 3.2, 0.5), LogGamma(2.0, 0.3)))
-    t, w = mu._gauss_rung
+    t, w = mu._gauss_rule
     assert len(t) == 33
     rows = _block_rows(len(t))
     for ny in (20, 33, 34, 100):
@@ -435,9 +435,9 @@ def test_rect_kernel_on_a_short_rule_matches_the_plain_formula_column_by_column(
 
 
 def _upper_imag_reference(F, grid):
-    """``_upper_imag`` as first written: the power-1 kernel on every rectangle node, over the rectangle's rule."""
+    """``_upper_imag`` as first written: the power-1 kernel on every rectangle node, over the rule of the left column."""
     x, y = grid._rect_axes()
-    t, w = F.mu._rule_for(grid.rect_points())
+    t, w = F.mu._rule_for(grid.rect_points()[: len(y)])
     im = _rect_kernel_sums(x, y, t, w, 1).ravel()
     bad = _outside_domain(grid.rect_points())
     im[bad] = np.nan
@@ -475,9 +475,10 @@ def test_membership_reads_the_left_column_bit_for_bit(case):
     # for x < 1 and t in [0, 1] each kernel term t / ((1 - x t)^2 + (y t)^2)
     # rises with x, and every rounded step keeps that order, so each row's
     # minimum is its left node and the one-column report equals the full one
+    # over the same rule, the one that serves every point of that column
     F, grid = case
     x, y = grid._rect_axes()
-    t, w = F.mu._rule_for(grid.rect_points())
+    t, w = F.mu._rule_for(grid.rect_points()[: len(y)])
     assert np.all(np.diff(_rect_kernel_sums(x, y, t, w, 1), axis=0) >= 0.0)
     got = check_membership(F, grid=grid).to_dict()
     with pytest.MonkeyPatch.context() as mp:
@@ -565,14 +566,14 @@ def _kernel_sums_reference(zs, t, w, power):
 
 def test_kernel_sums_at_block_edges():
     mu = Measure((Atom(0.3, 0.2),), (Beta(1.5, 3.2, 0.5), LogGamma(2.0, 0.3)))
-    # every point of the disk |z| <= 0.98 routes to the Gauss rule
-    assert mu._rule_for(np.array([0.98])) is mu._gauss_rule
+    # every point of the disk |z| <= 0.89 routes to the Gauss rule
+    assert mu._rule_for(np.array([0.89])) is mu._gauss_rule
     h = ShiftedCauchyTransform.from_measure(mu)
     rows = _block_rows(len(mu._gauss_rule[0]))
     assert 1 < rows < 2047
     rng = np.random.default_rng(17)
     for count in sorted({0, 1, rows - 1, rows, rows + 1, 2047, 2048, 2049, 4097}):
-        zs = random_disk_points(rng, count, rmax=0.98)
+        zs = random_disk_points(rng, count, rmax=0.89)
         t, w = mu._rule_for(zs)
         values = h.base.values(zs)
         assert values.shape == (count,)
@@ -641,49 +642,76 @@ def test_gauss_and_fixed_rules_agree_on_the_route_boundary(mu, thetas):
 
 
 def test_extreme_measures_keep_or_leave_the_fixed_rule():
-    # loggamma(alpha) has m_1 = 2**-alpha, which 128 nodes known to an
+    # loggamma(alpha) has m_1 = 2**-alpha, which 32 nodes known to an
     # absolute ulp of [0, 1] cannot reproduce to 1e-13, relative, at
-    # alpha = 30 or 90; beta(3, 3.05), with nearly all its mass at t = 1,
-    # misses the fixed rule by 9e-14 on the route boundary, too near the
-    # bound to pin either way, and the other extremes pass
+    # alpha = 30 or 90; the other extremes pass, beta(3, 3.05), with nearly
+    # all its mass at t = 1, the nearest to the bound at 7.5e-15
     for mu in _GAUSS_EXTREMES[:2]:
         assert mu._gauss_rule is mu._rule
-    for mu in _GAUSS_EXTREMES[2:3] + _GAUSS_EXTREMES[4:]:
-        assert len(mu._gauss_rule[0]) == 128 + len({a.t for a in mu.atoms})
+    for mu in _GAUSS_EXTREMES[2:]:
+        assert len(mu._gauss_rule[0]) == 32 + len({a.t for a in mu.atoms})
 
 
 def test_the_default_grids_route_to_the_gauss_rule():
+    # every default-grid node routes to the Gauss rule but the few near
+    # z = 1 whose poles fall inside its ellipse: 6 of the 768 disk nodes,
+    # 18 of the 10,000 rectangle nodes, 3 of the 100 ray points and 3 of
+    # the 33 upper-ring nodes
     def rho(z):
         focal = (1.0 + abs(1.0 - z)) / abs(z)
         return focal + math.sqrt(focal**2 - 1.0)
 
-    assert 1.195 < _GAUSS_RHO < 1.197 and 1.956 < _RUNG_RHO < 1.958
-    assert 1.246 < rho(0.99 + 0.01j) < rho(0.98) < 1.33
-    mu = Measure((Atom(0.3, 0.2),), (Beta(1.5, 3.2, 0.5), LogGamma(2.0, 0.3)))
+    assert 1.956 < _GAUSS_RHO < 1.958
     g = GridSpec()
-    for zs in (g.disk_points(), g.rect_points(), g.real_ray()):
+    for zs, short in ((g.disk_points(), 6), (g.rect_points(), 18), (g.real_ray(), 3), (g._upper_ring(), 3)):
+        levels = _route_levels(zs)
+        assert int(levels.sum()) == short
+        assert all(rho(z) < _GAUSS_RHO and z.real >= 0.9 for z in zs[levels == 1])
+        assert all(rho(z) > _GAUSS_RHO for z in zs[levels == 0])
+    # the rectangle's 18 lie in its last 3 columns, from x = 0.909, and its first 9 rows
+    short = _route_levels(g.rect_points()).reshape(g.nx, g.ny)
+    assert np.flatnonzero(short.any(axis=1)).tolist() == [97, 98, 99]
+    assert np.flatnonzero(short.any(axis=0)).tolist() == list(range(9))
+    # a call on far points only takes the Gauss rule: the origin, the
+    # rectangle's left column and the disk |z| <= 0.82
+    mu = Measure((Atom(0.3, 0.2),), (Beta(1.5, 3.2, 0.5), LogGamma(2.0, 0.3)))
+    for zs in (np.zeros(1), g.rect_points()[: g.ny], g.disk_points()[: 10 * g.ntheta]):
         assert mu._rule_for(zs) is mu._gauss_rule
-    # the far points take the 32-node rung: the origin and the rectangle's left column
-    left = g.rect_points()[: g.ny]
-    assert min(rho(z) for z in left) > _RUNG_RHO
-    for zs in (np.zeros(1), left):
-        assert mu._rule_for(zs) is mu._gauss_rung
-        assert len(mu._gauss_rung[0]) == 32 + len(mu.atoms)
+    assert len(mu._gauss_rule[0]) == 32 + len(mu.atoms)
 
 
-def test_a_point_inside_the_route_ellipse_sends_the_call_to_the_fixed_rule():
-    # one point near the slit takes the whole call to the fixed rule, bit for bit
+def test_a_call_that_straddles_the_route_ellipse_sums_each_point_over_its_own_rule():
+    # each point's sum is, bit for bit, that of a call on the points of its
+    # own level alone, over the rule of that level
     mu = Measure((Atom(0.3, 0.2),), (Beta(1.5, 3.2, 0.5), LogGamma(2.0, 0.3)))
     h = ShiftedCauchyTransform.from_measure(mu)
+    zs = np.array([0.5, 1.0 - 1e-6, -0.7 + 0.2j, 0.95 + 0.05j, 2.0 + 0.3j, 0.0, 0.9])
+    levels = _route_levels(zs)
+    assert levels.tolist() == [0, 1, 0, 1, 1, 0, 1]
+    methods = {"values": h.base.values, "derivs": h.derivs, "deriv2s": h.deriv2s}
+    sums = {name: fn(zs) for name, fn in methods.items()}
+    for level, (t, w) in ((0, mu._gauss_rule), (1, mu._rule)):
+        group = zs[levels == level]
+        assert mu._rule_for(group) is mu._rule_at(level)
+        for name, ref in (
+            ("values", _kernel_sums(group, t, w, 1)),
+            ("derivs", _kernel_sums(group, t, w, 2)),
+            ("deriv2s", _kernel_sums(group, t, 2.0 * t * w, 3)),
+        ):
+            assert sums[name][levels == level].tobytes() == ref.tobytes(), (level, name)
+            assert methods[name](group).tobytes() == ref.tobytes(), (level, name)
+    # an array keeps its shape, and a call of one level runs over its rule as given
+    assert h.derivs(zs[:6].reshape(2, 3)).tobytes() == sums["derivs"][:6].tobytes()
     t, w = mu._rule
-    for zs in (np.array([0.5, -0.7 + 0.2j, 1.0 - 1e-6]), np.array([1.0 - 1e-8]), np.array([2.0 + 0.3j])):
-        assert mu._rule_for(zs) is mu._rule
-        assert h.base.values(zs).tobytes() == _kernel_sums(zs, t, w, 1).tobytes()
-        assert h.derivs(zs).tobytes() == _kernel_sums(zs, t, w, 2).tobytes()
-        assert h.deriv2s(zs).tobytes() == _kernel_sums(zs, t, 2.0 * t * w, 3).tobytes()
+    for near in (np.array([1.0 - 1e-8]), np.array([2.0 + 0.3j, 0.9])):
+        assert h.base.values(near).tobytes() == _kernel_sums(near, t, w, 1).tobytes()
     assert mu._rule_for(np.array([np.nan])) is mu._rule
-    # so does a rectangle with a corner near z = 1, in the sweeps that route on it
-    assert mu._rule_for(GridSpec(xmax=1.0 - 1e-6, ymin=1e-6).rect_points()) is mu._rule
+    # the slit check reads the points as given, before they are split, so
+    # its error names the first bad point whatever the level of the others
+    for bad, levels, message in (([0.5, 1.0, np.inf], [0, 1, 0], "slit"), ([0.5, np.inf, 1.0], [0, 0, 1], "not finite")):
+        assert _route_levels(np.array(bad)).tolist() == levels
+        with pytest.raises(SlitDomainError, match=message):
+            h.derivs(np.array(bad, dtype=complex))
 
 
 def test_the_gauss_rule_is_built_on_first_use_only():
