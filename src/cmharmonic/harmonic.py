@@ -33,8 +33,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .measures import Measure, _pair_points, _route_levels, measure_from_dict, measure_to_dict, mix, same_exponent
-from .transforms import CHECK_SLACK, GridSpec, ShiftedCauchyTransform, _check_slit, _rect_kernel_sums, _routed_sums
+from .measures import Measure, _pair_points, measure_from_dict, measure_to_dict, mix, same_exponent
+from .transforms import (
+    CHECK_SLACK, GridSpec, ShiftedCauchyTransform, _check_slit, _rect_kernel_sums, _routed_rect_sums, _routed_sums,
+)
 
 __all__ = [
     "SingularDerivativeError",
@@ -493,53 +495,35 @@ def check_partial_signs(f, grid=None):
     weights (1 + c) w and (1 - c) w.  The kernel is twice the power-2 one
     of ``transforms._rect_kernel_sums``, factored over the rectangle's axes,
     which also avoids the cancellation in 1 - 2 x t + t^2 |z|^2.  The
-    rectangle is routed by runs of adjacent columns: a run whose points all
-    clear the Gauss rules' ellipse (``measures._route_levels``) takes the
-    Gauss rule of each measure (``Measure._rule_at``) in one kernel call,
-    and in a run that holds points that fall short, the rows holding them
-    take the fixed rules and the other rows the Gauss rules, one call each.
-    On the default rectangle the 97 columns left of x = 0.909 take one
-    call, and the last 3 take the fixed rules in their 9 rows from y = 0.01
-    to 0.25, which hold the 18 nodes that fall short, and the Gauss rules
-    in the other 91.  The kernel sums of a column do not depend on the other
-    columns of its call.  Nodes whose kernel scale is at most
+    rectangle goes through the grid router
+    (``transforms._routed_rect_sums``): the Gauss rules of both measures on
+    the columns that hold nodes clearing their ellipse, in one kernel call,
+    and the fixed rules on the box of columns and rows that hold the nodes
+    that fall short, in another.  On the default rectangle that box is the
+    last 3 columns, from x = 0.909, by the 9 rows from y = 0.01 to 0.25,
+    which hold the 18 short nodes.  Nodes whose kernel scale is at most
     ``DEGENERATE_TOL`` are degenerate, and each sign may miss by
     ``CHECK_SLACK``.
     """
     c = f.c
     mu, nu = _measures(f.h, f.g)
-    shared = mu == nu
     grid = grid or GridSpec()
     x, y = grid._rect_axes()
 
     def rect_sums(xs, ys, level):
-        t, w_mu = mu._rule_at(level)
-        if shared:
-            w_plus = (1.0 + c) * w_mu
-            w_minus = (1.0 - c) * w_mu
-        else:
-            t_nu, w_nu = nu._rule_at(level)
-            t = np.concatenate([t, t_nu])
-            w_plus = np.concatenate([w_mu, c * w_nu])
-            w_minus = np.concatenate([w_mu, -c * w_nu])
-        return _rect_kernel_sums(xs, ys, t, np.stack([w_plus, w_minus], axis=1), 2)
-
-    levels = _route_levels(grid.rect_points()).reshape(len(x), len(y))
-    columns = levels.max(axis=1)
-    cuts = [0, *(np.flatnonzero(np.diff(columns)) + 1), len(x)]
-    sums = np.empty((len(x), len(y), 2))
-    for lo, hi in zip(cuts, cuts[1:]):
-        fixed = levels[lo:hi].max(axis=0) == 1
-        for level, rows in ((0, ~fixed), (1, fixed)):
-            if rows.any():
-                sums[lo:hi, rows] = rect_sums(x[lo:hi], y[rows], level)
+        t, w = mu._rule_at(level)
+        if f._shares_measure():
+            return _rect_kernel_sums(xs, ys, t, np.outer(w, [1.0 + c, 1.0 - c]), 2)
+        t_nu, w_nu = nu._rule_at(level)
+        weights = np.concatenate([np.outer(w, [1.0, 1.0]), np.outer(w_nu, [c, -c])])
+        return _rect_kernel_sums(xs, ys, np.concatenate([t, t_nu]), weights, 2)
 
     probe_ok, reason = _signed_nonneg_probe(mu, nu, c)
 
     # For y > 0, x < 1 and t in [0, 1] the kernel is nonnegative, and so is
     # every weight of w+ (rule and atom weights, c >= 0), so the degeneracy
     # scale sum |kern| |w+| is the w+ column itself.
-    sums = sums.reshape(-1, 2)
+    sums = _routed_rect_sums(x, y, rect_sums).reshape(-1, 2)
     sums *= 2.0
     deg = sums[:, 0] <= DEGENERATE_TOL
     live = ~deg

@@ -10,8 +10,10 @@ the reference its Gauss rule is built from.  No family's moments read it.
 The kernel sums of the sweeps take a Gauss rule of the measure
 (:attr:`Measure._gauss_rule`, 32 nodes plus one per atom location, from one
 Lanczos recurrence over the fixed rule) at each point whose kernel pole
-lies far enough from [0, 1], and the fixed rule at the few others, point
-by point (:func:`_route_levels`).  :meth:`Measure.integrate` is the
+lies far enough from [0, 1], and the fixed rule at the few others: this
+module gives each point its level (:func:`_route_levels`) and each level
+its rule (:meth:`Measure._rule_at`), and the two routers of ``transforms``
+split the sums by level.  :meth:`Measure.integrate` is the
 adaptive route, for pointwise values to a tolerance near the slit;
 power moments have one route (:meth:`Measure.moments`), closed for every family.
 Every chart is t = base + step * s**power on s in [0, hi] (see
@@ -118,30 +120,34 @@ def _pair_points(mu, nu, n):
 
 
 def zeta(s, tol=1e-12):
-    """Riemann zeta for real s > 1, the endpoint moments of the log-power family.
+    """Riemann zeta for finite real s > 1, the endpoint moments of the log-power family.
 
     Partial sum plus the integral tail N**(1-s)/(s-1) and Euler-Maclaurin
     corrections through the N**(-s-3) term; N grows until the first omitted
     term, s(s+1)...(s+4) N**(-s-5)/30240, is inside tol/2.  The bare
     integral bound alone would need N of order tol**(-1/(s-1)), which is
     hopeless near s = 1 at tight tolerances; the corrections stay accurate
-    there, where the tail term carries the pole 1/(s-1).
+    there, where the tail term carries the pole 1/(s-1).  The tolerance
+    must be finite and nonnegative; below the machine epsilon it stops
+    where the omitted term no longer changes the sum, which exceeds 1.  The
+    power of N multiplies s before the rising factors do, so a large s
+    reads zeta = 1 where s(s+1)(s+2) alone would overflow.
     """
     s = float(s)
-    if not s > 1.0:
-        raise ValueError(f"zeta needs s > 1, got {s!r}")
-    rising = s * (s + 1.0) * (s + 2.0) * (s + 3.0) * (s + 4.0)
+    if not 1.0 < s < math.inf:
+        raise ValueError(f"zeta needs a finite s > 1, got {s!r}")
+    _check_tol(tol)
+    target = max(tol, np.finfo(float).eps) / 2.0
     n = 16
-    while rising * n ** (-s - 5.0) / 30240.0 > tol / 2.0 and n < 10**7:
+    while s * n ** (-s - 5.0) * (s + 1.0) * (s + 2.0) * (s + 3.0) * (s + 4.0) / 30240.0 > target and n < 10**7:
         n *= 2
     head = float(np.sum(np.arange(1, n, dtype=float) ** (-s)))
-    tail = (
+    return head + (
         n ** (1.0 - s) / (s - 1.0)
         + 0.5 * n ** (-s)
         + s * n ** (-s - 1.0) / 12.0
-        - s * (s + 1.0) * (s + 2.0) * n ** (-s - 3.0) / 720.0
+        - s * n ** (-s - 3.0) * (s + 1.0) * (s + 2.0) / 720.0
     )
-    return head + tail
 
 
 @dataclass(frozen=True)
@@ -619,18 +625,6 @@ class Measure:
     def _rule_at(self, level):
         """The rule of a route level (:func:`_route_levels`): 0 the Gauss rule, 1 the fixed rule."""
         return self._rule if level else self._gauss_rule
-
-    def _rule_for(self, zs):
-        """The rule that serves every point of ``zs``: the Gauss rule when each clears its ellipse, else the fixed rule.
-
-        See :func:`_route_levels`.  An empty set of points takes the fixed
-        rule: its sums are empty either way, and it builds no Gauss rule.
-        The vector sums route point by point instead
-        (``transforms._routed_sums``); this serves a set of points summed in
-        one kernel call, such as the rectangle column of ``_upper_imag``.
-        """
-        zs = np.asarray(zs)
-        return self._rule_at(int(_route_levels(zs).max())) if zs.size else self._rule
 
     def moments(self, count):
         """First ``count`` power moments, the one route: atom power sums plus each density's ``moments``.

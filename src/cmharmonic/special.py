@@ -11,6 +11,7 @@ k < 1 to :class:`QCCertificate`.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -80,13 +81,15 @@ def polylog(alpha, z, tol=1e-12):
     Order zero has the closed form z/(1-z).  The truncation stops once the
     geometric tail bound fits the tolerance; when it cannot (|z| close to 1
     at low order) the term cap raises :class:`ConvergenceError` with the
-    partial sum attached.
+    partial sum attached.  An order or a point that is not finite raises
+    ``ValueError`` before any term is summed.
     """
+    _check_finite(alpha=alpha, z=z)
     if alpha < 0:
         raise ValueError(f"polylog order must be nonnegative, got {alpha!r}")
     z = complex(z)
     r = abs(z)
-    if r > _SERIES_EDGE:
+    if not r <= _SERIES_EDGE:
         raise ValueError(f"|z| = {r:g} outside the series domain (< {_SERIES_EDGE})")
     if alpha == 0:
         return z / (1.0 - z)
@@ -145,11 +148,13 @@ def hyp2f1(a, b, c, z, tol=1e-12):
     Truncation uses the geometric tail bound |t_n| rho / (1 - rho) with
     rho = max(next term ratio, |z|), which bounds every later ratio once
     they run monotone toward |z| (from the start for b = 1, c > a > 0); a
-    stalled sum raises :class:`ConvergenceError`.
+    stalled sum raises :class:`ConvergenceError`.  A parameter or a point
+    that is not finite raises ``ValueError`` before any term is summed.
     """
+    _check_finite(a=a, b=b, c=c, z=z)
     _check_c_pole(c)
     z = complex(z)
-    if abs(z) > _SERIES_EDGE:
+    if not abs(z) <= _SERIES_EDGE:
         raise ValueError(f"|z| = {abs(z):g} outside the series domain (< {_SERIES_EDGE})")
     cap = _MAX_TERMS
     term = 1.0 + 0.0j
@@ -199,9 +204,9 @@ def shifted_2f1(a, c, z, tol=1e-12):
 
 
 def _check_finite(**params):
-    """Raise ``ValueError`` naming the first parameter that is NaN or infinite."""
+    """Raise ``ValueError`` naming the first parameter, real or complex, that is NaN or infinite."""
     for name, value in params.items():
-        if not math.isfinite(value):
+        if not cmath.isfinite(value):
             raise ValueError(f"parameter {name} must be finite, got {value!r}")
 
 

@@ -194,24 +194,31 @@ class GridSpec:
 # (node x rule point) terms: 1 MB of complex buffer here, two 512 kB real
 # ones in the rectangle kernel, which stay in a core's L2 cache across the
 # passes over them.  Blocks of 2048 nodes against a 2200-point fixed rule
-# ran 1.5x slower (Xeon, 2 MB L2 per core).  Against the Gauss rules of
-# 128 to 262 points, blocks of 2**14 terms took 0.50 instead of 0.62 ms
-# for `values` on the 768 disk nodes, but 5.6 instead of 5.0 ms for the
-# 100 x 100 partial-sign rectangle on a 260-point rule, and a whole
-# grid-sweeps pass was the same within noise (median of 30 runs each).
+# ran 1.5x slower (Xeon, 2 MB L2 per core).  The traffic is now mostly the
+# Gauss rules: of the kernel terms of the grid-sweeps benchmark (seeds 1 to
+# 40, full size), 72% are rectangle terms over Gauss rules of 33 to 68
+# points, 10% rectangle terms over fixed rules, 10% complex terms over
+# Gauss rules and 7% complex terms over fixed rules.  On 24 of its maps,
+# with the rules built, blocks of 2**14 terms took check_partial_signs 12
+# to 20% longer, 2**15 from 1% less to 9% more, and 2**17 from the same
+# to 6% less, inside the spread between processes (best of 30 interleaved
+# runs in each of 5 processes, Xeon with 2 MB L2 per core, numpy 2.4).
 _BLOCK_TERMS = 2**16
 
 
 # numpy's ufunc buffer (8,192 elements by default) makes a ufunc that
-# broadcasts a row of the rule against a block copy the rows through the
-# buffer whenever three of them fit in it: the product z t then costs 2.6 ns
-# per element against 0.9 unbuffered (numpy 2.4, rules of 1,700 to 2,300
-# points).  At 256 elements every rule of more than 85 points, which is
-# every fixed density rule, runs unbuffered: on a 130-point rule the
-# partial-sign rectangle took 3.4 ms against 4.3 at 1,024 elements, where
-# three of its rows fit (median of 30 runs).  Three rows of a 33-point Gauss
-# rule still fit, but buffers of 16 to 128 elements gained at most 5% on it
-# (best of 40, `values` on 640 disk nodes and the partial-sign rectangle).
+# broadcasts a row of the rule against a block copy strided rows through
+# it, and the rectangle kernel's rows are strided: each starts on a 64-byte
+# boundary (see _aligned_rows).  With the default buffer those padded rows
+# took check_partial_signs 1.65 to 1.69x as long as at 256 elements, while
+# unpadded rows ran alike at either size, so this size is what lets the
+# padding pay: unpadded rows took it 10 to 13% longer when it was timed
+# alone, and up to 5% when it was interleaved with the other sweeps.  The
+# complex kernel gains too: at 256 elements the 768-node disk sums took 6
+# to 7% less time than at the default.  Dropping both knobs cost
+# check_partial_signs 3 to 12% (24 grid-sweeps maps with their rules
+# built, best of 20 to 40 interleaved runs in each of 4 to 6 processes,
+# Xeon with AVX-512, numpy 2.4).
 _KERNEL_BUFSIZE = 256
 
 
@@ -359,6 +366,39 @@ def _routed_sums(mu, zs, sums):
     for level in (0, 1):
         group = levels == level
         out[group] = sums(zs[group], *mu._rule_at(level))
+    return out
+
+
+def _routed_rect_sums(x, y, sums):
+    """``sums(xs, ys, level)`` on the tensor grid x_i + i y_k, each node over a rule of a level that serves it.
+
+    The grid's counterpart of :func:`_routed_sums`, for the real kernel of
+    :func:`_rect_kernel_sums`, which is factored over the axes and so
+    cannot take scattered points: ``sums`` sums a sub-grid over the rules
+    of ``level`` and returns an array of shape ``(len(xs), len(ys), ...)``.
+    Level 0, the Gauss rules, runs on every column that holds a node whose
+    pole clears the ellipse (``measures._route_levels``), so a grid whose
+    nodes all fall short builds no Gauss rule.  Level 1, the fixed rules,
+    then runs on the box of the columns and rows that hold nodes that fall
+    short, written over level 0; the fixed rule serves every node.  A grid
+    of one level takes one call on the axes as given.  On the default
+    rectangle that is two calls, all 100 x 100 nodes and the 3 x 9 box from
+    x = 0.909 and up to y = 0.25 that holds the 18 short nodes.  A column's
+    sums do not depend on the other columns of its call, though a row's may
+    differ in the last bits with the rows of its call; since the Gauss call
+    takes every row, each node outside the box reads, bit for bit, what one
+    call on the whole grid over the Gauss rules gives.
+    """
+    short = _route_levels(x[:, None] + 1j * y[None, :]) == 1
+    if not short.any():
+        return sums(x, y, 0)
+    far, cols, rows = ~short.all(axis=1), short.any(axis=1), short.any(axis=0)
+    if not far.any():
+        return sums(x, y, 1)
+    part = sums(x[far], y, 0)
+    out = np.empty((len(x),) + part.shape[1:])
+    out[far] = part
+    out[np.ix_(cols, rows)] = sums(x[cols], y[rows], 1)
     return out
 
 
@@ -532,21 +572,20 @@ def _upper_imag(F, grid):
     ``a = 1 - x t > 0``, d/dx of ``t / (a^2 + (y t)^2)`` is
     ``2 a t^2 / (a^2 + (y t)^2)^2 >= 0``.  The weights are nonnegative, so
     each row's minimum over the rectangle is its left node, and only the
-    x = xmin column is evaluated, over the one rule that serves every point
-    of it (``mu._rule_for``), so only that column is routed.  Each rounded
-    step of the kernel, the dot product with the weights included, keeps
-    that order for any rule with nodes in [0, 1] and nonnegative weights,
-    so the minimum is that of the whole rectangle over the same rule, bit
-    for bit.  Nodes within ``SLIT_MARGIN`` of the slit
-    read NaN and every skipped rectangle node is counted, as the per-node
-    fallback of :func:`_eval_grid` counts them; since |z - 1| falls as x
-    rises, a row whose left node is skipped is skipped entirely.
+    x = xmin column is evaluated, through the grid router
+    (:func:`_routed_rect_sums`): each row over the rule that serves its
+    left node.  Each rounded step of the kernel, the dot product with the
+    weights included, keeps that order for any rule with nodes in [0, 1]
+    and nonnegative weights, so each row's value is, bit for bit, the
+    minimum of the whole row summed in the same router calls.  Nodes within
+    ``SLIT_MARGIN`` of the slit read NaN and every skipped rectangle node
+    is counted, as the per-node fallback of :func:`_eval_grid` counts them;
+    since |z - 1| falls as x rises, a row whose left node is skipped is
+    skipped entirely.
     """
     x, y = grid._rect_axes()
-    zs = grid.rect_points()
-    t, w = F.mu._rule_for(zs[: len(y)])
-    im = _rect_kernel_sums(x[:1], y, t, w, 1)[0]
-    bad = _outside_domain(zs)
+    im = _routed_rect_sums(x[:1], y, lambda xs, ys, level: _rect_kernel_sums(xs, ys, *F.mu._rule_at(level), 1))[0]
+    bad = _outside_domain(grid.rect_points())
     im[bad[: len(y)]] = np.nan
     return im, int(bad.sum())
 
@@ -562,6 +601,8 @@ def check_membership(fn, grid=None):
     x < 1 and t in [0, 1] the kernel rises with x, so each row's minimum
     is its left node, and a row whose left node lies within
     ``SLIT_MARGIN`` of z = 1 lies there entirely (see ``_upper_imag``).
+    That column goes through the grid router (``_routed_rect_sums``), so
+    each row is summed over the rule that serves its left node.
     The real ray and F(0) use :meth:`CauchyTransform.values`, and
     any other callable goes through vector-then-per-node evaluation.  A
     probe with no finite value on the rectangle or on the ray is never

@@ -514,9 +514,10 @@ def test_partial_signs_factored_kernel_block_edges(monkeypatch):
 
 
 def test_partial_signs_route_the_default_rectangle_by_columns(monkeypatch):
-    # the 97 columns left of x = 0.909 clear the Gauss rules' ellipse and
-    # take them in one call; in the last 3 the 9 rows holding the 18 nodes
-    # that fall short take the fixed rules and the other 91 the Gauss rules
+    # every column holds nodes that clear the Gauss rules' ellipse, so all
+    # 100 take them in one call; the box of the last 3 columns, from
+    # x = 0.909, by the 9 rows that hold the 18 nodes that fall short then
+    # takes the fixed rules in a second call
     calls = []
     sums = harmonic._rect_kernel_sums
 
@@ -533,7 +534,7 @@ def test_partial_signs_route_the_default_rectangle_by_columns(monkeypatch):
     ):
         calls.clear()
         rep = check_partial_signs(f)
-        assert calls == [(97, 100, gauss), (3, 91, gauss), (3, 9, fixed)]
+        assert calls == [(100, 100, gauss), (3, 9, fixed)]
         assert rep.checked_nodes == 2 * 100 * 100 and rep.passed
 
 

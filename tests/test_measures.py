@@ -879,7 +879,7 @@ def test_a_kept_gauss_rule_matches_the_fixed_rule_on_and_beyond_its_ellipse(mu, 
     zs = zs[_route_levels(zs) == 0]
     if mu._gauss_rule is mu._rule or not zs.size:
         return
-    assert mu._rule_for(zs) is mu._gauss_rule
+    assert mu._rule_at(0) is mu._gauss_rule
     assert len(mu._gauss_rule[0]) == _GAUSS_NODES + len(mu._point_masses)
     scales, errors = _kernel_scales_and_errors(zs, mu._rule, mu._gauss_rule)
     assert np.all(errors <= _GAUSS_TOL * scales)
@@ -889,13 +889,13 @@ def test_a_gauss_rule_that_fails_its_check_falls_back_to_the_fixed_rule(monkeypa
     mu = Measure((Atom(0.3, 0.2),), (Beta(1.5, 3.2, 0.5), LogGamma(2.0, 0.3)))
     monkeypatch.setattr(measures, "_GAUSS_TOL", 0.0)
     assert mu._gauss_rule is mu._rule
-    assert mu._rule_for(np.zeros(1)) is mu._rule
+    assert _route_levels(np.zeros(1)).tolist() == [0] and mu._rule_at(0) is mu._rule
     monkeypatch.undo()
     # so do measures whose check fails at _GAUSS_TOL, and an atoms-only
     # measure has no other rule; far points then take the fixed rule
     for fixed in (loggamma_measure(30.0), loggamma_measure(90.0), Measure((Atom(0.2, 0.5), Atom(0.7, 0.5)))):
         assert fixed._gauss_rule is fixed._rule
-        assert fixed._rule_for(np.zeros(1)) is fixed._rule
+        assert fixed._rule_at(0) is fixed._rule
     # and a kept rule has 32 nodes plus the atoms
     assert len(Measure(mu.atoms, mu.densities)._gauss_rule[0]) == _GAUSS_NODES + 1
 

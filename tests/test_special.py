@@ -1,4 +1,7 @@
 import math
+import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +120,42 @@ def test_zeta_domain():
     assert zeta(1.00001) > 1e4  # pole-adjacent growth
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_zeta_refuses_a_tolerance_it_cannot_meet(tol):
+    # NaN stopped the sum after 16 terms, 8.8e-11 off at s = 2, and a
+    # negative tolerance doubled N up to 2**24
+    with pytest.raises(ValueError, match="tolerance must be"):
+        zeta(2.0, tol=tol)
+
+
+def test_zeta_at_zero_tolerance_stops_where_the_omitted_term_no_longer_counts():
+    # below half an ulp of 1 the omitted term leaves the sum, which exceeds
+    # 1, unchanged; a zero tolerance used to double N up to 2**24, a
+    # 134 MB array of terms
+    tracemalloc.start()
+    try:
+        values = [zeta(2.0, tol=tol) for tol in (0.0, 1e-30, np.finfo(float).eps)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values[0] == values[1] == values[2]
+    assert abs(values[0] - math.pi**2 / 6.0) <= 2.0 * math.ulp(math.pi**2 / 6.0)
+    assert peak < 100_000
+
+
+def test_zeta_of_a_large_order_is_one():
+    # s (s + 1) (s + 2) overflows from s = 5.6e102 on, and inf * 0 read NaN;
+    # the vanishing power of N now multiplies s first
+    for s in (1e102, 1e103, 1e300, sys.float_info.max):
+        assert zeta(s) == 1.0
+    for s in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite s > 1"):
+            zeta(s)
+    # with alpha = beta = 1e103 the zeta ratio is 1, so branch thm1.7ii holds for c = 0.3 <= k
+    cert = certify_polylog_map(1e103, 1e103, 0.3, 0.5, spot_check=False)
+    assert (cert.method, cert.status, cert.details["zeta_ratio"]) == ("thm1.7ii", "certified", 1.0)
+
+
 @pytest.mark.parametrize(
     "s, ref",
     [  # mpmath at the double nearest each s
@@ -160,6 +199,29 @@ def test_polylog_domain_and_cap():
     with pytest.raises(ConvergenceError) as info:
         polylog(0.5, 1.0 - 1e-9)
     assert info.value.partial is not None and info.value.terms == 10**6
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: polylog(math.nan, 0.5),
+        lambda: polylog(1.0, math.nan),
+        lambda: polylog(1.0, complex(0.1, math.nan)),
+        lambda: polylog(1.0, math.inf),
+        lambda: hyp2f1(math.nan, 1.0, 2.0, 0.5),
+        lambda: hyp2f1(1.0, math.nan, 2.0, 0.5),
+        lambda: hyp2f1(1.0, 1.0, math.nan, 0.5),
+        lambda: hyp2f1(1.0, 1.0, 2.0, math.nan),
+        lambda: hyp2f1_deriv(1.0, 1.0, 2.0, complex(math.nan, 0.1)),
+    ],
+)
+def test_series_refuse_inputs_that_are_not_finite_up_front(call):
+    # a NaN parameter or point spun the 10**6-term cap (0.5 s) and then
+    # raised ConvergenceError, and polylog(nan, 0.5) warned first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be finite"):
+            call()
 
 
 def test_polylog_term_cap_env(monkeypatch):

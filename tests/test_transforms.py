@@ -435,10 +435,21 @@ def test_rect_kernel_on_a_short_rule_matches_the_plain_formula_column_by_column(
 
 
 def _upper_imag_reference(F, grid):
-    """``_upper_imag`` as first written: the power-1 kernel on every rectangle node, over the rule of the left column."""
+    """``_upper_imag`` as first written: the power-1 kernel on every rectangle node, each row over the rule of its left node.
+
+    A row's sum depends in its last bits on the rows that share its kernel
+    call, though not on the columns, so the rows are summed in the router's
+    calls: all of them over the Gauss rule when any left node clears its
+    ellipse, and those whose left nodes fall short over the fixed rule.
+    """
     x, y = grid._rect_axes()
-    t, w = F.mu._rule_for(grid.rect_points()[: len(y)])
-    im = _rect_kernel_sums(x, y, t, w, 1).ravel()
+    short = _route_levels(x[0] + 1j * y) == 1
+    im = np.empty((len(x), len(y)))
+    if not short.all():
+        im[:] = _rect_kernel_sums(x, y, *F.mu._rule_at(0), 1)
+    if short.any():
+        im[:, short] = _rect_kernel_sums(x, y[short], *F.mu._rule_at(1), 1)
+    im = im.ravel()
     bad = _outside_domain(grid.rect_points())
     im[bad] = np.nan
     return im, int(bad.sum())
@@ -474,12 +485,14 @@ def _measure_and_rectangle(draw):
 def test_membership_reads_the_left_column_bit_for_bit(case):
     # for x < 1 and t in [0, 1] each kernel term t / ((1 - x t)^2 + (y t)^2)
     # rises with x, and every rounded step keeps that order, so each row's
-    # minimum is its left node and the one-column report equals the full one
-    # over the same rule, the one that serves every point of that column
+    # minimum is its left node and the one-column report equals the full one,
+    # each row over the rule that serves its left node
     F, grid = case
     x, y = grid._rect_axes()
-    t, w = F.mu._rule_for(grid.rect_points()[: len(y)])
-    assert np.all(np.diff(_rect_kernel_sums(x, y, t, w, 1), axis=0) >= 0.0)
+    short = _route_levels(x[0] + 1j * y) == 1
+    for level, rows in ((0, ~short), (1, short)):
+        if rows.any():
+            assert np.all(np.diff(_rect_kernel_sums(x, y[rows], *F.mu._rule_at(level), 1), axis=0) >= 0.0)
     got = check_membership(F, grid=grid).to_dict()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transforms, "_upper_imag", _upper_imag_reference)
@@ -498,6 +511,68 @@ def test_membership_of_a_transform_evaluates_one_column(monkeypatch):
     monkeypatch.setattr(transforms, "_rect_kernel_sums", counting)
     rep = check_membership(CauchyTransform(random_measure(np.random.default_rng(4))))
     assert rep.consistent and widths == [1]
+
+
+def test_membership_of_a_left_column_that_straddles_the_route_ellipse(monkeypatch):
+    # 5 of the 50 left-column nodes fall short of the Gauss rule's ellipse:
+    # all 50 are summed over the Gauss rule and those 5 again over the fixed
+    # rule, and the report equals the per-row reference bit for bit
+    grid = GridSpec(xmin=0.9, xmax=0.99, ymin=0.001, ymax=0.5, nx=10, ny=50)
+    x, y = grid._rect_axes()
+    short = _route_levels(x[0] + 1j * y) == 1
+    assert int(short.sum()) == 5 and short[:5].all()
+    calls = []
+    sums = transforms._rect_kernel_sums
+
+    def counting(xs, ys, t, *args):
+        calls.append((len(xs), len(ys), len(t)))
+        return sums(xs, ys, t, *args)
+
+    for seed in range(6):
+        F = CauchyTransform(random_measure(np.random.default_rng(seed)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transforms, "_rect_kernel_sums", counting)
+            calls.clear()
+            got = check_membership(F, grid=grid).to_dict()
+        assert calls == [(1, 50, len(F.mu._gauss_rule[0])), (1, 5, len(F.mu._rule[0]))]
+        monkeypatch.setattr(transforms, "_upper_imag", _upper_imag_reference)
+        ref = check_membership(F, grid=grid).to_dict()
+        monkeypatch.undo()
+        assert repr(got) == repr(ref), seed
+
+
+def test_the_grid_router_writes_the_fixed_rules_box_over_the_gauss_rules():
+    # the Gauss rule sums every column that holds a node clearing its
+    # ellipse, and the fixed rule the box of the columns and rows that hold
+    # short nodes, written over it; each node's sum is, bit for bit, that of
+    # its own call, since a column's sums do not depend on the other columns
+    mu = Measure((Atom(0.3, 0.2),), (Beta(1.5, 3.2, 0.5), LogGamma(2.0, 0.3)))
+
+    def sums(xs, ys, level):
+        return _rect_kernel_sums(xs, ys, *mu._rule_at(level), 1)
+
+    for grid, box in (
+        (GridSpec(), (3, 9)),
+        (GridSpec(xmin=0.5, xmax=0.999, ymin=1e-4, ymax=0.3, nx=40, ny=40), None),
+        (GridSpec(xmin=0.9, xmax=0.99, ymin=0.001, ymax=0.5, nx=10, ny=50), None),
+    ):
+        x, y = grid._rect_axes()
+        short = _route_levels(x[:, None] + 1j * y[None, :]) == 1
+        cols, rows = short.any(axis=1), short.any(axis=0)
+        assert (~short.all(axis=1)).all() and cols.any()
+        if box:
+            assert (cols.sum(), rows.sum()) == box
+        got = transforms._routed_rect_sums(x, y, sums)
+        ref = sums(x, y, 0)
+        ref[np.ix_(cols, rows)] = sums(x[cols], y[rows], 1)
+        assert got.tobytes() == ref.tobytes()
+    # a grid whose nodes all fall short takes the fixed rule in one call and builds no Gauss rule
+    mu = beta_measure(1.5, 3.2)
+    x, y = GridSpec(xmin=0.95, xmax=0.9999, ymin=1e-5, ymax=0.01, nx=7, ny=9)._rect_axes()
+    assert _route_levels(x[:, None] + 1j * y[None, :]).all()
+    got = transforms._routed_rect_sums(x, y, sums)
+    assert got.tobytes() == _rect_kernel_sums(x, y, *mu._rule, 1).tobytes()
+    assert "_gauss_rule" not in vars(mu)
 
 
 def test_rect_kernel_restores_the_ufunc_buffer_size():
@@ -567,14 +642,15 @@ def _kernel_sums_reference(zs, t, w, power):
 def test_kernel_sums_at_block_edges():
     mu = Measure((Atom(0.3, 0.2),), (Beta(1.5, 3.2, 0.5), LogGamma(2.0, 0.3)))
     # every point of the disk |z| <= 0.89 routes to the Gauss rule
-    assert mu._rule_for(np.array([0.89])) is mu._gauss_rule
+    assert _route_levels(np.array([0.89])).tolist() == [0]
     h = ShiftedCauchyTransform.from_measure(mu)
     rows = _block_rows(len(mu._gauss_rule[0]))
     assert 1 < rows < 2047
     rng = np.random.default_rng(17)
     for count in sorted({0, 1, rows - 1, rows, rows + 1, 2047, 2048, 2049, 4097}):
         zs = random_disk_points(rng, count, rmax=0.89)
-        t, w = mu._rule_for(zs)
+        assert not _route_levels(zs).any()
+        t, w = mu._rule_at(0)
         values = h.base.values(zs)
         assert values.shape == (count,)
         assert np.array_equal(values, _kernel_sums_reference(zs, t, w, 1))
@@ -676,8 +752,8 @@ def test_the_default_grids_route_to_the_gauss_rule():
     # rectangle's left column and the disk |z| <= 0.82
     mu = Measure((Atom(0.3, 0.2),), (Beta(1.5, 3.2, 0.5), LogGamma(2.0, 0.3)))
     for zs in (np.zeros(1), g.rect_points()[: g.ny], g.disk_points()[: 10 * g.ntheta]):
-        assert mu._rule_for(zs) is mu._gauss_rule
-    assert len(mu._gauss_rule[0]) == 32 + len(mu.atoms)
+        assert not _route_levels(zs).any()
+    assert mu._rule_at(0) is mu._gauss_rule and len(mu._gauss_rule[0]) == 32 + len(mu.atoms)
 
 
 def test_a_call_that_straddles_the_route_ellipse_sums_each_point_over_its_own_rule():
@@ -692,7 +768,7 @@ def test_a_call_that_straddles_the_route_ellipse_sums_each_point_over_its_own_ru
     sums = {name: fn(zs) for name, fn in methods.items()}
     for level, (t, w) in ((0, mu._gauss_rule), (1, mu._rule)):
         group = zs[levels == level]
-        assert mu._rule_for(group) is mu._rule_at(level)
+        assert (_route_levels(group) == level).all() and mu._rule_at(level)[0] is t
         for name, ref in (
             ("values", _kernel_sums(group, t, w, 1)),
             ("derivs", _kernel_sums(group, t, w, 2)),
@@ -705,7 +781,7 @@ def test_a_call_that_straddles_the_route_ellipse_sums_each_point_over_its_own_ru
     t, w = mu._rule
     for near in (np.array([1.0 - 1e-8]), np.array([2.0 + 0.3j, 0.9])):
         assert h.base.values(near).tobytes() == _kernel_sums(near, t, w, 1).tobytes()
-    assert mu._rule_for(np.array([np.nan])) is mu._rule
+    assert _route_levels(np.array([np.nan])).tolist() == [1]
     # the slit check reads the points as given, before they are split, so
     # its error names the first bad point whatever the level of the others
     for bad, levels, message in (([0.5, 1.0, np.inf], [0, 1, 0], "slit"), ([0.5, np.inf, 1.0], [0, 0, 1], "not finite")):
@@ -729,7 +805,6 @@ def test_an_empty_point_set_builds_no_gauss_rule():
     h = ShiftedCauchyTransform.from_measure(mu)
     for sums in (h.base.values, h.derivs, h.deriv2s):
         assert sums(np.array([])).shape == (0,)
-    assert mu._rule_for(np.array([])) is mu._rule
     assert "_gauss_rule" not in vars(mu)
 
 
